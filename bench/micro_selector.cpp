@@ -272,7 +272,7 @@ constexpr std::size_t kThreadRequests = 256;
 
 // One big admission batch decided by the snapshot pipeline with `threads`
 // workers. The preload population spans ALL pods, so nearly every candidate
-// path is crowded and evaluation (flows_on_path + reduced_share per
+// path is crowded and evaluation (Eq. 2's per-link waterfills for every
 // candidate) dominates the drain — the part the worker pool parallelizes.
 ThreadsRun run_threads_mode(std::size_t threads) {
   const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});

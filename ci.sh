@@ -45,6 +45,22 @@ diff /tmp/mayflower_metrics_run1.json /tmp/mayflower_metrics_run2.json
 python3 tools/check_metrics.py /tmp/mayflower_metrics_run1.json
 echo "identical"
 
+echo "=== golden decisions (fig4/fig6 reports + fig4 metrics hash) ==="
+# The other identity gates diff a binary against itself or a flag variant
+# of itself, so a change that moves every decision the same way on every
+# run passes them; this one diffs against committed references. The metrics
+# JSON's per-flow traces carry planned bandwidths and start/end times to the
+# nanosecond. References come from the default RelWithDebInfo build (GCC,
+# x86-64); a change meant to move decisions re-captures all three with the
+# commands used here and says why.
+diff tests/golden/fig4_report.txt /tmp/mayflower_sim_run1.txt
+./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
+    --lambda=4.0 >/tmp/mayflower_sim_fig6_golden.txt
+diff tests/golden/fig6_report.txt /tmp/mayflower_sim_fig6_golden.txt
+echo "$(cat tests/golden/fig4_metrics.sha256)  /tmp/mayflower_metrics_run1.json" |
+    sha256sum -c -
+echo "identical"
+
 echo "=== link-index churn microbenchmark (>= 5x bar) ==="
 ./build/bench/micro_link_index
 
@@ -278,6 +294,11 @@ echo "=== macro-scale fat-tree sweep (>= 5x bar at k=16 + decision identity) ===
 ./build/bench/macro_scale >/tmp/mayflower_macro_run2.txt
 diff /tmp/mayflower_macro_run1.txt /tmp/mayflower_macro_run2.txt
 echo "deterministic"
+
+echo "=== benchmark's own tests (perfbench: harness identity, smoke runs) ==="
+# perfbench/driver mirrors harness::run_experiment and fs::Cluster; its
+# smoke runs of every workload, traced and untraced, fail on any divergence.
+python3 perfbench/tests/test_perfbench.py
 
 echo "=== formatting (clang-format, skipped when unavailable) ==="
 if command -v clang-format >/dev/null 2>&1; then

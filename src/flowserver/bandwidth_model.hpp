@@ -16,7 +16,18 @@
 // corrected by the periodic stats resync. The model is stateless apart from
 // the zero-hop rate: every fact it consumes comes from the view, so all
 // decisions in one batch read identical state.
+//
+// BandwidthModel states both estimates one flow and one link at a time: it
+// is the definition tests/test_eq2_fast_path.cpp holds LinkShareMemo to.
+// LinkShareMemo computes the same numbers for every candidate of one
+// selection without repeating a gather or a waterfill; the selector costs
+// Eq. 2 through it.
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
@@ -52,6 +63,76 @@ class BandwidthModel {
                                double* report_share) const;
 
   double zero_hop_bps_ = 12e9;
+};
+
+// Both estimates for many paths over one const view, each link's work done
+// once. A link's believed flows (key order) and their demands are gathered
+// on the first touch, and the new flow's infinite-demand share on it is
+// water-filled then. reduced_shares() water-fills each path link at the new
+// flow's demand, unless the link's last waterfill already ran at that very
+// demand (candidates with the same bottleneck share often share links);
+// those shares serve every flow on the link, and a flow's reduced share is
+// the minimum over the links it shares with the path. Every waterfill sees
+// exactly the input BandwidthModel builds (the link's flows in key order,
+// the extra demand last), so every estimate is bit-identical to
+// new_flow_share's and reduced_share's.
+//
+// Holds pointers into the view: valid only while the view is not mutated.
+// Meant to live for one selection call; not shared between threads.
+class LinkShareMemo {
+ public:
+  LinkShareMemo(const BandwidthModel& model, const net::NetworkView& view);
+
+  // == model.new_flow_share(view, path).
+  double new_flow_share(const net::Path& path);
+
+  struct Reduced {
+    const net::NetworkView::Flow* flow;
+    double share;  // == model.reduced_share(view, *flow, path, new_flow_bps)
+  };
+  // Every believed flow crossing `path`, deduplicated, in key order, with
+  // its reduced share once a flow demanding `new_flow_bps` joins the path.
+  // The span stays valid until the next call.
+  std::span<const Reduced> reduced_shares(const net::Path& path,
+                                          double new_flow_bps);
+
+ private:
+  static constexpr std::uint32_t kUngathered = UINT32_MAX;
+
+  struct Link {
+    std::size_t flows = 0;  // offset of the link's flows in flows_
+    std::size_t first = 0;  // offset of its count + 1 demands and shares
+    std::size_t count = 0;  // believed flows on the link
+    double capacity = 0.0;
+    double new_flow_share = 0.0;  // the infinite-demand share
+    double filled_for = 0.0;      // extra demand its shares were filled at
+  };
+  // Merge cursor over one path link's flows and their shares.
+  struct Cursor {
+    const net::NetworkView::Flow* const* next;
+    const net::NetworkView::Flow* const* end;
+    const double* share;  // share of *next
+  };
+
+  Link& link(net::LinkId l) {
+    MAYFLOWER_ASSERT(l < slot_.size());
+    return slot_[l] != kUngathered ? links_[slot_[l]] : gather(l);
+  }
+  Link& gather(net::LinkId l);
+  // Water-fills `link` with its extra demand set to `extra`, into the
+  // link's count + 1 entries of shares_.
+  void fill(Link& link, double extra);
+
+  const net::NetworkView* view_;
+  double zero_hop_bps_;
+  std::vector<std::uint32_t> slot_;  // link id -> index into links_
+  std::vector<Link> links_;
+  std::vector<const net::NetworkView::Flow*> flows_;
+  std::vector<double> demands_;  // per link: its flows' demands, then extra
+  std::vector<double> shares_;   // per link: shares at filled_for
+  std::vector<std::size_t> order_;
+  std::vector<Cursor> cursors_;
+  std::vector<Reduced> reduced_;
 };
 
 }  // namespace mayflower::flowserver

@@ -59,8 +59,7 @@ void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
     f.frozen = true;
     f.freeze_until = now + sim::SimTime::from_seconds(size_bytes / est_bw_bps);
   }
-  const auto it = sh.flows.emplace(cookie, std::move(f)).first;
-  sh.index.add(cookie, it->second.path.links);
+  sh.flows.emplace(cookie, std::move(f));
   if (trace_ != nullptr) {
     trace_->flow_planned(cookie, now.seconds(), size_bytes, est_bw_bps);
   }
@@ -106,7 +105,6 @@ void FlowStateTable::drop(sdn::Cookie cookie) {
     if (it == sh->flows.end()) return;
     record_undo(*sh, cookie);
     ++sh->version;
-    sh->index.remove(cookie, it->second.path.links);
     sh->flows.erase(it);
   }
   if (shards_.size() > 1) {
@@ -226,66 +224,6 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
   }
 }
 
-std::vector<const TrackedFlow*> FlowStateTable::collect_sorted(
-    std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits) const {
-  std::sort(hits.begin(), hits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<const TrackedFlow*> out;
-  out.reserve(hits.size());
-  for (const auto& [cookie, f] : hits) out.push_back(f);
-  return out;
-}
-
-std::vector<const TrackedFlow*> FlowStateTable::flows_on_link(
-    net::LinkId link) const {
-  if (shards_.size() == 1) {
-    const Shard& sh = *shards_[0];
-    common::MutexLock lock(sh.mu);
-    std::vector<const TrackedFlow*> out;
-    const std::vector<net::LinkIndex::Key>& keys = sh.index.on_link(link);
-    out.reserve(keys.size());
-    for (const net::LinkIndex::Key k : keys) {
-      out.push_back(&sh.flows.at(k));
-    }
-    return out;
-  }
-  // Core/agg links carry flows from many shards; each shard's index keeps
-  // its keys ascending, so a merge-and-sort restores the global cookie
-  // order the unsharded table returned.
-  std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const net::LinkIndex::Key k : sh->index.on_link(link)) {
-      hits.emplace_back(k, &sh->flows.at(k));
-    }
-  }
-  return collect_sorted(std::move(hits));
-}
-
-std::vector<const TrackedFlow*> FlowStateTable::flows_on_path(
-    const net::Path& path) const {
-  if (shards_.size() == 1) {
-    const Shard& sh = *shards_[0];
-    common::MutexLock lock(sh.mu);
-    std::vector<const TrackedFlow*> out;
-    const std::vector<net::LinkIndex::Key> keys =
-        sh.index.on_links(path.links);
-    out.reserve(keys.size());
-    for (const net::LinkIndex::Key k : keys) {
-      out.push_back(&sh.flows.at(k));
-    }
-    return out;
-  }
-  std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const net::LinkIndex::Key k : sh->index.on_links(path.links)) {
-      hits.emplace_back(k, &sh->flows.at(k));
-    }
-  }
-  return collect_sorted(std::move(hits));
-}
-
 void FlowStateTable::begin_tentative() {
   MAYFLOWER_ASSERT_MSG(!tentative_.load(), "tentative scopes do not nest");
   for (const auto& sh : shards_) {
@@ -316,14 +254,9 @@ void FlowStateTable::rollback_tentative() {
     touched = true;
     for (auto it = sh.undo.rbegin(); it != sh.undo.rend(); ++it) {
       auto& [cookie, prior] = *it;
-      const auto cur = sh.flows.find(cookie);
-      if (cur != sh.flows.end()) {
-        sh.index.remove(cookie, cur->second.path.links);
-        sh.flows.erase(cur);
-      }
+      sh.flows.erase(cookie);
       if (prior.has_value()) {
-        const auto ins = sh.flows.emplace(cookie, std::move(*prior)).first;
-        sh.index.add(cookie, ins->second.path.links);
+        sh.flows.emplace(cookie, std::move(*prior));
       } else if (trace_ != nullptr) {
         // The scope inserted this entry; rolling back abandons the planned
         // flow (a rejected multi-read leg) — close its trace record.

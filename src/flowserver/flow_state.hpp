@@ -9,16 +9,14 @@
 //
 // The table is PARTITIONED BY EDGE SWITCH (net::ShardMap): every flow lives
 // in the shard of its source host's edge switch — the same key the fabric's
-// per-edge poll index uses — under that shard's own mutex, flow map, link
-// index and version counter. A poll of edge E or a drop of an E-sourced flow
+// per-edge poll index uses — under that shard's own mutex, flow map and
+// version counter. A poll of edge E or a drop of an E-sourced flow
 // moves only shard E's version, so a snapshot consumer reloads one shard
 // instead of the whole table. The default layout is a single shard (the
 // legacy global table) with identical semantics and no routing overhead.
 //
-// A per-link reverse index (net::LinkIndex) per shard keeps flows_on_link /
-// flows_on_path at O(flows actually crossing the links); with multiple
-// shards the per-shard results are merged in cookie order, so the answer is
-// byte-identical to the unsharded table's.
+// The table answers no per-link queries: decisions read a NetworkView
+// snapshot of it (snapshot_into), whose link index serves them.
 //
 // Tentative mutations for the multi-read planner (§4.3) are supported by a
 // bounded undo log per shard: begin_tentative() starts recording the prior
@@ -36,7 +34,6 @@
 #include <vector>
 
 #include "common/sync.hpp"
-#include "net/link_index.hpp"
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
 #include "net/shard_map.hpp"
@@ -135,13 +132,6 @@ class FlowStateTable {
   // view.unload_shard(s)).
   void snapshot_shard_into(net::NetworkView& view, std::uint32_t s) const;
 
-  // Flows crossing `link`, in cookie order (deterministic). O(flows on link)
-  // per shard holding any.
-  std::vector<const TrackedFlow*> flows_on_link(net::LinkId link) const;
-
-  // All flows crossing any link of `path`, deduplicated, cookie order.
-  std::vector<const TrackedFlow*> flows_on_path(const net::Path& path) const;
-
   // --- tentative mutation scope (multi-read planning, §4.3) --------------
   //
   // Between begin_tentative() and commit/rollback, every mutation records
@@ -163,7 +153,6 @@ class FlowStateTable {
   struct Shard {
     mutable common::Mutex mu;
     std::map<sdn::Cookie, TrackedFlow> flows GUARDED_BY(mu);
-    net::LinkIndex index GUARDED_BY(mu);  // link -> cookies crossing it
     std::uint64_t version GUARDED_BY(mu) = 0;
     std::uint64_t freeze_suppressed GUARDED_BY(mu) = 0;
     std::vector<std::pair<sdn::Cookie, std::optional<TrackedFlow>>> undo
@@ -177,9 +166,6 @@ class FlowStateTable {
   // Records `cookie`'s current state (or absence) in shard `s`'s undo log
   // before its first mutation inside an open tentative scope.
   void record_undo(Shard& s, sdn::Cookie cookie) REQUIRES(s.mu);
-  // Sorted-by-cookie merge used by flows_on_link / flows_on_path.
-  std::vector<const TrackedFlow*> collect_sorted(
-      std::vector<std::pair<sdn::Cookie, const TrackedFlow*>> hits) const;
 
   // Concurrency: the table is written only by the control thread (commits,
   // polls, drops); decision workers read the immutable NetworkView snapshot,

@@ -40,10 +40,11 @@ std::vector<SubflowPlan> MultiReadPlanner::plan_and_commit(
         selector_->begin_tentative(view);
         selector_->commit(view, *best2, cookies[1], request_bytes, now);
         // Subflow 1's adjusted share after subflow 2 lands. bumped holds at
-        // most ONE entry per flow: flows_on_path deduplicates, and
-        // reduced_share already mins over every link the two paths share —
-        // a second match would mean the invariant broke and the shares
-        // diverged, so assert it rather than silently taking the last one.
+        // most ONE entry per flow: the path's flow union is deduplicated,
+        // and the reduced share already mins over every link the two paths
+        // share — a second match would mean the invariant broke and the
+        // shares diverged, so assert it rather than silently taking the
+        // last one.
         double b1_adjusted = b1;
         bool matched = false;
         for (const auto& [cookie, bw] : best2->bumped) {

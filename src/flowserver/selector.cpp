@@ -2,27 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/assert.hpp"
 
 namespace mayflower::flowserver {
 
-Candidate evaluate_path(const BandwidthModel& model,
-                        const net::NetworkView& view, net::NodeId replica,
-                        const net::Path& path, double request_bytes) {
+namespace {
+
+// FLOWCOST (Pseudocode 2) of `path`: fills c's estimate, cost and bumped
+// list (reusing its capacity); replica and path are the caller's.
+void cost_path(LinkShareMemo& memo, const net::Path& path,
+               double request_bytes, Candidate& c) {
   MAYFLOWER_ASSERT(request_bytes > 0.0);
-  Candidate c;
-  c.replica = replica;
-  c.path = path;
-  c.est_bw_bps = model.new_flow_share(view, path);
+  c.est_bw_bps = memo.new_flow_share(path);
   MAYFLOWER_ASSERT_MSG(c.est_bw_bps > 0.0, "estimated share must be positive");
   c.cost.own_time = request_bytes / c.est_bw_bps;
+  c.cost.impact = 0.0;
+  c.bumped.clear();
 
-  // flows_on_path is indexed (union of per-link flow sets, cookie order), so
-  // the impact term costs O(flows actually sharing the path), not O(table).
-  for (const net::NetworkView::Flow* f : view.flows_on_path(path)) {
+  // The union of flows sharing the path's links, in cookie order, so the
+  // impact sum and the bumped list keep one deterministic order.
+  for (const auto& [f, reduced] : memo.reduced_shares(path, c.est_bw_bps)) {
     const double cur = f->bw_bps;
-    const double reduced = model.reduced_share(view, *f, path, c.est_bw_bps);
     if (reduced < cur) {
       const double r = f->remaining_bytes;
       c.cost.impact += r / reduced - r / cur;
@@ -30,6 +32,18 @@ Candidate evaluate_path(const BandwidthModel& model,
     }
   }
   c.cost.total = c.cost.own_time + c.cost.impact;
+}
+
+}  // namespace
+
+Candidate evaluate_path(const BandwidthModel& model,
+                        const net::NetworkView& view, net::NodeId replica,
+                        const net::Path& path, double request_bytes) {
+  LinkShareMemo memo(model, view);
+  Candidate c;
+  c.replica = replica;
+  c.path = path;
+  cost_path(memo, path, request_bytes, c);
   return c;
 }
 
@@ -58,16 +72,27 @@ std::optional<Candidate> ReplicaPathSelector::select(
     const net::NetworkView& view, net::NodeId client,
     const std::vector<net::NodeId>& replicas, double request_bytes,
     SelectStats* stats) const {
+  // One memo per call: candidates share links (every path ends at the
+  // client), so each link is gathered and water-filled for the new flow
+  // once. Concurrent selections each own theirs.
+  LinkShareMemo memo(model_, view);
   std::optional<Candidate> best;
+  Candidate c;
   for (const net::NodeId replica : replicas) {
     // Data flows replica -> client; paths are enumerated in that direction.
     for (const net::Path& p : paths_->get(replica, client)) {
       if (!view.path_alive(p)) continue;
-      Candidate c = evaluate_path(model_, view, replica, p, request_bytes);
+      cost_path(memo, p, request_bytes, c);
       if (stats != nullptr) ++stats->candidates_evaluated;
       if (!impact_aware_) c.cost.total = c.cost.own_time;
       if (!best.has_value() || c.cost.total < best->cost.total) {
-        best = std::move(c);
+        // Only a new best pays for copying its path.
+        if (!best.has_value()) best.emplace();
+        best->replica = replica;
+        best->path = p;
+        best->est_bw_bps = c.est_bw_bps;
+        best->cost = c.cost;
+        std::swap(best->bumped, c.bumped);
       }
     }
   }

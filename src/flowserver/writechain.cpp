@@ -30,6 +30,9 @@ std::vector<net::NodeId> tied_best_targets(
 std::vector<net::NodeId> rank_write_targets_by_model(
     const BandwidthModel& model, net::PathCache& paths, net::NodeId writer,
     const std::vector<net::NodeId>& candidates, const net::NetworkView& view) {
+  // Every candidate's paths leave through the writer's uplink: one memo
+  // gathers and water-fills each link once for the whole ranking.
+  LinkShareMemo memo(model, view);
   std::vector<units::Bps> scores;
   scores.reserve(candidates.size());
   for (const net::NodeId candidate : candidates) {
@@ -38,7 +41,7 @@ std::vector<net::NodeId> rank_write_targets_by_model(
       share = model.zero_hop_bps();
     } else {
       for (const net::Path& p : paths.get(writer, candidate)) {
-        share = std::max(share, model.new_flow_share(view, p));
+        share = std::max(share, memo.new_flow_share(p));
       }
     }
     scores.push_back(units::Bps{share});

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <iterator>
 
 #include "common/logging.hpp"
 
@@ -29,6 +29,10 @@ FlowSim::FlowSim(sim::EventQueue& events, const Topology& topo, Config config)
   capacity_factor_.assign(topo.link_count(), 1.0);
   link_up_.assign(topo.link_count(), 1);
   link_bytes_.assign(topo.link_count(), 0.0);
+  scratch_capacity_.assign(topo.link_count(), 0.0);
+  round_load_.assign(topo.link_count(), 0.0);
+  round_max_rate_.assign(topo.link_count(), 0.0);
+  round_stamp_.assign(topo.link_count(), 0);
   last_advance_ = events.now();
 }
 
@@ -243,23 +247,39 @@ void FlowSim::set_metrics(obs::MetricsRegistry* registry) {
   handoff_solves_ = registry->counter("net.flowsim.handoff_solves");
 }
 
+void FlowSim::collect_all(std::vector<FlowLinks>& out) const {
+  out.clear();
+  for (const auto& [id, f] : flows_) {
+    out.push_back({f.path.links, f.path.links.empty()
+                                     ? std::min(f.demand_bps,
+                                                config_.zero_hop_bps)
+                                     : f.demand_bps});
+  }
+}
+
 void FlowSim::recompute_full() {
   full_solves_.inc();
-  std::vector<FlowDemand> demands;
-  demands.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    FlowDemand d;
-    d.links = f.path.links;
-    d.demand = f.path.links.empty()
-                   ? std::min(f.demand_bps, config_.zero_hop_bps)
-                   : f.demand_bps;
-    demands.push_back(std::move(d));
-  }
-  const std::vector<double> rates = solve_max_min(demands, link_capacity_);
+  collect_all(solve_flows_);
+  solver_.solve(solve_flows_, link_capacity_, solve_rates_);
   std::size_t i = 0;
   for (auto& [id, f] : flows_) {
-    f.rate_bps = rates[i++];
+    f.rate_bps = solve_rates_[i++];
   }
+}
+
+std::pair<double, double> FlowSim::round_link_stats(LinkId link) {
+  if (round_stamp_[link] != round_) {
+    double load = 0.0, max_rate = 0.0;
+    for (const LinkIndex::Key k : index_.on_link(link)) {
+      const double r = flows_.at(k).rate_bps;
+      load += r;
+      max_rate = std::max(max_rate, r);
+    }
+    round_load_[link] = load;
+    round_max_rate_[link] = max_rate;
+    round_stamp_[link] = round_;
+  }
+  return {round_load_[link], round_max_rate_[link]};
 }
 
 // Dirty-set max-min. A change only invalidates rates that can no longer hold
@@ -272,46 +292,42 @@ void FlowSim::recompute_full() {
 // — joins the dirty set and the subproblem is re-solved. At the fixpoint the
 // allocation is feasible and every flow is bottlenecked, which pins it to
 // the unique global max-min solution; flows in untouched connected
-// components are never visited.
+// components are never visited. Every working set lives in a member buffer.
 void FlowSim::recompute_incremental(const std::vector<LinkId>& seed_links) {
-  std::vector<FlowId> dirty = index_.on_links(seed_links);  // sorted, unique
-  if (dirty.empty()) {
+  index_.on_links(seed_links, dirty_);  // sorted, unique
+  if (dirty_.empty()) {
     incremental_solves_.inc();
     return;
   }
 
-  const auto is_dirty = [&dirty](FlowId id) {
-    return std::binary_search(dirty.begin(), dirty.end(), id);
+  const auto is_dirty = [this](FlowId id) {
+    return std::binary_search(dirty_.begin(), dirty_.end(), id);
   };
 
-  if (scratch_capacity_.size() != link_capacity_.size()) {
-    scratch_capacity_.assign(link_capacity_.size(), 0.0);
-  }
-
-  std::vector<LinkId> region;    // D: every link some dirty flow crosses
-  std::vector<FlowId> expand;
   for (std::size_t round = 0;; ++round) {
     MAYFLOWER_ASSERT_MSG(round <= flows_.size(),
                          "dirty-set expansion failed to converge");
     // When the change stops being local (a saturated mesh can couple most of
     // the network), the subproblem machinery costs more than it saves: hand
     // off to the full solve. The answer is identical either way.
-    if (dirty.size() > 64 && 4 * dirty.size() > flows_.size()) {
+    if (dirty_.size() > 64 && 4 * dirty_.size() > flows_.size()) {
       handoff_solves_.inc();
       recompute_full();
       return;
     }
-    region.clear();
-    for (const FlowId id : dirty) {
-      const FlowRecord& f = flows_.at(id);
-      region.insert(region.end(), f.path.links.begin(), f.path.links.end());
+    dirty_records_.clear();
+    region_.clear();
+    for (const FlowId id : dirty_) {
+      FlowRecord& f = flows_.at(id);
+      dirty_records_.push_back(&f);
+      region_.insert(region_.end(), f.path.links.begin(), f.path.links.end());
     }
-    std::sort(region.begin(), region.end());
-    region.erase(std::unique(region.begin(), region.end()), region.end());
+    std::sort(region_.begin(), region_.end());
+    region_.erase(std::unique(region_.begin(), region_.end()), region_.end());
 
     // Residual capacity on region links: whatever the fixed-rate flows
     // (non-dirty tenants) are not already holding.
-    for (const LinkId l : region) {
+    for (const LinkId l : region_) {
       double fixed = 0.0;
       for (const LinkIndex::Key k : index_.on_link(l)) {
         if (!is_dirty(k)) fixed += flows_.at(k).rate_bps;
@@ -319,44 +335,26 @@ void FlowSim::recompute_incremental(const std::vector<LinkId>& seed_links) {
       scratch_capacity_[l] = std::max(link_capacity_[l] - fixed, 0.0);
     }
 
-    std::vector<FlowDemand> demands;
-    demands.reserve(dirty.size());
-    for (const FlowId id : dirty) {
-      const FlowRecord& f = flows_.at(id);
-      FlowDemand d;
-      d.links = f.path.links;
-      d.demand = f.demand_bps;
-      demands.push_back(std::move(d));
+    // The solver reads each dirty flow's links in place.
+    solve_flows_.clear();
+    for (const FlowRecord* f : dirty_records_) {
+      solve_flows_.push_back({f->path.links, f->demand_bps});
     }
-    const std::vector<double> rates = solve_max_min(demands, scratch_capacity_);
-    std::size_t i = 0;
-    for (const FlowId id : dirty) {
-      flows_.at(id).rate_bps = rates[i++];
+    solver_.solve(solve_flows_, scratch_capacity_, solve_rates_);
+    for (std::size_t i = 0; i < dirty_records_.size(); ++i) {
+      dirty_records_[i]->rate_bps = solve_rates_[i];
     }
 
-    // Verify bottleneck certificates over every flow touching the region.
-    // Per-link (load, max rate) aggregates are cached for the round.
-    std::unordered_map<LinkId, std::pair<double, double>> stats;
-    const auto link_stats = [&](LinkId l) -> const std::pair<double, double>& {
-      auto it = stats.find(l);
-      if (it == stats.end()) {
-        double load = 0.0, max_rate = 0.0;
-        for (const LinkIndex::Key k : index_.on_link(l)) {
-          const double r = flows_.at(k).rate_bps;
-          load += r;
-          max_rate = std::max(max_rate, r);
-        }
-        it = stats.emplace(l, std::make_pair(load, max_rate)).first;
-      }
-      return it->second;
-    };
-    const auto certified = [&](const FlowRecord& f) {
+    // Verify bottleneck certificates over every flow touching the region,
+    // against this round's per-link aggregates.
+    ++round_;
+    const auto certified = [this](const FlowRecord& f) {
       if (std::isfinite(f.demand_bps) &&
           f.rate_bps >= f.demand_bps - rate_slack(f.demand_bps)) {
         return true;
       }
       for (const LinkId l : f.path.links) {
-        const auto& [load, max_rate] = link_stats(l);
+        const auto [load, max_rate] = round_link_stats(l);
         if (link_saturated(load, link_capacity_[l]) &&
             f.rate_bps >= max_rate - rate_slack(max_rate)) {
           return true;
@@ -365,12 +363,13 @@ void FlowSim::recompute_incremental(const std::vector<LinkId>& seed_links) {
       return false;
     };
 
-    expand.clear();
-    for (const FlowId id : index_.on_links(region)) {
+    expand_.clear();
+    index_.on_links(region_, touched_);
+    for (const FlowId id : touched_) {
       const FlowRecord& f = flows_.at(id);
       if (certified(f)) continue;
       if (!is_dirty(id)) {
-        expand.push_back(id);
+        expand_.push_back(id);
         continue;
       }
       // A dirty flow can only lack a certificate because a fixed-rate flow
@@ -378,42 +377,34 @@ void FlowSim::recompute_incremental(const std::vector<LinkId>& seed_links) {
       // (even demand-certified ones — their demand may exceed the new fair
       // share).
       for (const LinkId l : f.path.links) {
-        const auto& [load, max_rate] = link_stats(l);
+        const auto [load, max_rate] = round_link_stats(l);
         if (!link_saturated(load, link_capacity_[l])) continue;
         for (const LinkIndex::Key k : index_.on_link(l)) {
           if (is_dirty(k)) continue;
           if (flows_.at(k).rate_bps > f.rate_bps + rate_slack(f.rate_bps)) {
-            expand.push_back(k);
+            expand_.push_back(k);
           }
         }
       }
     }
-    if (expand.empty()) break;
-    std::sort(expand.begin(), expand.end());
-    expand.erase(std::unique(expand.begin(), expand.end()), expand.end());
-    std::vector<FlowId> merged;
-    merged.reserve(dirty.size() + expand.size());
-    std::set_union(dirty.begin(), dirty.end(), expand.begin(), expand.end(),
-                   std::back_inserter(merged));
-    MAYFLOWER_ASSERT_MSG(merged.size() > dirty.size(),
+    if (expand_.empty()) break;
+    std::sort(expand_.begin(), expand_.end());
+    expand_.erase(std::unique(expand_.begin(), expand_.end()), expand_.end());
+    merged_.clear();
+    std::set_union(dirty_.begin(), dirty_.end(), expand_.begin(),
+                   expand_.end(), std::back_inserter(merged_));
+    MAYFLOWER_ASSERT_MSG(merged_.size() > dirty_.size(),
                          "dirty-set expansion made no progress");
-    dirty = std::move(merged);
+    dirty_.swap(merged_);
   }
   incremental_solves_.inc();
 }
 
 bool FlowSim::rates_match_full_solve(double rel_eps) const {
-  std::vector<FlowDemand> demands;
-  demands.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) {
-    FlowDemand d;
-    d.links = f.path.links;
-    d.demand = f.path.links.empty()
-                   ? std::min(f.demand_bps, config_.zero_hop_bps)
-                   : f.demand_bps;
-    demands.push_back(std::move(d));
-  }
-  const std::vector<double> want = solve_max_min(demands, link_capacity_);
+  std::vector<FlowLinks> all;
+  collect_all(all);
+  std::vector<double> want;
+  MaxMinSolver().solve(all, link_capacity_, want);
   std::size_t i = 0;
   for (const auto& [id, f] : flows_) {
     const double w = want[i++];

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "net/fair_share.hpp"
@@ -174,6 +175,12 @@ class FlowSim {
   void recompute_after_change(const std::vector<LinkId>& seed_links);
   void recompute_full();
   void recompute_incremental(const std::vector<LinkId>& seed_links);
+  // Every active flow as the solver reads it, in id order (zero-hop flows
+  // at their bounded demand).
+  void collect_all(std::vector<FlowLinks>& out) const;
+  // This round's (load, max rate) over the flows crossing `link`, summed in
+  // id order on the first query of the round and cached until the next.
+  std::pair<double, double> round_link_stats(LinkId link);
   void schedule_next_completion();
   void on_completion_event();
 
@@ -196,8 +203,27 @@ class FlowSim {
   sim::SimTime last_advance_;
   sim::EventId completion_event_;
 
-  // Scratch for recompute_incremental (member to avoid per-event allocation).
+  // Working state of the re-solves, kept across changes so a dirty-set
+  // round allocates nothing once the buffers have grown. solve_flows_ and
+  // dirty_records_ point into flows_: each round refills them before use,
+  // and nothing reads them after the solve that filled them.
+  MaxMinSolver solver_;
+  std::vector<FlowLinks> solve_flows_;
+  std::vector<double> solve_rates_;
+  std::vector<FlowId> dirty_;           // sorted, unique
+  std::vector<FlowRecord*> dirty_records_;  // dirty_'s records, same order
+  std::vector<FlowId> touched_;         // flows crossing the region
+  std::vector<FlowId> expand_;
+  std::vector<FlowId> merged_;
+  std::vector<LinkId> region_;          // links some dirty flow crosses
   std::vector<double> scratch_capacity_;
+  // Per-link (load, max rate) aggregates of one dirty-set round. An entry
+  // is current only while its stamp equals round_, so starting a round
+  // invalidates every entry by bumping round_.
+  std::vector<double> round_load_;
+  std::vector<double> round_max_rate_;
+  std::vector<std::uint64_t> round_stamp_;
+  std::uint64_t round_ = 0;
 
   // Observability: how often the incremental path sufficed vs. re-ran the
   // global solve (directly or via the dirty-set handoff).

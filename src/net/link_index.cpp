@@ -32,16 +32,15 @@ void LinkIndex::remove(Key key, const std::vector<LinkId>& links) {
   }
 }
 
-std::vector<LinkIndex::Key> LinkIndex::on_links(
-    const std::vector<LinkId>& links) const {
-  std::vector<Key> out;
+void LinkIndex::on_links(const std::vector<LinkId>& links,
+                         std::vector<Key>& out) const {
+  out.clear();
   for (const LinkId l : links) {
     const std::vector<Key>& keys = on_link(l);
     out.insert(out.end(), keys.begin(), keys.end());
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 void LinkIndex::clear() {

@@ -42,8 +42,10 @@ class LinkIndex {
 
   std::size_t count_on(LinkId link) const { return on_link(link).size(); }
 
-  // Union of keys over `links`, deduplicated, ascending.
-  std::vector<Key> on_links(const std::vector<LinkId>& links) const;
+  // Union of keys over `links`, deduplicated, ascending, written into `out`
+  // (cleared first). Callers keep `out` across queries, so a steady stream
+  // of unions allocates nothing once it has grown.
+  void on_links(const std::vector<LinkId>& links, std::vector<Key>& out) const;
 
   void clear();
 

@@ -125,26 +125,11 @@ const NetworkView::Flow* NetworkView::find(std::uint64_t key) const {
   return it == flows_.end() ? nullptr : &it->second;
 }
 
-std::vector<const NetworkView::Flow*> NetworkView::flows_on_link(
-    LinkId link) const {
-  std::vector<const Flow*> out;
-  const std::vector<LinkIndex::Key>& keys = index_.on_link(link);
-  out.reserve(keys.size());
-  for (const LinkIndex::Key k : keys) {
+void NetworkView::append_flows_on_link(LinkId link,
+                                       std::vector<const Flow*>& out) const {
+  for (const LinkIndex::Key k : index_.on_link(link)) {
     out.push_back(&flows_.at(k));
   }
-  return out;
-}
-
-std::vector<const NetworkView::Flow*> NetworkView::flows_on_path(
-    const Path& path) const {
-  std::vector<const Flow*> out;
-  const std::vector<LinkIndex::Key> keys = index_.on_links(path.links);
-  out.reserve(keys.size());
-  for (const LinkIndex::Key k : keys) {
-    out.push_back(&flows_.at(k));
-  }
-  return out;
 }
 
 const NetworkView::FlowStats* NetworkView::flow_stats(

@@ -13,8 +13,8 @@
 // invalidate the view, forcing a rebuild before the next batch.
 //
 // The flow section mirrors FlowStateTable semantics: a per-link reverse
-// index (LinkIndex) keeps flows_on_link / flows_on_path at O(flows actually
-// crossing the links) in key order, and a bounded undo log provides the same
+// index (LinkIndex) keeps append_flows_on_link at O(flows actually crossing
+// the link) in key order, and a bounded undo log provides the same
 // tentative scope the table offers the multi-read planner.
 #pragma once
 
@@ -121,10 +121,10 @@ class NetworkView {
   const Flow* find(std::uint64_t key) const;
   std::size_t flow_count() const { return flows_.size(); }
 
-  // Flows crossing `link`, in key order (deterministic). O(flows on link).
-  std::vector<const Flow*> flows_on_link(LinkId link) const;
-  // Flows crossing any link of `path`, deduplicated, key order.
-  std::vector<const Flow*> flows_on_path(const Path& path) const;
+  // Appends the flows crossing `link` to `out`, in key order
+  // (deterministic). O(flows on link); allocates nothing once `out` has
+  // grown, so a caller gathering many links can keep one buffer.
+  void append_flows_on_link(LinkId link, std::vector<const Flow*>& out) const;
 
   // --- data-plane telemetry ---------------------------------------------
 
@@ -176,7 +176,7 @@ class NetworkView {
   // Sharded layout (empty vectors when the map is unsharded): per-shard key
   // lists so unload_shard() is O(flows in the shard), plus per-shard
   // freshness stamps. The flows map and link index above stay GLOBAL — a
-  // sharded view answers flows_on_link/flows_on_path byte-identically to an
+  // sharded view answers append_flows_on_link byte-identically to an
   // unsharded one; sharding changes only which sections a rebuild touches.
   ShardMap shard_map_;
   std::vector<std::vector<std::uint64_t>> shard_keys_;

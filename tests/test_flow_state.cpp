@@ -19,6 +19,19 @@ net::Path one_link_path(net::LinkId l) {
   return p;
 }
 
+// Cookies of the table's flows crossing `link`, ascending, read through a
+// decision snapshot: the table answers no per-link queries itself.
+std::vector<sdn::Cookie> cookies_on_link(const FlowStateTable& t,
+                                         net::LinkId link) {
+  net::NetworkView view;
+  t.snapshot_into(view);
+  std::vector<const net::NetworkView::Flow*> flows;
+  view.append_flows_on_link(link, flows);
+  std::vector<sdn::Cookie> cookies;
+  for (const net::NetworkView::Flow* f : flows) cookies.push_back(f->key);
+  return cookies;
+}
+
 TEST(FlowStateTable, AddRegistersFrozenFlow) {
   FlowStateTable t;
   t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
@@ -117,18 +130,9 @@ TEST(FlowStateTable, FlowsOnLinkFiltersByPath) {
   both.links = {0, 1};
   both.nodes = {0, 1, 2};
   t.add(3, both, 10.0, 1.0, sec(0));
-  EXPECT_EQ(t.flows_on_link(0).size(), 2u);
-  EXPECT_EQ(t.flows_on_link(1).size(), 2u);
-  EXPECT_EQ(t.flows_on_link(7).size(), 0u);
-}
-
-TEST(FlowStateTable, FlowsOnPathDeduplicates) {
-  FlowStateTable t;
-  net::Path both;
-  both.links = {0, 1};
-  both.nodes = {0, 1, 2};
-  t.add(1, both, 10.0, 1.0, sec(0));  // crosses both links of the query path
-  EXPECT_EQ(t.flows_on_path(both).size(), 1u);
+  EXPECT_EQ(cookies_on_link(t, 0), (std::vector<sdn::Cookie>{1, 3}));
+  EXPECT_EQ(cookies_on_link(t, 1), (std::vector<sdn::Cookie>{2, 3}));
+  EXPECT_TRUE(cookies_on_link(t, 7).empty());
 }
 
 TEST(FlowStateTable, RemainingClampsAfterResizeOvershoot) {
@@ -145,11 +149,7 @@ TEST(FlowStateTable, FlowsOnLinkIteratesInCookieOrder) {
   t.add(9, one_link_path(0), 10.0, 1.0, sec(0));
   t.add(2, one_link_path(0), 10.0, 1.0, sec(0));
   t.add(5, one_link_path(0), 10.0, 1.0, sec(0));
-  const auto flows = t.flows_on_link(0);
-  ASSERT_EQ(flows.size(), 3u);
-  EXPECT_EQ(flows[0]->cookie, 2u);
-  EXPECT_EQ(flows[1]->cookie, 5u);
-  EXPECT_EQ(flows[2]->cookie, 9u);
+  EXPECT_EQ(cookies_on_link(t, 0), (std::vector<sdn::Cookie>{2, 5, 9}));
 }
 
 TEST(FlowStateTable, RollbackRestoresEveryMutationKind) {
@@ -175,10 +175,10 @@ TEST(FlowStateTable, RollbackRestoresEveryMutationKind) {
   EXPECT_DOUBLE_EQ(t.find(2)->bw_bps, 8.0);
   EXPECT_DOUBLE_EQ(t.find(3)->remaining_bytes, 60.0);
   EXPECT_EQ(t.find(4), nullptr);
-  // The link index rolled back too: cookie 4 is gone from link 0, cookie 2
-  // is back on link 1.
-  EXPECT_EQ(t.flows_on_link(0).size(), 1u);
-  EXPECT_EQ(t.flows_on_link(1).size(), 1u);
+  // A snapshot sees the restored paths: cookie 4 is gone from link 0,
+  // cookie 2 is back on link 1.
+  EXPECT_EQ(cookies_on_link(t, 0), std::vector<sdn::Cookie>{1});
+  EXPECT_EQ(cookies_on_link(t, 1), std::vector<sdn::Cookie>{2});
   EXPECT_FALSE(t.tentative_active());
 }
 
@@ -191,7 +191,7 @@ TEST(FlowStateTable, CommitKeepsTentativeMutations) {
   t.commit_tentative();
   EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 3.0);
   ASSERT_NE(t.find(2), nullptr);
-  EXPECT_EQ(t.flows_on_link(1).size(), 1u);
+  EXPECT_EQ(cookies_on_link(t, 1), std::vector<sdn::Cookie>{2});
   EXPECT_FALSE(t.tentative_active());
 }
 
@@ -204,8 +204,9 @@ TEST(FlowStateTable, RollbackOfDropThenReaddRestoresOriginal) {
   t.rollback_tentative();
   ASSERT_NE(t.find(1), nullptr);
   EXPECT_DOUBLE_EQ(t.find(1)->size_bytes, 100.0);
-  EXPECT_EQ(t.flows_on_link(0).size(), 1u);
-  EXPECT_EQ(t.flows_on_link(2).size(), 0u);
+  EXPECT_EQ(t.find(1)->path.links, std::vector<net::LinkId>{0});
+  EXPECT_EQ(cookies_on_link(t, 0), std::vector<sdn::Cookie>{1});
+  EXPECT_TRUE(cookies_on_link(t, 2).empty());
 }
 
 TEST(FlowStateTable, MutationsOutsideScopeAreNotLogged) {
@@ -304,8 +305,8 @@ TEST_F(ShardedFlowStateTest, RollbackRestoresAcrossShards) {
 }
 
 TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {
-  // Two flows from DIFFERENT racks converge on host 8's downlink; the
-  // cross-shard gather must still come back in cookie order.
+  // Two flows from DIFFERENT racks converge on host 8's downlink; a
+  // snapshot of the two shards must still list them in cookie order.
   const net::Path a = path_between(tree_.hosts[0], tree_.hosts[8]);
   const net::Path b = path_between(tree_.hosts[4], tree_.hosts[8]);
   const net::LinkId down =
@@ -314,10 +315,7 @@ TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {
   ASSERT_EQ(b.links.back(), down);
   table_.add(7, a, 100.0, 10.0, sec(0));  // higher cookie added first
   table_.add(3, b, 100.0, 10.0, sec(0));
-  const auto on_link = table_.flows_on_link(down);
-  ASSERT_EQ(on_link.size(), 2u);
-  EXPECT_EQ(on_link[0]->cookie, 3u);
-  EXPECT_EQ(on_link[1]->cookie, 7u);
+  EXPECT_EQ(cookies_on_link(table_, down), (std::vector<sdn::Cookie>{3, 7}));
 }
 
 TEST_F(ShardedFlowStateTest, SnapshotShardCopiesOneShard) {

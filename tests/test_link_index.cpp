@@ -38,8 +38,11 @@ TEST(LinkIndex, OnLinksUnionsAndDeduplicates) {
   idx.add(5, {0, 1});  // crosses both query links
   idx.add(2, {1});
   idx.add(8, {2});     // not in the query
-  EXPECT_EQ(idx.on_links({0, 1}), (Keys{2, 5}));
-  EXPECT_EQ(idx.on_links({}), Keys{});
+  Keys out{99};        // stale contents are replaced, not appended to
+  idx.on_links({0, 1}, out);
+  EXPECT_EQ(out, (Keys{2, 5}));
+  idx.on_links({}, out);
+  EXPECT_EQ(out, Keys{});
 }
 
 TEST(LinkIndex, UnseenLinksAreEmptyAndIndexGrowsOnDemand) {
