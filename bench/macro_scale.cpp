@@ -141,16 +141,18 @@ LayoutRun run_layout(const net::ThreeTier& tree, const Workload& w,
     server.view();
     const auto r1 = std::chrono::steady_clock::now();
     refresh_sec += std::chrono::duration<double>(r1 - r0).count();
-    server.enqueue_read(w.clients[i], w.replica_sets[i], 256e6,
-                        [&run](std::vector<ReadAssignment> plan) {
-                          for (const ReadAssignment& a : plan) {
-                            char line[96];
-                            std::snprintf(line, sizeof line, "%u %zu %.6g",
-                                          a.replica, a.path.links.size(),
-                                          a.est_bw_bps);
-                            run.decisions.emplace_back(line);
-                          }
-                        });
+    server.enqueue({.client = w.clients[i],
+                    .replicas = w.replica_sets[i],
+                    .bytes = 256e6,
+                    .done = [&run](std::vector<ReadAssignment> plan) {
+                      for (const ReadAssignment& a : plan) {
+                        char line[96];
+                        std::snprintf(line, sizeof line, "%u %zu %.6g",
+                                      a.replica, a.path.links.size(),
+                                      a.est_bw_bps);
+                        run.decisions.emplace_back(line);
+                      }
+                    }});
   }
   const auto t1 = std::chrono::steady_clock::now();
   run.secs = std::chrono::duration<double>(t1 - t0).count();

@@ -168,10 +168,13 @@ std::string decision_transcript(std::size_t decision_threads) {
         plans[static_cast<std::size_t>(idx)] = std::move(p);
       };
       if (idx % 2 == 0) {
-        server.enqueue_write(nodes, bytes, sink);
+        server.enqueue(
+            {.replicas = nodes, .bytes = bytes, .write = true, .done = sink});
       } else {
-        server.enqueue_read(nodes[0], {nodes[1], nodes[2], nodes[3]}, bytes,
-                            sink);
+        server.enqueue({.client = nodes[0],
+                        .replicas = {nodes[1], nodes[2], nodes[3]},
+                        .bytes = bytes,
+                        .done = sink});
       }
     }
     server.drain();

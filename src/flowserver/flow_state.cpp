@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 
 #include "common/assert.hpp"
 
@@ -13,7 +12,7 @@ FlowStateTable::FlowStateTable() {
 }
 
 void FlowStateTable::set_shard_map(net::ShardMap map) {
-  MAYFLOWER_ASSERT_MSG(size() == 0 && !tentative_.load(),
+  MAYFLOWER_ASSERT_MSG(size() == 0,
                        "install the shard map before tracking flows");
   shard_map_ = std::move(map);
   shards_.clear();
@@ -46,7 +45,6 @@ void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
   MAYFLOWER_ASSERT_MSG(sh.flows.find(cookie) == sh.flows.end(),
                        "cookie already tracked");
   MAYFLOWER_ASSERT(size_bytes > 0.0 && est_bw_bps > 0.0);
-  record_undo(sh, cookie);
   ++sh.version;
   TrackedFlow f;
   f.cookie = cookie;
@@ -103,7 +101,6 @@ void FlowStateTable::drop(sdn::Cookie cookie) {
     common::MutexLock lock(sh->mu);
     const auto it = sh->flows.find(cookie);
     if (it == sh->flows.end()) return;
-    record_undo(*sh, cookie);
     ++sh->version;
     sh->flows.erase(it);
   }
@@ -153,7 +150,6 @@ void FlowStateTable::setbw(sdn::Cookie cookie, double bw_bps,
   const auto it = sh->flows.find(cookie);
   MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "setbw on unknown flow");
   MAYFLOWER_ASSERT(bw_bps > 0.0);
-  record_undo(*sh, cookie);
   ++sh->version;
   TrackedFlow& f = it->second;
   f.bw_bps = bw_bps;
@@ -173,7 +169,6 @@ void FlowStateTable::resize(sdn::Cookie cookie, double new_size_bytes,
   const auto it = sh->flows.find(cookie);
   MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "resize on unknown flow");
   MAYFLOWER_ASSERT(new_size_bytes > 0.0);
-  record_undo(*sh, cookie);
   ++sh->version;
   TrackedFlow& f = it->second;
   f.size_bytes = new_size_bytes;
@@ -193,7 +188,6 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
   common::MutexLock lock(sh->mu);
   const auto it = sh->flows.find(cookie);
   if (it == sh->flows.end()) return;
-  record_undo(*sh, cookie);
   ++sh->version;
   TrackedFlow& f = it->second;
 
@@ -224,79 +218,6 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
   }
 }
 
-void FlowStateTable::begin_tentative() {
-  MAYFLOWER_ASSERT_MSG(!tentative_.load(), "tentative scopes do not nest");
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    sh->undo.clear();
-  }
-  tentative_.store(true);
-}
-
-void FlowStateTable::commit_tentative() {
-  MAYFLOWER_ASSERT_MSG(tentative_.load(), "no tentative scope open");
-  tentative_.store(false);
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    sh->undo.clear();
-  }
-}
-
-void FlowStateTable::rollback_tentative() {
-  MAYFLOWER_ASSERT_MSG(tentative_.load(), "no tentative scope open");
-  // shard id, cookie, present-after-restore: route fixups applied below.
-  std::vector<std::tuple<std::uint32_t, sdn::Cookie, bool>> route_fix;
-  bool touched = false;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = *shards_[s];
-    common::MutexLock lock(sh.mu);
-    if (sh.undo.empty()) continue;
-    touched = true;
-    for (auto it = sh.undo.rbegin(); it != sh.undo.rend(); ++it) {
-      auto& [cookie, prior] = *it;
-      sh.flows.erase(cookie);
-      if (prior.has_value()) {
-        sh.flows.emplace(cookie, std::move(*prior));
-      } else if (trace_ != nullptr) {
-        // The scope inserted this entry; rolling back abandons the planned
-        // flow (a rejected multi-read leg) — close its trace record.
-        trace_->flow_abandoned(cookie);
-      }
-      if (shards_.size() > 1) {
-        route_fix.emplace_back(s, cookie, prior.has_value());
-      }
-    }
-    ++sh.version;  // only shards the scope touched move
-    sh.undo.clear();
-  }
-  if (!touched) {
-    // Legacy contract: a rollback always advances the table version, even
-    // when the scope mutated nothing.
-    common::MutexLock lock(shards_[0]->mu);
-    ++shards_[0]->version;
-  }
-  if (!route_fix.empty()) {
-    common::MutexLock route_lock(route_mu_);
-    for (const auto& [s, cookie, present] : route_fix) {
-      if (present) {
-        route_[cookie] = s;
-      } else {
-        route_.erase(cookie);
-      }
-    }
-  }
-  tentative_.store(false);
-}
-
-std::size_t FlowStateTable::tentative_touched() const {
-  std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    n += sh->undo.size();
-  }
-  return n;
-}
-
 void FlowStateTable::snapshot_into(net::NetworkView& view) const {
   for (const auto& sh : shards_) {
     common::MutexLock lock(sh->mu);
@@ -325,19 +246,6 @@ void FlowStateTable::snapshot_shard_into(net::NetworkView& view,
     v.remaining_bytes = f.remaining_bytes;
     v.bw_bps = f.bw_bps;
     view.load_flow(std::move(v));
-  }
-}
-
-void FlowStateTable::record_undo(Shard& sh, sdn::Cookie cookie) {
-  if (!tentative_.load()) return;
-  for (const auto& [seen, prior] : sh.undo) {
-    if (seen == cookie) return;  // first-touch state already captured
-  }
-  const auto it = sh.flows.find(cookie);
-  if (it == sh.flows.end()) {
-    sh.undo.emplace_back(cookie, std::nullopt);
-  } else {
-    sh.undo.emplace_back(cookie, it->second);
   }
 }
 

@@ -16,20 +16,15 @@
 // legacy global table) with identical semantics and no routing overhead.
 //
 // The table answers no per-link queries: decisions read a NetworkView
-// snapshot of it (snapshot_into), whose link index serves them.
-//
-// Tentative mutations for the multi-read planner (§4.3) are supported by a
-// bounded undo log per shard: begin_tentative() starts recording the prior
-// state of each mutated entry (first touch only), rollback_tentative()
-// restores them in O(touched), bumping only the versions of shards the
-// scope actually touched. The table itself is intentionally non-copyable.
+// snapshot of it (snapshot_into), whose link index serves them. Nor does it
+// plan: the multi-read planner (§4.3) tries its split on a view, so the
+// table only ever receives committed decisions. It is intentionally
+// non-copyable.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -98,8 +93,7 @@ class FlowStateTable {
   bool freeze_enabled() const { return freeze_enabled_; }
 
   // Attaches the flow tracer (plan registrations, resizes, SETBW, freeze
-  // suppressions, abandoned tentative legs) and the freeze-suppression
-  // counter. Null detaches.
+  // suppressions) and the freeze-suppression counter. Null detaches.
   void set_obs(obs::Observability* hub);
 
   // Entries whose share is a frozen estimate at `now` (freeze not expired).
@@ -114,7 +108,7 @@ class FlowStateTable {
 
   // Monotonic mutation counter: the sum of every shard's version, bumped by
   // every state-changing operation (add/drop/setbw/resize/
-  // update_from_stats/rollback). A NetworkView built from this table is
+  // update_from_stats). A NetworkView built from this table is
   // stale once version() moves past the value recorded at build time —
   // unless the mutations were the decision batch's own write-through
   // commits, which the Flowserver accounts for.
@@ -132,21 +126,6 @@ class FlowStateTable {
   // view.unload_shard(s)).
   void snapshot_shard_into(net::NetworkView& view, std::uint32_t s) const;
 
-  // --- tentative mutation scope (multi-read planning, §4.3) --------------
-  //
-  // Between begin_tentative() and commit/rollback, every mutation records
-  // the entry's prior state on first touch, in the undo log of the entry's
-  // OWN shard. rollback_tentative() restores exactly those entries
-  // (insertions removed, drops re-inserted, updates reverted) in O(touched),
-  // bumping only the touched shards' versions; commit_tentative() discards
-  // the logs. Scopes do not nest.
-  void begin_tentative();
-  void commit_tentative();
-  void rollback_tentative();
-  bool tentative_active() const { return tentative_.load(); }
-  // Entries the open scope has touched so far (log length; bounds rollback).
-  std::size_t tentative_touched() const;
-
  private:
   // One partition of the table. All hot state sits behind the shard's own
   // mutex so workers touching disjoint shards never contend.
@@ -155,17 +134,12 @@ class FlowStateTable {
     std::map<sdn::Cookie, TrackedFlow> flows GUARDED_BY(mu);
     std::uint64_t version GUARDED_BY(mu) = 0;
     std::uint64_t freeze_suppressed GUARDED_BY(mu) = 0;
-    std::vector<std::pair<sdn::Cookie, std::optional<TrackedFlow>>> undo
-        GUARDED_BY(mu);
   };
 
   // The shard a cookie routes to; shard 0 always when unsharded. Returns
   // nullptr for cookies the table does not track (sharded lookups only —
   // the single-shard layout resolves unknown cookies inside the shard).
   Shard* shard_for(sdn::Cookie cookie) const;
-  // Records `cookie`'s current state (or absence) in shard `s`'s undo log
-  // before its first mutation inside an open tentative scope.
-  void record_undo(Shard& s, sdn::Cookie cookie) REQUIRES(s.mu);
 
   // Concurrency: the table is written only by the control thread (commits,
   // polls, drops); decision workers read the immutable NetworkView snapshot,
@@ -186,12 +160,6 @@ class FlowStateTable {
   bool freeze_enabled_ = true;  // set once at wiring time
   obs::FlowTracer* trace_ = nullptr;  // set once at wiring time
   obs::Counter freeze_suppressed_;
-
-  // Tentative scope flag. Atomic rather than mutex-guarded: it is flipped
-  // only between shard operations by the control thread, and read inside
-  // shard-locked mutation paths — guarding it with route_mu_ would invert
-  // the route-before-shard lock order.
-  std::atomic<bool> tentative_{false};
 };
 
 }  // namespace mayflower::flowserver

@@ -21,6 +21,8 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
       rng_(config.seed),
       telemetry_(config.telemetry) {
   MAYFLOWER_ASSERT_MSG(config_.batch_size >= 1, "batch_size must be >= 1");
+  MAYFLOWER_ASSERT_MSG(config_.decision_threads >= 1,
+                       "decision_threads must be >= 1");
   table_.set_freeze_enabled(config.freeze_enabled);
   selector_.set_impact_aware(config.impact_aware);
   selector_.model().set_zero_hop_bps(config.zero_hop_bps);
@@ -259,97 +261,20 @@ std::vector<ReadAssignment> Flowserver::finish_chain(
   return out;
 }
 
-std::vector<ReadAssignment> Flowserver::decide(PendingRead& req,
-                                               sim::SimTime now) {
-  // Every answered request counts as one selection — including the ones the
-  // view proves unserviceable (kUnavailable).
-  ++selections_;
-  selections_metric_.inc();
-  if (req.replicas.empty()) return {};
-
-  if (req.write) {
-    ensure_write_metrics();
-    // Hop cookies are drawn up front — all of them, even when a later hop
-    // proves unreachable — so the Rng/cookie streams match the snapshot
-    // pipeline's pre-phase draw exactly.
-    std::vector<sdn::Cookie> cookies;
-    cookies.reserve(req.replicas.size() - 1);
-    for (std::size_t i = 0; i + 1 < req.replicas.size(); ++i) {
-      cookies.push_back(fabric_->new_cookie());
-    }
-    SelectStats stats;
-    const auto plans = chain_planner_.plan_and_commit(
-        view_, req.replicas, units::Bytes{req.bytes}, cookies, now, &stats);
-    return finish_chain(plans, cookies, cookies.size(), req.bytes, stats, now);
-  }
-
-  const net::NodeId client = req.client;
-  const std::vector<net::NodeId>* replicas = &req.replicas;
-  std::vector<net::NodeId> chosen_replica;
-  if (req.chooser != nullptr) {
-    // External replica policy: it sees only replicas the view can reach, so
-    // a policy blind to faults never strands the request on a dead subtree.
-    const std::vector<net::NodeId> live =
-        reachable_replicas(client, req.replicas);
-    if (live.empty()) return {};
-    chosen_replica.assign(1, req.chooser(client, live, view_));
-    replicas = &chosen_replica;
-  }
-
-  std::vector<ReadAssignment> out;
-  SelectStats stats;
-  if (config_.multiread_enabled && req.chooser == nullptr &&
-      replicas->size() > 1) {
-    const std::vector<sdn::Cookie> cookies{fabric_->new_cookie(),
-                                           fabric_->new_cookie()};
-    const auto plans = planner_.plan_and_commit(view_, client, *replicas,
-                                                req.bytes, cookies, now,
-                                                &stats);
-    if (plans.size() == 2) {
-      ++split_reads_;
-      split_reads_metric_.inc();
-      if (config_.obs != nullptr) {
-        config_.obs->trace.mark_split(cookies[0]);
-        config_.obs->trace.mark_split(cookies[1]);
-      }
-    }
-    for (std::size_t i = 0; i < plans.size(); ++i) {
-      out.push_back(
-          to_assignment(plans[i].candidate, cookies[i], plans[i].bytes));
-    }
-    if (!plans.empty()) {
-      audit_decision(stats, plans[0].candidate.cost, now, plans.size() == 2);
-    }
-  } else {
-    const auto best =
-        selector_.select(view_, client, *replicas, req.bytes, &stats);
-    if (best.has_value()) {
-      const sdn::Cookie cookie = fabric_->new_cookie();
-      selector_.commit(view_, *best, cookie, req.bytes, now);
-      out.push_back(to_assignment(*best, cookie, req.bytes));
-      audit_decision(stats, best->cost, now, false);
-    }
-  }
-  // Empty result: every replica is unreachable right now (failed links or
-  // switches). The caller surfaces kUnavailable and retries after backoff.
-  return out;
+void Flowserver::post(Request req) {
+  MAYFLOWER_ASSERT_MSG(!req.write || req.replicas.size() >= 2,
+                       "a write chain needs >= 2 hosts");
+  common::MutexLock lock(queue_mu_);
+  queue_.push_back(std::move(req));
 }
 
-void Flowserver::enqueue_read(net::NodeId client,
-                              std::vector<net::NodeId> replicas, double bytes,
-                              PlanCallback done, ReplicaChooser chooser) {
-  PendingRead p;
-  p.client = client;
-  p.replicas = std::move(replicas);
-  p.bytes = bytes;
-  p.chooser = std::move(chooser);
-  p.done = std::move(done);
+void Flowserver::enqueue(Request req) {
+  post(std::move(req));
   bool size_triggered = false;
   bool arm_window = false;
   std::uint64_t gen = 0;
   {
     common::MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(p));
     size_triggered = queue_.size() >= config_.batch_size;
     if (!size_triggered && !drain_armed_) {
       drain_armed_ = true;
@@ -371,78 +296,23 @@ void Flowserver::enqueue_read(net::NodeId client,
   }
 }
 
-void Flowserver::post_read(net::NodeId client,
-                           std::vector<net::NodeId> replicas, double bytes,
-                           PlanCallback done, ReplicaChooser chooser) {
-  PendingRead p;
-  p.client = client;
-  p.replicas = std::move(replicas);
-  p.bytes = bytes;
-  p.chooser = std::move(chooser);
-  p.done = std::move(done);
-  common::MutexLock lock(queue_mu_);
-  queue_.push_back(std::move(p));
-}
-
-void Flowserver::enqueue_write(std::vector<net::NodeId> chain, double bytes,
-                               PlanCallback done) {
-  MAYFLOWER_ASSERT_MSG(chain.size() >= 2, "a write chain needs >= 2 hosts");
-  PendingRead p;
-  p.client = chain.front();
-  p.replicas = std::move(chain);
-  p.bytes = bytes;
-  p.write = true;
-  p.done = std::move(done);
-  bool size_triggered = false;
-  bool arm_window = false;
-  std::uint64_t gen = 0;
-  {
-    common::MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(p));
-    size_triggered = queue_.size() >= config_.batch_size;
-    if (!size_triggered && !drain_armed_) {
-      drain_armed_ = true;
-      arm_window = true;
-      gen = drain_gen_;
-    }
-  }
-  if (size_triggered) {
-    drain();
-    return;
-  }
-  if (arm_window) {
-    fabric_->events().schedule_in(config_.batch_window, [this, gen] {
-      if (!drain_generation_is(gen)) return;
-      drain();
-    });
-  }
-}
-
-void Flowserver::post_write(std::vector<net::NodeId> chain, double bytes,
-                            PlanCallback done) {
-  MAYFLOWER_ASSERT_MSG(chain.size() >= 2, "a write chain needs >= 2 hosts");
-  PendingRead p;
-  p.client = chain.front();
-  p.replicas = std::move(chain);
-  p.bytes = bytes;
-  p.write = true;
-  p.done = std::move(done);
-  common::MutexLock lock(queue_mu_);
-  queue_.push_back(std::move(p));
-}
-
-std::vector<ReadAssignment> Flowserver::plan_write(
-    const std::vector<net::NodeId>& chain, double bytes) {
+std::vector<ReadAssignment> Flowserver::decide_now(Request req) {
   std::vector<ReadAssignment> out;
-  enqueue_write(chain, bytes, [&out](std::vector<ReadAssignment> plan) {
+  req.done = [&out](std::vector<ReadAssignment> plan) {
     out = std::move(plan);
-  });
+  };
+  enqueue(std::move(req));
   drain();  // no-op when the enqueue already size-triggered the batch
   return out;
 }
 
+std::vector<ReadAssignment> Flowserver::plan_write(
+    const std::vector<net::NodeId>& chain, double bytes) {
+  return decide_now({.replicas = chain, .bytes = bytes, .write = true});
+}
+
 std::size_t Flowserver::drain() {
-  std::deque<PendingRead> batch;
+  std::deque<Request> batch;
   {
     common::MutexLock lock(queue_mu_);
     drain_armed_ = false;
@@ -458,16 +328,7 @@ std::size_t Flowserver::drain() {
 
   std::vector<Decided> results;
   results.reserve(batch.size());
-  if (config_.decision_threads == 0) {
-    for (PendingRead& req : batch) {
-      Decided d;
-      d.done = std::move(req.done);
-      d.plan = decide(req, now);
-      results.push_back(std::move(d));
-    }
-  } else {
-    decide_snapshot_batch(batch, now, results);
-  }
+  decide_batch(batch, now, results);
 
   // Bulk path install: one fabric call, one install-metrics flush for the
   // whole batch. Must precede the callbacks — they start the flows.
@@ -490,9 +351,8 @@ std::size_t Flowserver::drain() {
   return batch.size();
 }
 
-void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
-                                       sim::SimTime now,
-                                       std::vector<Decided>& results) {
+void Flowserver::decide_batch(std::deque<Request>& batch, sim::SimTime now,
+                              std::vector<Decided>& results) {
   // --- pre-phase (serial, batch order) ----------------------------------
   // Everything order-sensitive that is NOT the evaluation itself happens
   // here: chooser policies run against the batch view, and multiread slots
@@ -500,7 +360,7 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
   // worker later evaluates the slot.
   std::vector<Slot> slots(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    PendingRead& req = batch[i];
+    Request& req = batch[i];
     Slot& s = slots[i];
     s.client = req.client;
     s.bytes = req.bytes;
@@ -509,11 +369,11 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
       continue;
     }
     if (req.write) {
-      // Write slots pre-draw every hop cookie here — cookie assignment must
-      // not depend on which worker evaluates the chain, and the legacy
-      // pipeline burns the same draws even for hops that go unrouted.
+      // Write slots pre-draw every hop cookie here, even for hops that go
+      // unrouted: cookie assignment must not depend on which worker
+      // evaluates the chain, nor on how far the chain gets.
       s.write = true;
-      s.replicas = req.replicas;
+      s.replicas = std::move(req.replicas);
       ensure_write_metrics();
       s.cookies.reserve(s.replicas.size() - 1);
       for (std::size_t h = 0; h + 1 < s.replicas.size(); ++h) {
@@ -522,6 +382,9 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
       continue;
     }
     if (req.chooser != nullptr) {
+      // External replica policy: it sees only replicas the view can reach,
+      // so a policy blind to faults never strands the request on a dead
+      // subtree.
       const std::vector<net::NodeId> live =
           reachable_replicas(req.client, req.replicas);
       if (live.empty()) {
@@ -531,35 +394,41 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
       s.replicas.assign(1, req.chooser(req.client, live, view_));
       continue;
     }
-    s.replicas = req.replicas;
+    s.replicas = std::move(req.replicas);
     if (config_.multiread_enabled && s.replicas.size() > 1) {
       s.multiread = true;
       s.cookies = {fabric_->new_cookie(), fabric_->new_cookie()};
     }
   }
 
-  // --- evaluate (parallel, against the immutable batch view) ------------
-  // Single-path slots read view_ directly (select() is pure). Multiread
-  // slots plan on a worker-private scratch copy, restored after every slot,
-  // so each slot sees exactly the batch-start state regardless of which
-  // worker runs it or in what order — that is the determinism argument.
+  // --- evaluate (parallel, against the batch-start view) ----------------
+  // Single-path slots read view_ directly (select() is pure). Multiread and
+  // write slots plan inside a view tentative scope that is rolled back
+  // before the slot returns, so each slot sees exactly the batch-start state
+  // regardless of which worker runs it or in what order — that is the
+  // determinism argument. One worker runs the slots one after another, so
+  // it plans on view_ itself; N workers each plan on a private copy, since
+  // one worker's open scope must stay invisible to the others.
   if (pool_ == nullptr) {
     pool_ = std::make_unique<common::WorkerPool>(config_.decision_threads);
   }
-  std::vector<net::NetworkView> scratch(config_.decision_threads, view_);
+  std::vector<net::NetworkView> copies;
+  if (config_.decision_threads > 1) {
+    copies.assign(config_.decision_threads, view_);
+  }
   pool_->parallel_for(
-      slots.size(), [this, &slots, &scratch](std::size_t worker,
-                                             std::size_t i) {
+      slots.size(), [this, &slots, &copies](std::size_t worker,
+                                            std::size_t i) {
         Slot& s = slots[i];
         if (s.unavailable) return;
+        net::NetworkView& plan_view = copies.empty() ? view_ : copies[worker];
         if (s.write) {
-          s.chain = chain_planner_.plan_readonly(scratch[worker], s.replicas,
+          s.chain = chain_planner_.plan_readonly(plan_view, s.replicas,
                                                  units::Bytes{s.bytes},
                                                  s.cookies, &s.stats);
         } else if (s.multiread) {
-          s.plans = planner_.plan_readonly(scratch[worker], s.client,
-                                           s.replicas, s.bytes, s.cookies,
-                                           &s.stats);
+          s.plans = planner_.plan_readonly(plan_view, s.client, s.replicas,
+                                           s.bytes, s.cookies, &s.stats);
         } else {
           s.best = selector_.select(view_, s.client, s.replicas, s.bytes,
                                     &s.stats);
@@ -574,6 +443,9 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
     Slot& s = slots[i];
     Decided d;
     d.done = std::move(batch[i].done);
+    // Every answered request counts as one selection — including the ones
+    // the view proves unserviceable (kUnavailable), whose plan stays empty
+    // so the caller retries after backoff.
     ++selections_;
     selections_metric_.inc();
     if (s.unavailable) {
@@ -590,9 +462,8 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
     }
     if (s.multiread) {
       if (s.plans.size() == 2) {
-        // Same commit transcript as the legacy split acceptance: both
-        // subflows land with the full request size, then subflow 1 takes
-        // its adjusted share and both take their split sizes.
+        // Both subflows land with the full request size, then subflow 1
+        // takes its adjusted share and both take their split sizes.
         selector_.commit(view_, s.plans[0].candidate, s.cookies[0], s.bytes,
                          now);
         selector_.commit(view_, s.plans[1].candidate, s.cookies[1], s.bytes,
@@ -621,8 +492,8 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
         audit_decision(s.stats, s.plans[0].candidate.cost, now, false);
       }
     } else if (s.best.has_value()) {
-      // Single-path slots draw their cookie at replay (in batch order),
-      // matching the legacy pipeline's draw-on-success behavior.
+      // Single-path slots draw their cookie at replay, in batch order and
+      // only on success.
       const sdn::Cookie cookie = fabric_->new_cookie();
       selector_.commit(view_, *s.best, cookie, s.bytes, now);
       d.plan.push_back(to_assignment(*s.best, cookie, s.bytes));
@@ -635,13 +506,7 @@ void Flowserver::decide_snapshot_batch(std::deque<PendingRead>& batch,
 std::vector<ReadAssignment> Flowserver::select_for_read(
     net::NodeId client, const std::vector<net::NodeId>& replicas,
     double bytes) {
-  std::vector<ReadAssignment> out;
-  enqueue_read(client, replicas, bytes,
-               [&out](std::vector<ReadAssignment> plan) {
-                 out = std::move(plan);
-               });
-  drain();  // no-op when the enqueue already size-triggered the batch
-  return out;
+  return decide_now({.client = client, .replicas = replicas, .bytes = bytes});
 }
 
 ReadAssignment Flowserver::select_path_for_replica(net::NodeId client,

@@ -12,10 +12,11 @@
 //
 // Decisions run through a snapshot pipeline: requests enqueue, a decision
 // batch drains them against ONE epoch-stamped NetworkView (rebuilt only when
-// a poll, drop or fault moved the underlying state), commits write through
-// to table and view, and all chosen paths are installed via the fabric's
-// bulk API with a single metrics flush. The synchronous entry points are
-// batches of one and decision-identical to the historical inline path.
+// a poll, drop or fault moved the underlying state), every request is
+// evaluated against that batch-start view, commits then replay in batch
+// order writing through to table and view, and all chosen paths are
+// installed via the fabric's bulk API with a single metrics flush. The
+// synchronous entry points are batches of one.
 #pragma once
 
 #include <deque>
@@ -49,15 +50,11 @@ struct FlowserverConfig {
   // batch_size 1 keeps every entry point synchronous (batch-of-one).
   std::size_t batch_size = 1;
   sim::SimTime batch_window = sim::SimTime::from_millis(5.0);
-  // Decision parallelism. 0 (default) keeps the legacy serial pipeline:
-  // decisions write through the batch view as they are made, so decision i
-  // sees decision i-1. Any value >= 1 selects the snapshot pipeline:
-  // candidates are evaluated in parallel against the IMMUTABLE batch-start
-  // view (1 = inline on the control thread, N = a worker pool of N) and
-  // commits replay serially in batch order — decisions are byte-identical
-  // at every thread count by construction, and identical to the legacy
-  // pipeline whenever batches hold a single request.
-  std::size_t decision_threads = 0;
+  // Decision workers (>= 1): every request in a batch is evaluated against
+  // the batch-start view (1 = inline on the control thread, N = a worker
+  // pool of N), then commits replay serially in batch order. Decisions are
+  // byte-identical at every worker count by construction.
+  std::size_t decision_threads = 1;
   // State-plane sharding (the k >= 16 scale path): partition the flow table
   // and the view's believed-flow section by source edge switch
   // (net::ShardMap::by_edge_switch). A poll, drop or fault then stales only
@@ -98,7 +95,8 @@ struct ReadAssignment {
 
 class Flowserver {
  public:
-  // Receives the finished plan for one queued read (empty = unavailable).
+  // Receives the finished plan for one queued request (empty =
+  // unavailable).
   using PlanCallback = std::function<void(std::vector<ReadAssignment>)>;
   // External replica policy hook for the batched path: picks one of
   // `replicas` (all of which have at least one live path to `client` in the
@@ -125,38 +123,37 @@ class Flowserver {
 
   // --- batched admission ------------------------------------------------
 
-  // Queues one read request. `chooser`, when set, fixes the replica via an
-  // external policy (evaluated against the batch's view at decision time);
-  // when null the selector optimizes replica and path jointly. The batch
-  // drains immediately once config.batch_size requests are queued, else
-  // config.batch_window after the first enqueue; `done` runs from the drain
-  // with the plan (empty when every replica is unreachable).
-  void enqueue_read(net::NodeId client, std::vector<net::NodeId> replicas,
-                    double bytes, PlanCallback done,
-                    ReplicaChooser chooser = nullptr) EXCLUDES(queue_mu_);
+  // One admission request. A read names its `client` and the `replicas`
+  // holding the data; `chooser`, when set, fixes the replica via an
+  // external policy (evaluated against the batch's view at decision time),
+  // and when null the selector optimizes replica and path jointly. A write
+  // sets `write` and carries its replication chain in `replicas`: the host
+  // sequence the bytes traverse (writer, primary, replica, ...; consecutive
+  // hosts distinct), at least 2 hosts; `client` and `chooser` are unused.
+  // The write's plan holds one assignment per routed hop in chain order
+  // (path chain[i] -> chain[i+1]), every hop SETBW'd to the chain
+  // bottleneck so it finishes together; an unreachable hop truncates the
+  // plan. `done` runs from the drain with the plan (empty when every
+  // replica, or a write's first hop, is unreachable).
+  struct Request {
+    net::NodeId client = net::kInvalidNode;
+    std::vector<net::NodeId> replicas = {};
+    double bytes = 0.0;
+    bool write = false;
+    ReplicaChooser chooser = nullptr;
+    PlanCallback done = nullptr;
+  };
+
+  // Queues one request. The batch drains immediately once
+  // config.batch_size requests are queued, else config.batch_window after
+  // the first enqueue.
+  void enqueue(Request req) EXCLUDES(queue_mu_);
 
   // Producer-thread-safe enqueue: pushes the request and nothing else — no
   // batch-window timer (the event queue is control-thread-only by design).
   // Posted requests are decided by the next control-thread drain(). This is
   // the only Flowserver entry point callable off the control thread.
-  void post_read(net::NodeId client, std::vector<net::NodeId> replicas,
-                 double bytes, PlanCallback done = nullptr,
-                 ReplicaChooser chooser = nullptr) EXCLUDES(queue_mu_);
-
-  // Queues one replication-chain write: `chain` is the host sequence the
-  // bytes traverse (writer, primary, replica, ...; consecutive hosts
-  // distinct), at least 2 nodes. The decision enters the same batch as
-  // reads — one view, same commit replay — and the plan holds one
-  // assignment per routed hop in chain order (path chain[i] -> chain[i+1]),
-  // every hop SETBW'd to the chain bottleneck so it finishes together. An
-  // unreachable hop truncates the plan; an empty plan means even the first
-  // hop is unreachable.
-  void enqueue_write(std::vector<net::NodeId> chain, double bytes,
-                     PlanCallback done) EXCLUDES(queue_mu_);
-
-  // Producer-thread-safe write enqueue (see post_read).
-  void post_write(std::vector<net::NodeId> chain, double bytes,
-                  PlanCallback done = nullptr) EXCLUDES(queue_mu_);
+  void post(Request req) EXCLUDES(queue_mu_);
 
   // Decides everything queued right now against one view and installs all
   // chosen paths through the fabric's bulk API. Returns the number of
@@ -186,7 +183,7 @@ class Flowserver {
   ReadAssignment select_path_for_replica(net::NodeId client,
                                          net::NodeId replica, double bytes);
 
-  // Synchronous wrapper (batch-of-one) for enqueue_write.
+  // Synchronous wrapper (batch-of-one) for a write Request.
   std::vector<ReadAssignment> plan_write(const std::vector<net::NodeId>& chain,
                                          double bytes);
 
@@ -257,17 +254,6 @@ class Flowserver {
   const AdaptiveTelemetry& telemetry() const { return telemetry_; }
 
  private:
-  struct PendingRead {
-    net::NodeId client = net::kInvalidNode;
-    // Read requests: the replicas holding the data. Write requests: the
-    // replication-chain host sequence (writer first).
-    std::vector<net::NodeId> replicas;
-    double bytes = 0.0;
-    bool write = false;      // plan_write decision kind
-    ReplicaChooser chooser;  // null: joint replica+path optimization
-    PlanCallback done;
-  };
-
   ReadAssignment to_assignment(const Candidate& c, sdn::Cookie cookie,
                                double bytes) const;
 
@@ -293,9 +279,9 @@ class Flowserver {
     std::vector<ReadAssignment> plan;
   };
 
-  // One batch slot of the snapshot pipeline. The serial pre-phase fills the
-  // request half (effective replicas, pre-drawn cookies); the parallel
-  // evaluate phase fills the result half; the serial replay consumes it.
+  // One batch slot. The serial pre-phase fills the request half (effective
+  // replicas, pre-drawn cookies); the parallel evaluate phase fills the
+  // result half; the serial replay consumes it.
   struct Slot {
     net::NodeId client = net::kInvalidNode;
     double bytes = 0.0;
@@ -310,28 +296,28 @@ class Flowserver {
     SelectStats stats;
   };
 
-  // Decides one queued request against the current view (write-through
-  // commits included); installs are deferred to the caller's bulk flush.
-  // This is the legacy serial pipeline (decision_threads == 0).
-  std::vector<ReadAssignment> decide(PendingRead& req, sim::SimTime now);
-
   // Registers the flowserver.write.* metric family on first use (control
   // thread only).
   void ensure_write_metrics();
 
   // Turns a routed chain into plan assignments (est_bw reports the chain
-  // bottleneck) and records the write books; shared by both pipelines.
-  // `requested_hops` is what the caller asked for — fewer routed hops means
-  // the chain was truncated by an unreachable host.
+  // bottleneck) and records the write books. `requested_hops` is what the
+  // caller asked for — fewer routed hops means the chain was truncated by
+  // an unreachable host.
   std::vector<ReadAssignment> finish_chain(
       const std::vector<ChainHopPlan>& plans,
       const std::vector<sdn::Cookie>& cookies, std::size_t requested_hops,
       double bytes, const SelectStats& stats, sim::SimTime now);
 
-  // Snapshot pipeline (decision_threads >= 1): serial pre-phase + parallel
-  // evaluation against the immutable batch view + in-order commit replay.
-  void decide_snapshot_batch(std::deque<PendingRead>& batch, sim::SimTime now,
-                             std::vector<Decided>& results);
+  // Enqueues `req` with a callback capturing its plan, drains, and returns
+  // the plan (the synchronous wrappers' batch of one).
+  std::vector<ReadAssignment> decide_now(Request req);
+
+  // Decides one drained batch: serial pre-phase + evaluation against the
+  // batch-start view (parallel over decision_threads workers) + in-order
+  // commit replay.
+  void decide_batch(std::deque<Request>& batch, sim::SimTime now,
+                    std::vector<Decided>& results);
 
   // Did the armed batch-window event survive to its firing time?
   bool drain_generation_is(std::uint64_t gen) const EXCLUDES(queue_mu_) {
@@ -380,18 +366,19 @@ class Flowserver {
   std::uint64_t shard_reloads_ = 0;
   std::uint64_t link_refreshes_ = 0;
 
-  // Admission queue. Guarded so producer threads can post_read() while the
+  // Admission queue. Guarded so producer threads can post() while the
   // control thread drains; everything else in the Flowserver stays
   // control-thread-only. Lock order: queue_mu_ is a leaf — nothing is
   // called while it is held.
   mutable common::Mutex queue_mu_;
-  std::deque<PendingRead> queue_ GUARDED_BY(queue_mu_);
+  std::deque<Request> queue_ GUARDED_BY(queue_mu_);
   // A batch_window drain event is pending.
   bool drain_armed_ GUARDED_BY(queue_mu_) = false;
   // Invalidates armed events once drained.
   std::uint64_t drain_gen_ GUARDED_BY(queue_mu_) = 0;
 
-  // Snapshot-pipeline workers, created on the first threaded drain.
+  // Decision workers, created on the first drain (one worker runs inline
+  // and spawns no thread).
   std::unique_ptr<common::WorkerPool> pool_;
 
   // Observability (no-ops until config.obs is set).

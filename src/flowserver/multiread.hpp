@@ -2,15 +2,18 @@
 //
 // A read job is split into two subflows only when the combined estimated
 // share beats the single best flow:
-//   1. pick (replica, path) p1 greedily; tentatively commit it,
+//   1. pick (replica, path) p1 greedily; tentatively add it to the view,
 //   2. pick p2 from the *remaining* replicas (distinct replica avoids the
 //      same server-side bottleneck),
 //   3. p2's selection may have bumped subflow 1 to b1'; accept the split iff
 //      b1' + b2 > b1, sizing S_i = d * b_i / (b1' + b2) so both subflows
-//      finish together; otherwise roll the tentative changes back.
+//      finish together; otherwise keep the single read.
 //
-// Both selection rounds read the SAME NetworkView; commits write through to
-// it, so round 2 sees subflow 1's bump without touching live fabric state.
+// Planning only reads: both selection rounds run against one NetworkView,
+// round 2 seeing subflow 1 through the view's tentative scope, which is
+// rolled back before the plan returns. The Flowserver then commits the plan
+// to the table and the view (Flowserver::decide_batch), so a rejected
+// subflow 2 never reaches the table or the flow tracer.
 #pragma once
 
 #include <vector>
@@ -26,39 +29,26 @@ struct SubflowPlan {
 };
 
 // Plans one read request. Returns 1 entry (single read) or 2 (split read).
-// Mutates `selector.table()` (and the view) exactly as if the chosen
-// subflows were committed.
 class MultiReadPlanner {
  public:
-  explicit MultiReadPlanner(ReplicaPathSelector& selector)
+  explicit MultiReadPlanner(const ReplicaPathSelector& selector)
       : selector_(&selector) {}
 
-  // Pure planning + commit in one step (commit must be atomic with planning
-  // because planning itself tentatively mutates the table). `cookies` must
-  // provide at least 2 ids; the number actually used equals the returned
-  // plan size. `stats` (optional) accumulates candidates across both
-  // selection rounds.
-  std::vector<SubflowPlan> plan_and_commit(
-      net::NetworkView& view, net::NodeId client,
-      const std::vector<net::NodeId>& replicas, double request_bytes,
-      const std::vector<sdn::Cookie>& cookies, sim::SimTime now,
-      SelectStats* stats = nullptr);
-
-  // Read-only variant for the threaded snapshot pipeline: plans against
-  // `scratch` — a worker-private copy of the batch snapshot — and leaves it
-  // exactly as found (the whole planning transcript runs inside a view
-  // tentative scope and rolls back). Touches no table and no live state, so
-  // any number of workers may run it concurrently on their own scratches.
-  // The chosen subflows, sizes and planned shares are decision-identical to
-  // what plan_and_commit would pick from the same snapshot.
+  // Plans against `view` and leaves it exactly as found: subflow 1 is tried
+  // inside a view tentative scope that is rolled back before returning.
+  // Touches no table and no live state, so workers may plan concurrently,
+  // each on its own copy of the batch view. `cookies` must provide at least
+  // 2 ids: the first names subflow 1 inside the scope, so subflow 2's
+  // candidate reports its bump. `stats` (optional) accumulates candidates
+  // across both selection rounds.
   std::vector<SubflowPlan> plan_readonly(
-      net::NetworkView& scratch, net::NodeId client,
+      net::NetworkView& view, net::NodeId client,
       const std::vector<net::NodeId>& replicas, double request_bytes,
       const std::vector<sdn::Cookie>& cookies,
       SelectStats* stats = nullptr) const;
 
  private:
-  ReplicaPathSelector* selector_;
+  const ReplicaPathSelector* selector_;
 };
 
 }  // namespace mayflower::flowserver

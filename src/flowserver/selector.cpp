@@ -132,19 +132,4 @@ void ReplicaPathSelector::resize(net::NetworkView& view, sdn::Cookie cookie,
   view.resize_flow(cookie, new_size_bytes);
 }
 
-void ReplicaPathSelector::begin_tentative(net::NetworkView& view) {
-  table_->begin_tentative();
-  view.begin_tentative();
-}
-
-void ReplicaPathSelector::commit_tentative(net::NetworkView& view) {
-  table_->commit_tentative();
-  view.commit_tentative();
-}
-
-void ReplicaPathSelector::rollback_tentative(net::NetworkView& view) {
-  table_->rollback_tentative();
-  view.rollback_tentative();
-}
-
 }  // namespace mayflower::flowserver

@@ -12,8 +12,8 @@
 // NetworkView snapshot, so all selections in a decision batch see identical
 // state. Committing a selection applies SETBW to every flow whose share
 // changed (freezing them) and registers the new flow, writing through to
-// BOTH the authoritative FlowStateTable and the batch's view so later
-// decisions in the same batch observe it.
+// BOTH the authoritative FlowStateTable and the batch's view, so the next
+// batch starts from it without a rebuild.
 #pragma once
 
 #include <optional>
@@ -46,10 +46,11 @@ Candidate evaluate_path(const BandwidthModel& model,
                         const net::NetworkView& view, net::NodeId replica,
                         const net::Path& path, double request_bytes);
 
-// View-only commit for read-only planning against a scratch snapshot:
+// View-only commit for read-only planning inside a view's tentative scope:
 // applies the candidate's bumped shares and registers the new flow in
-// `view` without touching any table. No stale-share clamp — a scratch view
-// IS the snapshot, so there is no fresher state to clamp against.
+// `view` without touching any table. No stale-share clamp — the view IS the
+// snapshot being planned against, so there is no fresher state to clamp
+// against.
 void apply_candidate(net::NetworkView& view, const Candidate& chosen,
                      sdn::Cookie cookie, double request_bytes);
 
@@ -91,16 +92,11 @@ class ReplicaPathSelector {
   void commit(net::NetworkView& view, const Candidate& chosen,
               sdn::Cookie cookie, double request_bytes, sim::SimTime now);
 
-  // Write-through mutations for the multi-read planner's split sizing.
+  // Write-through mutations for split sizing and chain sizing.
   void setbw(net::NetworkView& view, sdn::Cookie cookie, double bw_bps,
               sim::SimTime now);
   void resize(net::NetworkView& view, sdn::Cookie cookie,
               double new_size_bytes, sim::SimTime now);
-
-  // Paired tentative scope over table + view (multi-read planning).
-  void begin_tentative(net::NetworkView& view);
-  void commit_tentative(net::NetworkView& view);
-  void rollback_tentative(net::NetworkView& view);
 
   // Ablation knob: when false the cost drops Eq. 2's second term (impact on
   // existing flows) and greedily maximizes the new flow's own bandwidth.

@@ -49,14 +49,18 @@ std::vector<net::NodeId> rank_write_targets_by_model(
   return tied_best_targets(candidates, scores);
 }
 
-std::vector<ChainHopPlan> WriteChainPlanner::plan_and_commit(
+std::vector<ChainHopPlan> WriteChainPlanner::plan_readonly(
     net::NetworkView& view, const std::vector<net::NodeId>& nodes,
     units::Bytes bytes, const std::vector<sdn::Cookie>& cookies,
-    sim::SimTime now, SelectStats* stats) {
+    SelectStats* stats) const {
   MAYFLOWER_ASSERT(nodes.size() >= 2);
   MAYFLOWER_ASSERT(cookies.size() >= nodes.size() - 1);
 
+  // Every hop but the last lands in the view's tentative scope, rolled back
+  // before returning: hop i+1 must see hop i's bump, and nothing else must
+  // see anything.
   std::vector<ChainHopPlan> plans;
+  view.begin_tentative();
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
     const net::NodeId from = nodes[i];
     const net::NodeId to = nodes[i + 1];
@@ -68,56 +72,19 @@ std::vector<ChainHopPlan> WriteChainPlanner::plan_and_commit(
     // Unreachable hop: truncate. Downstream hops could only be fed through
     // this one, so routing them anyway would plan flows no data ever rides.
     if (!best.has_value()) break;
-    selector_->commit(view, *best, cookies[plans.size()], bytes.value(),
-                      now);
+    if (i + 2 < nodes.size()) {
+      apply_candidate(view, *best, cookies[plans.size()], bytes.value());
+    }
     ChainHopPlan hop;
     hop.candidate = std::move(*best);
     plans.push_back(std::move(hop));
   }
+  view.rollback_tentative();
   if (plans.empty()) return plans;
 
   // Joint chain sizing: a cut-through pipeline moves at its slowest hop, so
   // every hop's believed share drops to the bottleneck — the state a poll
   // would eventually report anyway, asserted up front like split sizing.
-  double bottleneck = plans[0].candidate.est_bw_bps;
-  for (const ChainHopPlan& hop : plans) {
-    bottleneck = std::min(bottleneck, hop.candidate.est_bw_bps);
-  }
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    plans[i].planned_bps = bottleneck;
-    selector_->setbw(view, cookies[i], bottleneck, now);
-  }
-  return plans;
-}
-
-std::vector<ChainHopPlan> WriteChainPlanner::plan_readonly(
-    net::NetworkView& scratch, const std::vector<net::NodeId>& nodes,
-    units::Bytes bytes, const std::vector<sdn::Cookie>& cookies,
-    SelectStats* stats) const {
-  MAYFLOWER_ASSERT(nodes.size() >= 2);
-  MAYFLOWER_ASSERT(cookies.size() >= nodes.size() - 1);
-
-  // Same decision procedure as plan_and_commit, but every registration lands
-  // in the scratch view's tentative scope and rolls back before returning:
-  // hop i+1 must see hop i's bump, and nothing else must see anything.
-  std::vector<ChainHopPlan> plans;
-  scratch.begin_tentative();
-  for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
-    const net::NodeId from = nodes[i];
-    const net::NodeId to = nodes[i + 1];
-    MAYFLOWER_ASSERT_MSG(from != to, "chain hops must join distinct hosts");
-    const std::vector<net::NodeId> source{from};
-    auto best =
-        selector_->select(scratch, to, source, bytes.value(), stats);
-    if (!best.has_value()) break;
-    apply_candidate(scratch, *best, cookies[plans.size()], bytes.value());
-    ChainHopPlan hop;
-    hop.candidate = std::move(*best);
-    plans.push_back(std::move(hop));
-  }
-  scratch.rollback_tentative();
-  if (plans.empty()) return plans;
-
   double bottleneck = plans[0].candidate.est_bw_bps;
   for (const ChainHopPlan& hop : plans) {
     bottleneck = std::min(bottleneck, hop.candidate.est_bw_bps);
@@ -132,9 +99,6 @@ void WriteChainPlanner::commit_plans(net::NetworkView& view,
                                      const std::vector<sdn::Cookie>& cookies,
                                      sim::SimTime now) {
   MAYFLOWER_ASSERT(cookies.size() >= plans.size());
-  // Exactly plan_and_commit's mutation transcript: register every hop at
-  // its estimated share (stale-share clamp included), then the bottleneck
-  // SETBW pass.
   for (std::size_t i = 0; i < plans.size(); ++i) {
     selector_->commit(view, plans[i].candidate, cookies[i], bytes.value(),
                       now);

@@ -3,7 +3,7 @@
 // A replicated append moves the same bytes over a CHAIN of hops
 // (writer -> primary -> replica -> replica). The planner routes every hop
 // against one NetworkView snapshot — hop i+1's selection sees hop i's
-// committed bump, exactly like the second round of a §4.3 split read — and
+// tentative bump, exactly like the second round of a §4.3 split read — and
 // then sizes the chain as one jointly-scheduled unit: every hop's believed
 // share is SETBW'd down to the chain bottleneck, the rate at which a
 // cut-through pipeline actually moves (each relay forwards bytes as they
@@ -48,41 +48,29 @@ struct ChainHopPlan {
   double planned_bps = 0.0;  // chain-bottleneck share the sizing assumed
 };
 
-// Plans the hop flows of one replication chain. Mirrors MultiReadPlanner's
-// two pipelines: a committing variant for the legacy serial path and a
-// read-only variant for the threaded snapshot path, decision-identical by
-// construction.
+// Plans the hop flows of one replication chain: a read-only planning pass
+// the Flowserver's batch runs per write slot, then a serial commit replay.
 class WriteChainPlanner {
  public:
   explicit WriteChainPlanner(ReplicaPathSelector& selector)
       : selector_(&selector) {}
 
-  // Routes and commits hops nodes[0]->nodes[1]->... in order (write-through
-  // to table AND `view`, so hop i+1 sees hop i), then SETBWs every hop to
-  // the chain bottleneck. `cookies` must provide nodes.size()-1 ids; the
-  // first plans.size() are consumed in order. An unreachable hop TRUNCATES
-  // the chain: the routed prefix is returned and the fs layer degrades the
+  // Routes hops nodes[0]->nodes[1]->... in order against `view`, hop i
+  // tentatively added so hop i+1 sees it, inside a view tentative scope
+  // rolled back before returning; then sizes every hop to the chain
+  // bottleneck. `cookies` must provide nodes.size()-1 ids; the first
+  // plans.size() name the routed hops. An unreachable hop TRUNCATES the
+  // chain: the routed prefix is returned and the fs layer degrades the
   // remaining hops to the settled-relay contract (short replicas are
   // repaired by re-replication, client acks never strand).
-  std::vector<ChainHopPlan> plan_and_commit(
-      net::NetworkView& view, const std::vector<net::NodeId>& nodes,
-      units::Bytes bytes, const std::vector<sdn::Cookie>& cookies,
-      sim::SimTime now, SelectStats* stats = nullptr);
-
-  // Read-only variant for the threaded snapshot pipeline: plans against
-  // `scratch` — a worker-private copy of the batch snapshot — inside a view
-  // tentative scope rolled back before returning. The chosen hops and the
-  // bottleneck share are decision-identical to plan_and_commit from the
-  // same snapshot; the caller replays the commits serially via
-  // commit_plans().
   std::vector<ChainHopPlan> plan_readonly(
-      net::NetworkView& scratch, const std::vector<net::NodeId>& nodes,
+      net::NetworkView& view, const std::vector<net::NodeId>& nodes,
       units::Bytes bytes, const std::vector<sdn::Cookie>& cookies,
       SelectStats* stats = nullptr) const;
 
-  // Serial commit replay for plans produced by plan_readonly: the same
-  // commit + SETBW transcript plan_and_commit writes, against the
-  // authoritative table and the batch view.
+  // Commits plans produced by plan_readonly against the authoritative
+  // table and the batch view: every hop registered at its estimated share
+  // (stale-share clamp included), then the bottleneck SETBW pass.
   void commit_plans(net::NetworkView& view,
                     const std::vector<ChainHopPlan>& plans, units::Bytes bytes,
                     const std::vector<sdn::Cookie>& cookies, sim::SimTime now);

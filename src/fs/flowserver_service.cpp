@@ -101,15 +101,17 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
       std::size_t delivered = 0;
       for (std::size_t i = 0; i < req.reads.size(); ++i) {
         const SelectReplicasReq& one = req.reads[i];
-        server_->enqueue_read(
-            one.client, one.replicas, one.bytes,
-            [&resp, &delivered,
-             i](std::vector<flowserver::ReadAssignment> plan) {
-              for (const auto& a : plan) {
-                resp.plans[i].assignments.push_back(to_wire(a));
-              }
-              ++delivered;
-            });
+        server_->enqueue(
+            {.client = one.client,
+             .replicas = one.replicas,
+             .bytes = one.bytes,
+             .done = [&resp, &delivered,
+                      i](std::vector<flowserver::ReadAssignment> plan) {
+               for (const auto& a : plan) {
+                 resp.plans[i].assignments.push_back(to_wire(a));
+               }
+               ++delivered;
+             }});
       }
       server_->drain();  // flush the final partial batch
       MAYFLOWER_ASSERT_MSG(delivered == req.reads.size(),
@@ -161,15 +163,17 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
       std::size_t delivered = 0;
       for (std::size_t i = 0; i < req.writes.size(); ++i) {
         const PlanWriteReq& one = req.writes[i];
-        server_->enqueue_write(
-            one.chain, one.bytes,
-            [&resp, &delivered,
-             i](std::vector<flowserver::ReadAssignment> plan) {
-              for (const auto& a : plan) {
-                resp.plans[i].assignments.push_back(to_wire(a));
-              }
-              ++delivered;
-            });
+        server_->enqueue(
+            {.replicas = one.chain,
+             .bytes = one.bytes,
+             .write = true,
+             .done = [&resp, &delivered,
+                      i](std::vector<flowserver::ReadAssignment> plan) {
+               for (const auto& a : plan) {
+                 resp.plans[i].assignments.push_back(to_wire(a));
+               }
+               ++delivered;
+             }});
       }
       server_->drain();  // flush the final partial batch
       MAYFLOWER_ASSERT_MSG(delivered == req.writes.size(),

@@ -26,7 +26,7 @@ struct WriteExperimentConfig {
   std::size_t total_jobs = 200;
   std::size_t warmup_jobs = 25;
   double block_bytes = 256e6;
-  std::size_t decision_threads = 0;
+  std::size_t decision_threads = 1;  // Flowserver decision workers (>= 1)
   net::ThreeTierConfig fabric{};
   double sim_time_cap_sec = 30000.0;
   std::uint64_t seed = 1;

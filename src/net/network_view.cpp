@@ -65,7 +65,8 @@ void NetworkView::track_key_removed(std::uint64_t key, const Path& path) {
   if (!shard_map_.sharded()) return;
   std::vector<std::uint64_t>& keys =
       shard_keys_[shard_map_.shard_of_path(path)];
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  // Searched from the back: a rollback removes the shard's newest key.
+  for (std::size_t i = keys.size(); i-- > 0;) {
     if (keys[i] == key) {
       keys[i] = keys.back();
       keys.pop_back();
@@ -143,7 +144,7 @@ void NetworkView::add_flow(std::uint64_t key, Path path, double size_bytes,
   MAYFLOWER_ASSERT_MSG(flows_.find(key) == flows_.end(),
                        "view already holds this flow key");
   MAYFLOWER_ASSERT(size_bytes > 0.0 && bw_bps > 0.0);
-  record_undo(key);
+  if (tentative_) undo_.push_back({key, true, 0.0});
   Flow f;
   f.key = key;
   f.path = std::move(path);
@@ -159,23 +160,23 @@ void NetworkView::set_flow_bps(std::uint64_t key, double bw_bps) {
   const auto it = flows_.find(key);
   MAYFLOWER_ASSERT_MSG(it != flows_.end(), "set_flow_bps on unknown flow");
   MAYFLOWER_ASSERT(bw_bps > 0.0);
-  record_undo(key);
+  if (tentative_) undo_.push_back({key, false, it->second.bw_bps});
   it->second.bw_bps = bw_bps;
 }
 
 void NetworkView::resize_flow(std::uint64_t key, double new_size_bytes) {
+  MAYFLOWER_ASSERT_MSG(!tentative_, "resize_flow inside a tentative scope");
   const auto it = flows_.find(key);
   MAYFLOWER_ASSERT_MSG(it != flows_.end(), "resize_flow on unknown flow");
   MAYFLOWER_ASSERT(new_size_bytes > 0.0);
-  record_undo(key);
   it->second.size_bytes = new_size_bytes;
   it->second.remaining_bytes = new_size_bytes;
 }
 
 void NetworkView::drop_flow(std::uint64_t key) {
+  MAYFLOWER_ASSERT_MSG(!tentative_, "drop_flow inside a tentative scope");
   const auto it = flows_.find(key);
   if (it == flows_.end()) return;
-  record_undo(key);
   index_.remove(key, it->second.path.links);
   track_key_removed(key, it->second.path);
   flows_.erase(it);
@@ -187,43 +188,24 @@ void NetworkView::begin_tentative() {
   undo_.clear();
 }
 
-void NetworkView::commit_tentative() {
-  MAYFLOWER_ASSERT_MSG(tentative_, "no tentative scope open");
-  tentative_ = false;
-  undo_.clear();
-}
-
 void NetworkView::rollback_tentative() {
   MAYFLOWER_ASSERT_MSG(tentative_, "no tentative scope open");
+  // Newest first: a key's oldest entry replays last, so a share changed
+  // twice ends at its pre-scope value, and each added key is the newest in
+  // its shard's key list when it is removed.
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-    auto& [key, prior] = *it;
-    const auto cur = flows_.find(key);
-    if (cur != flows_.end()) {
-      index_.remove(key, cur->second.path.links);
-      track_key_removed(key, cur->second.path);
+    const auto cur = flows_.find(it->key);
+    MAYFLOWER_ASSERT_MSG(cur != flows_.end(), "undo log out of sync");
+    if (it->added) {
+      index_.remove(it->key, cur->second.path.links);
+      track_key_removed(it->key, cur->second.path);
       flows_.erase(cur);
-    }
-    if (prior.has_value()) {
-      const auto ins = flows_.emplace(key, std::move(*prior)).first;
-      index_.add(key, ins->second.path.links);
-      track_key_added(key, ins->second.path);
+    } else {
+      cur->second.bw_bps = it->prior_bps;
     }
   }
   tentative_ = false;
   undo_.clear();
-}
-
-void NetworkView::record_undo(std::uint64_t key) {
-  if (!tentative_) return;
-  for (const auto& [seen, prior] : undo_) {
-    if (seen == key) return;  // first-touch state already captured
-  }
-  const auto it = flows_.find(key);
-  if (it == flows_.end()) {
-    undo_.emplace_back(key, std::nullopt);
-  } else {
-    undo_.emplace_back(key, it->second);
-  }
 }
 
 }  // namespace mayflower::net

@@ -6,21 +6,21 @@
 // A view is built once per decision batch (from the FlowStateTable, the
 // fabric's liveness map and a LinkRateMonitor) and every consumer — the
 // replica/path selector, the multi-read planner, write placement and all
-// replica policies — reads the SAME state at the SAME time. Decisions that
-// commit inside a batch write through the view (add_flow / set_flow_bps /
-// resize_flow) so later decisions in the batch see earlier ones; mutations
-// from outside the decision pipeline (stats polls, drops, faults) instead
-// invalidate the view, forcing a rebuild before the next batch.
+// replica policies — reads the SAME state at the SAME time. A batch's
+// commits write through the view (add_flow / set_flow_bps / resize_flow)
+// once every request has been evaluated, so the next batch starts from
+// them without a rebuild; mutations from outside the decision pipeline
+// (stats polls, drops, faults) instead invalidate the view, forcing a
+// rebuild before the next batch.
 //
 // The flow section mirrors FlowStateTable semantics: a per-link reverse
 // index (LinkIndex) keeps append_flows_on_link at O(flows actually crossing
-// the link) in key order, and a bounded undo log provides the same
-// tentative scope the table offers the multi-read planner.
+// the link) in key order. A tentative scope lets a planner add flows and
+// change shares on the view it plans on and then put the view back.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -136,8 +136,8 @@ class NetworkView {
   // --- write-through mutations (batch commits) --------------------------
   //
   // A decision batch that commits against the authoritative table applies
-  // the same mutation here so the rest of the batch sees it. Honors the
-  // tentative scope below.
+  // the same mutation here. add_flow and set_flow_bps are logged by an open
+  // tentative scope; resize_flow and drop_flow are not legal inside one.
 
   void add_flow(std::uint64_t key, Path path, double size_bytes,
                 double bw_bps);
@@ -145,18 +145,27 @@ class NetworkView {
   void resize_flow(std::uint64_t key, double new_size_bytes);
   void drop_flow(std::uint64_t key);
 
-  // --- tentative scope (multi-read planning) ----------------------------
+  // --- tentative scope (read-only planning) -----------------------------
   //
-  // Mirrors FlowStateTable's bounded undo log: first-touch prior state is
-  // recorded between begin and commit/rollback; scopes do not nest.
+  // A planner that must see its own first pick (the second round of a
+  // split read, the next hop of a write chain) applies it inside a scope:
+  // each add_flow logs the key it added and each set_flow_bps the share it
+  // overwrote, and rollback replays the log newest-first, leaving the view
+  // exactly as begin found it. Scopes do not nest.
 
   void begin_tentative();
-  void commit_tentative();
   void rollback_tentative();
   bool tentative_active() const { return tentative_; }
 
  private:
-  void record_undo(std::uint64_t key);
+  // One logged mutation: `added` is true for an add_flow, else `prior_bps`
+  // holds the share a set_flow_bps overwrote.
+  struct Undo {
+    std::uint64_t key = 0;
+    bool added = false;
+    double prior_bps = 0.0;
+  };
+
   // Shard-key bookkeeping around flow insertion/removal; no-ops unless a
   // sharded map is installed, so the legacy layout pays nothing.
   void track_key_added(std::uint64_t key, const Path& path);
@@ -183,7 +192,7 @@ class NetworkView {
   std::vector<std::uint64_t> shard_stamp_;
 
   bool tentative_ = false;
-  std::vector<std::pair<std::uint64_t, std::optional<Flow>>> undo_;
+  std::vector<Undo> undo_;
 };
 
 }  // namespace mayflower::net

@@ -48,11 +48,6 @@ void FlowTracer::flow_bw_set(std::uint64_t cookie, double bw_bps) {
   }
 }
 
-void FlowTracer::flow_abandoned(std::uint64_t cookie) {
-  common::MutexLock lock(mu_);
-  active_.erase(cookie);
-}
-
 void FlowTracer::freeze_hit(std::uint64_t cookie) {
   common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);

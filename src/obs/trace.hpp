@@ -71,8 +71,6 @@ class FlowTracer {
   // afterwards they count as SETBW bumps and leave the plan untouched.
   void flow_resized(std::uint64_t cookie, double new_bytes) EXCLUDES(mu_);
   void flow_bw_set(std::uint64_t cookie, double bw_bps) EXCLUDES(mu_);
-  // A tentative registration rolled back (rejected multi-read split).
-  void flow_abandoned(std::uint64_t cookie) EXCLUDES(mu_);
   void freeze_hit(std::uint64_t cookie) EXCLUDES(mu_);
   void mark_split(std::uint64_t cookie) EXCLUDES(mu_);
 

@@ -75,7 +75,10 @@ class MayflowerScheme final : public Scheme {
   void plan_read_async(net::NodeId client,
                        const std::vector<net::NodeId>& replicas, double bytes,
                        PlanCallback done) override {
-    server_->enqueue_read(client, replicas, bytes, std::move(done));
+    server_->enqueue({.client = client,
+                      .replicas = replicas,
+                      .bytes = bytes,
+                      .done = std::move(done)});
   }
 
   void on_flow_complete(sdn::Cookie cookie) override {
@@ -104,10 +107,13 @@ class ReplicaPlusMayflowerPath final : public Scheme {
       net::NodeId client, const std::vector<net::NodeId>& replicas,
       double bytes) override {
     std::vector<ReadAssignment> out;
-    server_->enqueue_read(
-        client, replicas, bytes,
-        [&out](std::vector<ReadAssignment> plan) { out = std::move(plan); },
-        chooser());
+    server_->enqueue({.client = client,
+                      .replicas = replicas,
+                      .bytes = bytes,
+                      .chooser = chooser(),
+                      .done = [&out](std::vector<ReadAssignment> plan) {
+                        out = std::move(plan);
+                      }});
     server_->drain();  // no-op when the enqueue already size-triggered
     return out;
   }
@@ -115,7 +121,11 @@ class ReplicaPlusMayflowerPath final : public Scheme {
   void plan_read_async(net::NodeId client,
                        const std::vector<net::NodeId>& replicas, double bytes,
                        PlanCallback done) override {
-    server_->enqueue_read(client, replicas, bytes, std::move(done), chooser());
+    server_->enqueue({.client = client,
+                      .replicas = replicas,
+                      .bytes = bytes,
+                      .chooser = chooser(),
+                      .done = std::move(done)});
   }
 
   void on_flow_complete(sdn::Cookie cookie) override {

@@ -152,73 +152,6 @@ TEST(FlowStateTable, FlowsOnLinkIteratesInCookieOrder) {
   EXPECT_EQ(cookies_on_link(t, 0), (std::vector<sdn::Cookie>{2, 5, 9}));
 }
 
-TEST(FlowStateTable, RollbackRestoresEveryMutationKind) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  t.add(2, one_link_path(1), 80.0, 8.0, sec(0));
-  t.add(3, one_link_path(2), 60.0, 6.0, sec(0));
-
-  t.begin_tentative();
-  t.setbw(1, 3.0, sec(1.0));                    // update
-  t.resize(1, 40.0, sec(1.0));                   // second touch, same entry
-  t.drop(2);                                     // erase
-  t.add(4, one_link_path(0), 50.0, 5.0, sec(1)); // insert
-  t.update_from_stats(3, 30.0, sec(1.0));        // update via stats
-  // Undo log is bounded by entries touched, not table size or touch count.
-  EXPECT_EQ(t.tentative_touched(), 4u);
-  t.rollback_tentative();
-
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 10.0);
-  EXPECT_DOUBLE_EQ(t.find(1)->size_bytes, 100.0);
-  ASSERT_NE(t.find(2), nullptr);
-  EXPECT_DOUBLE_EQ(t.find(2)->bw_bps, 8.0);
-  EXPECT_DOUBLE_EQ(t.find(3)->remaining_bytes, 60.0);
-  EXPECT_EQ(t.find(4), nullptr);
-  // A snapshot sees the restored paths: cookie 4 is gone from link 0,
-  // cookie 2 is back on link 1.
-  EXPECT_EQ(cookies_on_link(t, 0), std::vector<sdn::Cookie>{1});
-  EXPECT_EQ(cookies_on_link(t, 1), std::vector<sdn::Cookie>{2});
-  EXPECT_FALSE(t.tentative_active());
-}
-
-TEST(FlowStateTable, CommitKeepsTentativeMutations) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  t.begin_tentative();
-  t.setbw(1, 3.0, sec(1.0));
-  t.add(2, one_link_path(1), 50.0, 5.0, sec(1.0));
-  t.commit_tentative();
-  EXPECT_DOUBLE_EQ(t.find(1)->bw_bps, 3.0);
-  ASSERT_NE(t.find(2), nullptr);
-  EXPECT_EQ(cookies_on_link(t, 1), std::vector<sdn::Cookie>{2});
-  EXPECT_FALSE(t.tentative_active());
-}
-
-TEST(FlowStateTable, RollbackOfDropThenReaddRestoresOriginal) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  t.begin_tentative();
-  t.drop(1);
-  t.add(1, one_link_path(2), 30.0, 3.0, sec(1.0));  // recycled cookie
-  t.rollback_tentative();
-  ASSERT_NE(t.find(1), nullptr);
-  EXPECT_DOUBLE_EQ(t.find(1)->size_bytes, 100.0);
-  EXPECT_EQ(t.find(1)->path.links, std::vector<net::LinkId>{0});
-  EXPECT_EQ(cookies_on_link(t, 0), std::vector<sdn::Cookie>{1});
-  EXPECT_TRUE(cookies_on_link(t, 2).empty());
-}
-
-TEST(FlowStateTable, MutationsOutsideScopeAreNotLogged) {
-  FlowStateTable t;
-  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
-  EXPECT_FALSE(t.tentative_active());
-  t.begin_tentative();
-  EXPECT_EQ(t.tentative_touched(), 0u);
-  t.rollback_tentative();  // empty rollback is a no-op
-  EXPECT_EQ(t.size(), 1u);
-}
-
 // --- sharded layout -------------------------------------------------------
 
 class ShardedFlowStateTest : public ::testing::Test {
@@ -274,34 +207,6 @@ TEST_F(ShardedFlowStateTest, MutationsBumpOnlyTheirShard) {
   EXPECT_EQ(table_.shard_version(s0), v0 + 1);
   EXPECT_EQ(table_.shard_version(s1), v1 + 1);
   EXPECT_EQ(table_.find(2)->path.nodes.front(), tree_.hosts[4]);
-}
-
-TEST_F(ShardedFlowStateTest, RollbackRestoresAcrossShards) {
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s2 = shard_of_host(tree_.hosts[8]);
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
-             sec(0));
-  table_.add(2, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  const std::uint64_t v2 = table_.shard_version(s2);
-
-  table_.begin_tentative();
-  table_.setbw(1, 99.0, sec(1.0));                            // mutate s0
-  table_.drop(2);                                              // erase in s1
-  table_.add(3, path_between(tree_.hosts[8], tree_.hosts[9]),  // insert in s2
-             50.0, 5.0, sec(1.0));
-  EXPECT_EQ(table_.tentative_touched(), 3u);
-  table_.rollback_tentative();
-
-  EXPECT_DOUBLE_EQ(table_.find(1)->bw_bps, 10.0);
-  ASSERT_NE(table_.find(2), nullptr);
-  EXPECT_EQ(table_.find(3), nullptr);
-  // Rollback bumps exactly the shards it restored.
-  EXPECT_EQ(table_.shard_version(s2), v2 + 2);  // insert + rollback erase
-  // The aborted insert's route is gone: the cookie is reusable in ANY shard.
-  table_.add(3, path_between(tree_.hosts[0], tree_.hosts[2]), 50.0, 5.0,
-             sec(2.0));
-  EXPECT_EQ(table_.shard_map().shard_of_path(table_.find(3)->path), s0);
 }
 
 TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {

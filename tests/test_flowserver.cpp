@@ -332,12 +332,21 @@ TEST_F(FlowserverTest, BatchDrainsWhenSizeThresholdReached) {
     EXPECT_FALSE(plan.empty());
     ++delivered;
   };
-  server.enqueue_read(tree_.hosts[0], {tree_.hosts[16]}, 64e6, done);
-  server.enqueue_read(tree_.hosts[1], {tree_.hosts[20]}, 64e6, done);
+  server.enqueue({.client = tree_.hosts[0],
+                  .replicas = {tree_.hosts[16]},
+                  .bytes = 64e6,
+                  .done = done});
+  server.enqueue({.client = tree_.hosts[1],
+                  .replicas = {tree_.hosts[20]},
+                  .bytes = 64e6,
+                  .done = done});
   EXPECT_EQ(server.queued(), 2u);
   EXPECT_EQ(delivered, 0u);
   // The third enqueue trips the size trigger: the whole batch decides now.
-  server.enqueue_read(tree_.hosts[2], {tree_.hosts[24]}, 64e6, done);
+  server.enqueue({.client = tree_.hosts[2],
+                  .replicas = {tree_.hosts[24]},
+                  .bytes = 64e6,
+                  .done = done});
   EXPECT_EQ(server.queued(), 0u);
   EXPECT_EQ(delivered, 3u);
   EXPECT_EQ(server.selections(), 3u);
@@ -349,11 +358,13 @@ TEST_F(FlowserverTest, BatchWindowFlushesAPartialBatch) {
   cfg.batch_window = sim::SimTime::from_millis(5.0);
   Flowserver server(fabric_, cfg);
   std::size_t delivered = 0;
-  server.enqueue_read(tree_.hosts[0], {tree_.hosts[16]}, 64e6,
-                      [&delivered](std::vector<ReadAssignment> plan) {
-                        EXPECT_FALSE(plan.empty());
-                        ++delivered;
-                      });
+  server.enqueue({.client = tree_.hosts[0],
+                  .replicas = {tree_.hosts[16]},
+                  .bytes = 64e6,
+                  .done = [&delivered](std::vector<ReadAssignment> plan) {
+                    EXPECT_FALSE(plan.empty());
+                    ++delivered;
+                  }});
   EXPECT_EQ(server.queued(), 1u);
   events_.run_until(sim::SimTime::from_millis(10.0));
   EXPECT_EQ(server.queued(), 0u);
@@ -371,8 +382,10 @@ TEST_F(FlowserverTest, BatchDecidesAgainstOneSnapshotAndInstallsInBulk) {
     for (auto& a : plan) all.push_back(std::move(a));
   };
   for (std::size_t i = 0; i < 4; ++i) {
-    server.enqueue_read(tree_.hosts[i], {tree_.hosts[16 + 4 * i]}, 64e6,
-                        keep);
+    server.enqueue({.client = tree_.hosts[i],
+                    .replicas = {tree_.hosts[16 + 4 * i]},
+                    .bytes = 64e6,
+                    .done = keep});
   }
   // One batch, one view: no rebuild happened mid-batch, and every chosen
   // path was installed (starting the flow trips the strict fabric check
@@ -399,10 +412,16 @@ TEST_F(FlowserverTest, EnqueueWithChooserFixesTheReplica) {
     EXPECT_GT(view.link_count(), 0u);
     return live.back();
   };
-  server.enqueue_read(tree_.hosts[0], {tree_.hosts[16], tree_.hosts[32]},
-                      64e6, keep, pick_last);
-  server.enqueue_read(tree_.hosts[1], {tree_.hosts[20], tree_.hosts[36]},
-                      64e6, keep, pick_last);
+  server.enqueue({.client = tree_.hosts[0],
+                  .replicas = {tree_.hosts[16], tree_.hosts[32]},
+                  .bytes = 64e6,
+                  .chooser = pick_last,
+                  .done = keep});
+  server.enqueue({.client = tree_.hosts[1],
+                  .replicas = {tree_.hosts[20], tree_.hosts[36]},
+                  .bytes = 64e6,
+                  .chooser = pick_last,
+                  .done = keep});
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].replica, tree_.hosts[32]);
   EXPECT_EQ(all[1].replica, tree_.hosts[36]);
@@ -415,10 +434,12 @@ TEST_F(FlowserverTest, ExplicitDrainFlushesWithoutWaiting) {
   cfg.batch_size = 16;
   Flowserver server(fabric_, cfg);
   std::size_t delivered = 0;
-  server.enqueue_read(tree_.hosts[0], {tree_.hosts[16]}, 64e6,
-                      [&delivered](std::vector<ReadAssignment>) {
-                        ++delivered;
-                      });
+  server.enqueue({.client = tree_.hosts[0],
+                  .replicas = {tree_.hosts[16]},
+                  .bytes = 64e6,
+                  .done = [&delivered](std::vector<ReadAssignment>) {
+                    ++delivered;
+                  }});
   EXPECT_EQ(server.drain(), 1u);
   EXPECT_EQ(delivered, 1u);
   EXPECT_EQ(server.drain(), 0u);  // empty queue: no-op

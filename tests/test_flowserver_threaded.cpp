@@ -1,10 +1,9 @@
-// Threaded batch admission: the snapshot pipeline must produce
+// Threaded batch admission: the decision pipeline must produce
 // byte-identical decisions at every thread count (the WorkerPool determinism
-// contract, DESIGN.md §11), match the legacy serial pipeline on batches of
-// one, and keep the exported metrics byte-identical across thread counts.
-// The stress test at the end is the TSan lane's target: producer threads
-// hammer post_read() while the control thread drains, polls and injects
-// fabric faults.
+// contract, DESIGN.md §11), for batches of one and larger, and keep the
+// exported metrics byte-identical across thread counts. The stress test at
+// the end is the TSan lane's target: producer threads hammer post() while
+// the control thread drains, polls and injects fabric faults.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -70,10 +69,12 @@ RunOutput run_workload(std::size_t decision_threads, std::size_t group,
         if (!dup) replicas.push_back(r);
       }
       const double bytes = rng.uniform(64e6, 512e6);
-      server.post_read(client, replicas, bytes,
-                       [&plans, idx](std::vector<ReadAssignment> plan) {
-                         plans[static_cast<std::size_t>(idx)] = std::move(plan);
-                       });
+      server.post({.client = client,
+                   .replicas = std::move(replicas),
+                   .bytes = bytes,
+                   .done = [&plans, idx](std::vector<ReadAssignment> plan) {
+                     plans[static_cast<std::size_t>(idx)] = std::move(plan);
+                   }});
     }
     server.drain();
     for (int k = posted; k < posted + n; ++k) {
@@ -104,13 +105,17 @@ RunOutput run_workload(std::size_t decision_threads, std::size_t group,
 
 constexpr std::uint64_t kSeeds[] = {0xfee1d, 0xf16};
 
+// Batches of one, one inline worker as the reference (the name predates
+// the removal of the serial pipeline; the golden fig4/fig6 reports pin
+// batch-of-one decisions against it).
 TEST(FlowserverThreadedBatch, BatchOfOneMatchesLegacyAtEveryThreadCount) {
   for (const std::uint64_t seed : kSeeds) {
     for (const bool hotspot : {false, true}) {
-      const RunOutput legacy = run_workload(0, 1, seed, hotspot);
-      for (const std::size_t threads : {1u, 2u, 8u}) {
+      const RunOutput one = run_workload(1, 1, seed, hotspot);
+      EXPECT_NE(one.transcript.find("selections=48"), std::string::npos);
+      for (const std::size_t threads : {2u, 8u}) {
         const RunOutput got = run_workload(threads, 1, seed, hotspot);
-        EXPECT_EQ(got.transcript, legacy.transcript)
+        EXPECT_EQ(got.transcript, one.transcript)
             << "threads=" << threads << " seed=" << seed
             << " hotspot=" << hotspot;
       }
@@ -178,10 +183,12 @@ TEST(FlowserverThreadedStress, ConcurrentPostersDrainsPollsAndFaults) {
             replicas.push_back(r);
           }
         }
-        server.post_read(client, replicas, 64e6,
-                         [&delivered](std::vector<ReadAssignment>) {
-                           delivered.fetch_add(1, std::memory_order_relaxed);
-                         });
+        server.post({.client = client,
+                     .replicas = std::move(replicas),
+                     .bytes = 64e6,
+                     .done = [&delivered](std::vector<ReadAssignment>) {
+                       delivered.fetch_add(1, std::memory_order_relaxed);
+                     }});
       }
     });
   }

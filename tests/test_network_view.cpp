@@ -1,6 +1,6 @@
 // Unit tests of the NetworkView decision snapshot: link facts, believed
-// flows with their per-link index, write-through mutations and the bounded
-// tentative scope the multi-read planner relies on.
+// flows with their per-link index, write-through mutations and the
+// tentative scope the read-only planners rely on.
 #include "net/network_view.hpp"
 
 #include <gtest/gtest.h>
@@ -146,31 +146,15 @@ TEST_F(NetworkViewTest, RollbackRestoresPreTentativeState) {
   EXPECT_TRUE(keys_on_path(p2).empty());
 }
 
-TEST_F(NetworkViewTest, RollbackResurrectsDroppedFlow) {
-  const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
-  view_.add_flow(1, p, 8e6, 2e6);
+TEST_F(NetworkViewTest, ScopeRefusesMutationsItCannotUndo) {
+  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
+  view_.add_flow(1, path_between(tree_.hosts[0], tree_.hosts[1]), 8e6, 2e6);
   view_.begin_tentative();
-  view_.drop_flow(1);
-  EXPECT_EQ(view_.find(1), nullptr);
+  EXPECT_DEATH(view_.drop_flow(1), "assertion failed");
+  EXPECT_DEATH(view_.resize_flow(1, 1e6), "assertion failed");
+  EXPECT_DEATH(view_.unload_shard(0), "assertion failed");
   view_.rollback_tentative();
-  ASSERT_NE(view_.find(1), nullptr);
-  EXPECT_DOUBLE_EQ(view_.find(1)->bw_bps, 2e6);
-  ASSERT_EQ(keys_on_path(p).size(), 1u);  // back in the index
-}
-
-TEST_F(NetworkViewTest, CommitKeepsTentativeMutations) {
-  const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
-  view_.begin_tentative();
-  view_.add_flow(5, p, 8e6, 2e6);
-  view_.commit_tentative();
-  EXPECT_FALSE(view_.tentative_active());
-  ASSERT_NE(view_.find(5), nullptr);
-  // The scope is closed: further mutations are permanent, a new scope
-  // starts from the committed state.
-  view_.begin_tentative();
-  view_.drop_flow(5);
-  view_.rollback_tentative();
-  EXPECT_NE(view_.find(5), nullptr);
+  EXPECT_NE(view_.find(1), nullptr);
 }
 
 TEST_F(NetworkViewTest, UnloadShardRemovesOnlyThatShardsFlows) {
@@ -224,20 +208,25 @@ TEST_F(NetworkViewTest, RefreshLinkStateKeepsBelievedFlows) {
 }
 
 TEST_F(NetworkViewTest, RollbackRestoresShardTrackedFlow) {
-  // The undo path must maintain the per-shard key lists it restores into.
+  // The undo path must maintain the per-shard key lists it removes from.
   view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
   const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
+  const Path q = path_between(tree_.hosts[0], tree_.hosts[2]);
   view_.add_flow(1, p, 8e6, 2e6);
+  view_.add_flow(3, q, 8e6, 2e6);
   view_.begin_tentative();
-  view_.drop_flow(1);
   view_.add_flow(2, p, 4e6, 1e6);
+  view_.set_flow_bps(1, 1e6);
   view_.rollback_tentative();
   ASSERT_NE(view_.find(1), nullptr);
+  EXPECT_DOUBLE_EQ(view_.find(1)->bw_bps, 2e6);
   EXPECT_EQ(view_.find(2), nullptr);
+  EXPECT_EQ(keys_on_path(p), (std::vector<std::uint64_t>{1, 3}));
   // Shard bookkeeping stayed consistent: unloading the shard must remove
-  // exactly the restored flow without tripping the key-list asserts.
+  // exactly the pre-scope flows without tripping the key-list asserts.
   view_.unload_shard(view_.shard_map().shard_of_node(tree_.hosts[0]));
   EXPECT_EQ(view_.find(1), nullptr);
+  EXPECT_EQ(view_.find(3), nullptr);
   EXPECT_EQ(view_.flow_count(), 0u);
 }
 

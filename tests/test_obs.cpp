@@ -178,16 +178,6 @@ TEST(FlowTracer, EstimatorErrorsSkipKilledAndZeroDurationFlows) {
   EXPECT_DOUBLE_EQ(errs[0], 1.0);
 }
 
-TEST(FlowTracer, AbandonedFlowsLeaveNoTrace) {
-  obs::FlowTracer t;
-  t.flow_planned(9, 0.0, 10.0, 1.0);
-  EXPECT_EQ(t.active_count(), 1u);
-  t.flow_abandoned(9);  // rejected multi-read tentative leg rolled back
-  EXPECT_EQ(t.active_count(), 0u);
-  t.flow_completed(9, 1.0, 10.0);  // late event for the dead cookie: no-op
-  EXPECT_TRUE(t.finished().empty());
-}
-
 TEST(FlowTracer, ToleratesUnknownCookies) {
   obs::FlowTracer t;
   t.flow_resized(42, 1.0);

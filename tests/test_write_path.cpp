@@ -125,10 +125,13 @@ std::string run_mixed_workload(std::size_t decision_threads,
         plans[static_cast<std::size_t>(idx)] = std::move(p);
       };
       if (idx % 3 == 0) {  // every third request is a write chain
-        rig.server.enqueue_write(nodes, bytes, sink);
+        rig.server.enqueue(
+            {.replicas = nodes, .bytes = bytes, .write = true, .done = sink});
       } else {
-        rig.server.enqueue_read(nodes[0], {nodes[1], nodes[2], nodes[3]},
-                                bytes, sink);
+        rig.server.enqueue({.client = nodes[0],
+                            .replicas = {nodes[1], nodes[2], nodes[3]},
+                            .bytes = bytes,
+                            .done = sink});
       }
     }
     rig.server.drain();
@@ -171,10 +174,12 @@ TEST(WriteChain, DecisionsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// Batches of one at every worker count, one inline worker as the
+// reference (the name predates the removal of the serial pipeline).
 TEST(WriteChain, BatchOfOneMatchesLegacySerialPipeline) {
-  const std::string legacy = run_mixed_workload(0, 1, 0xbeefULL);
-  for (const std::size_t threads : {1u, 8u}) {
-    EXPECT_EQ(run_mixed_workload(threads, 1, 0xbeefULL), legacy)
+  const std::string inline_worker = run_mixed_workload(1, 1, 0xbeefULL);
+  for (const std::size_t threads : {2u, 8u}) {
+    EXPECT_EQ(run_mixed_workload(threads, 1, 0xbeefULL), inline_worker)
         << "threads=" << threads;
   }
 }

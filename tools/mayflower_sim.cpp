@@ -54,7 +54,7 @@ void usage() {
       "[--poll-sec=F]\n"
       "                     [--no-multiread] [--no-freeze] "
       "[--batch-size=N]\n"
-      "                     [--decision-threads=N] "
+      "                     [--decision-threads=N>=1] "
       "[--topology=three_tier|fat_tree]\n"
       "                     [--fat-k=N] [--shard-state] [--poll-groups=N]\n"
       "                     [--poll-budget=N] [--mouse-period=N]\n"
@@ -182,12 +182,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.flowserver.batch_size = static_cast<std::size_t>(batch);
-  // Decision parallelism: 0 (default) is the legacy serial pipeline; N >= 1
-  // evaluates each batch against one immutable snapshot with N workers.
-  // Decisions are identical at every N by construction.
-  const long long threads = flags.get_int("decision-threads", 0);
-  if (threads < 0) {
-    std::fprintf(stderr, "--decision-threads must be >= 0\n");
+  // Decision workers: each batch is evaluated against its batch-start view
+  // by N workers (1, the default, runs inline), then commits replay in
+  // batch order. Decisions are identical at every N by construction.
+  const long long threads = flags.get_int("decision-threads", 1);
+  if (threads < 1) {
+    std::fprintf(stderr, "--decision-threads must be >= 1\n");
     return 2;
   }
   cfg.flowserver.decision_threads = static_cast<std::size_t>(threads);
