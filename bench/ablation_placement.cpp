@@ -5,10 +5,10 @@
 // appends one 256 MB block (upload + 2 relay transfers), comparing
 //
 //   static     — the paper's evaluated system: random constrained placement,
-//                ECMP write paths;
-//   placement  — Flowserver-collaborative replica placement;
-//   placement+writes — collaborative placement AND Flowserver-scheduled
-//                upload/relay flows (full write-path co-design).
+//                ECMP upload and primary fan-out;
+//   placement  — Flowserver-collaborative replica placement (model ranking);
+//   placement+chain — collaborative placement AND a Flowserver-planned
+//                pipelined replication chain (full write-path co-design).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -21,12 +21,12 @@ namespace {
 
 constexpr std::uint64_t kBlockBytes = 256'000'000;
 
-harness::RunResult run_write_experiment(bool collaborative, bool co_writes,
+harness::RunResult run_write_experiment(bool collaborative, bool chain,
                                         double lambda, std::uint64_t seed) {
   fs::ClusterConfig cfg;
   cfg.scheme = fs::FsScheme::kMayflower;
-  cfg.collaborative_placement = collaborative;
-  cfg.co_designed_writes = co_writes;
+  if (collaborative) cfg.write_placement = policy::WritePlacementKind::kModel;
+  cfg.write_pipeline = chain;
   cfg.nameserver.chunk_size = kBlockBytes;
   cfg.seed = seed;
   fs::Cluster cluster(cfg);
@@ -36,7 +36,7 @@ harness::RunResult run_write_experiment(bool collaborative, bool co_writes,
   constexpr std::size_t kWarmup = 30;
   Rng rng(splitmix64(seed ^ 0x77e11ULL));
   harness::RunResult result;
-  result.scheme = co_writes       ? "placement+writes"
+  result.scheme = chain           ? "placement+chain"
                   : collaborative ? "placement"
                                   : "static";
 
@@ -94,13 +94,13 @@ int main() {
   std::printf("\n");
   harness::print_sweep_header("lambda");
   for (const double lambda : {0.02, 0.03, 0.04}) {
-    for (const auto& [collaborative, co_writes] :
+    for (const auto& [collaborative, chain] :
          std::vector<std::pair<bool, bool>>{
              {false, false}, {true, false}, {true, true}}) {
       harness::RunResult pooled;
       for (const std::uint64_t seed : {1ULL, 2ULL}) {
         const auto r =
-            run_write_experiment(collaborative, co_writes, lambda, seed);
+            run_write_experiment(collaborative, chain, lambda, seed);
         pooled.scheme = r.scheme;
         pooled.completions.insert(pooled.completions.end(),
                                   r.completions.begin(), r.completions.end());
@@ -116,6 +116,8 @@ int main() {
       "Collaborative placement rediscovers writer-locality on its own: the\n"
       "writer's host offers the highest write bandwidth (zero network hops),\n"
       "so the primary lands there — the policy HDFS hardcodes — and the\n"
-      "upload leg disappears; the rest of the win is load spreading.\n");
+      "upload leg disappears; the rest of the win is load spreading.\n"
+      "placement+chain relays the block down one planned pipelined chain\n"
+      "instead of two flows sharing the primary's uplink.\n");
   return 0;
 }

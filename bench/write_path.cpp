@@ -63,8 +63,6 @@ harness::RunResult run_write_path(policy::WritePlacementKind placement,
   fs::ClusterConfig cfg;
   cfg.scheme = fs::FsScheme::kMayflower;
   cfg.write_placement = placement;
-  cfg.collaborative_placement =
-      placement != policy::WritePlacementKind::kStatic;
   cfg.write_pipeline = pipelined;
   cfg.nameserver.chunk_size = kBlockBytes;
   cfg.seed = seed;

@@ -21,10 +21,6 @@ cmake -B build-asan -S . -DMAYFLOWER_SANITIZE=ON >/dev/null
 cmake --build build-asan -j "${jobs}"
 (cd build-asan && ctest --output-on-failure -j "${jobs}")
 
-echo "=== fault + write suites under sanitizers (explicit pass) ==="
-(cd build-asan && ctest --output-on-failure -j "${jobs}" \
-    -R "Fault|FlowSim.IncrementalMatchesFullUnderLinkFaultChurn|WritePath|WriteChain|WritePlacement|RpcRoundtrip")
-
 echo "=== thread-sanitized build (TSan, full suite) ==="
 cmake -B build-tsan -S . -DMAYFLOWER_TSAN=ON >/dev/null
 cmake --build build-tsan -j "${jobs}"
@@ -269,6 +265,12 @@ echo "=== write-path bench (>= 2x bar + decision-thread identity) ==="
 ./build/bench/write_path >/tmp/mayflower_write_run1.txt
 ./build/bench/write_path >/tmp/mayflower_write_run2.txt
 diff /tmp/mayflower_write_run1.txt /tmp/mayflower_write_run2.txt
+echo "deterministic"
+
+echo "=== placement ablation determinism (same seeds => identical table) ==="
+./build/bench/ablation_placement >/tmp/mayflower_ablation_run1.txt
+./build/bench/ablation_placement >/tmp/mayflower_ablation_run2.txt
+diff /tmp/mayflower_ablation_run1.txt /tmp/mayflower_ablation_run2.txt
 echo "deterministic"
 
 echo "=== metadata scaling bench (>= 3x bar at 4 shards, async < sync) ==="

@@ -38,6 +38,13 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
     poll_samples_hist_ = config_.obs->metrics.histogram(
         "flowserver.poll.samples_per_tick",
         {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
+    write_chains_metric_ =
+        config_.obs->metrics.counter("flowserver.write.chains");
+    write_hops_metric_ = config_.obs->metrics.counter("flowserver.write.hops");
+    write_truncated_metric_ =
+        config_.obs->metrics.counter("flowserver.write.truncated");
+    write_bottleneck_hist_ = config_.obs->metrics.histogram(
+        "flowserver.write.bottleneck_bps", {1e6, 1e7, 1e8, 1e9, 1e10});
   }
   // Failure awareness: a killed transfer's (frozen) estimate must expire —
   // its bandwidth is free again and SETBW state for it would be stale
@@ -219,20 +226,6 @@ std::vector<net::NodeId> Flowserver::reachable_replicas(
   return live;
 }
 
-void Flowserver::ensure_write_metrics() {
-  if (write_metrics_registered_ || config_.obs == nullptr) return;
-  write_metrics_registered_ = true;
-  // Registered only once a chain is actually planned: a run that never
-  // writes keeps its metrics JSON byte-identical to the read-only baseline.
-  write_chains_metric_ = config_.obs->metrics.counter("flowserver.write.chains");
-  write_hops_metric_ = config_.obs->metrics.counter("flowserver.write.hops");
-  write_truncated_metric_ =
-      config_.obs->metrics.counter("flowserver.write.truncated");
-  write_bottleneck_hist_ = config_.obs->metrics.histogram(
-      "flowserver.write.bottleneck_bps",
-      {1e6, 1e7, 1e8, 1e9, 1e10});
-}
-
 std::vector<ReadAssignment> Flowserver::finish_chain(
     const std::vector<ChainHopPlan>& plans,
     const std::vector<sdn::Cookie>& cookies, std::size_t requested_hops,
@@ -374,7 +367,6 @@ void Flowserver::decide_batch(std::deque<Request>& batch, sim::SimTime now,
       // evaluates the chain, nor on how far the chain gets.
       s.write = true;
       s.replicas = std::move(req.replicas);
-      ensure_write_metrics();
       s.cookies.reserve(s.replicas.size() - 1);
       for (std::size_t h = 0; h + 1 < s.replicas.size(); ++h) {
         s.cookies.push_back(fabric_->new_cookie());
@@ -507,15 +499,6 @@ std::vector<ReadAssignment> Flowserver::select_for_read(
     net::NodeId client, const std::vector<net::NodeId>& replicas,
     double bytes) {
   return decide_now({.client = client, .replicas = replicas, .bytes = bytes});
-}
-
-ReadAssignment Flowserver::select_path_for_replica(net::NodeId client,
-                                                   net::NodeId replica,
-                                                   double bytes) {
-  const std::vector<ReadAssignment> plan =
-      select_for_read(client, {replica}, bytes);
-  if (plan.empty()) return ReadAssignment{};  // cookie == 0: unreachable
-  return plan[0];
 }
 
 void Flowserver::flow_dropped(sdn::Cookie cookie) {

@@ -177,12 +177,6 @@ class Flowserver {
       net::NodeId client, const std::vector<net::NodeId>& replicas,
       double bytes);
 
-  // Variant with the replica fixed by an external policy (used for the
-  // "Nearest Mayflower", "Sinbad-R Mayflower" and "HDFS-Mayflower"
-  // comparisons): only the network path is optimized.
-  ReadAssignment select_path_for_replica(net::NodeId client,
-                                         net::NodeId replica, double bytes);
-
   // Synchronous wrapper (batch-of-one) for a write Request.
   std::vector<ReadAssignment> plan_write(const std::vector<net::NodeId>& chain,
                                          double bytes);
@@ -296,10 +290,6 @@ class Flowserver {
     SelectStats stats;
   };
 
-  // Registers the flowserver.write.* metric family on first use (control
-  // thread only).
-  void ensure_write_metrics();
-
   // Turns a routed chain into plan assignments (est_bw reports the chain
   // bottleneck) and records the write books. `requested_hops` is what the
   // caller asked for — fewer routed hops means the chain was truncated by
@@ -399,10 +389,7 @@ class Flowserver {
   obs::Counter poll_demotions_metric_;
   obs::Gauge poll_elephants_gauge_;
   obs::Gauge poll_mice_gauge_;
-  // Write-path metrics (flowserver.write.*), registered lazily on the first
-  // planned chain so a run that never plans writes keeps its metrics JSON
-  // byte-identical to the pre-write-path baseline.
-  bool write_metrics_registered_ = false;
+  // Write-path metrics (flowserver.write.*).
   obs::Counter write_chains_metric_;
   obs::Counter write_hops_metric_;
   obs::Counter write_truncated_metric_;

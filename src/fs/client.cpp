@@ -177,30 +177,18 @@ void Client::send_append_rpc(const FileInfo& info, ExtentList data,
   req.file = info.uuid;
   req.data = data;
   req.chain = std::move(chain);
+  Bytes wire = req.encode();
   transport_->call(
-      node_, info.primary(), Method::kAppend, req.encode(),
-      [this, info, data = std::move(data), retried,
-       done = std::move(done)](Status status, Bytes payload) mutable {
-        if ((status == Status::kNotFound || status == Status::kNotPrimary ||
-             status == Status::kUnavailable) &&
-            !retried) {
-          // Stale mapping (file moved/recreated): refresh and retry once.
-          // The retry re-plans from scratch — a fresh replica set needs a
-          // fresh chain.
-          invalidate_cache(info.name);
-          with_meta(info.name, false,
-                    [this, data = std::move(data), done = std::move(done)](
-                        Status s2, const FileInfo& fresh) mutable {
-                      if (s2 != Status::kOk) {
-                        done(s2, AppendResp{});
-                        return;
-                      }
-                      do_append(fresh, std::move(data), true, std::move(done));
-                    });
-          return;
-        }
+      node_, info.primary(), Method::kAppend, std::move(wire),
+      [this, info, data = std::move(data), relay = std::move(req.chain),
+       retried, done = std::move(done)](Status status,
+                                        Bytes payload) mutable {
         if (status != Status::kOk) {
-          done(status, AppendResp{});
+          // No relay hop runs past a failed append: hand them back before
+          // the retry plans a fresh chain.
+          release_relay(relay);
+          retry_append(info, std::move(data), status, retried,
+                       std::move(done));
           return;
         }
         Reader r(payload);
@@ -216,6 +204,66 @@ void Client::send_append_rpc(const FileInfo& info, ExtentList data,
       });
 }
 
+void Client::retry_append(const FileInfo& info, ExtentList data,
+                          Status status, bool retried, AppendFn done) {
+  if ((status != Status::kNotFound && status != Status::kNotPrimary &&
+       status != Status::kUnavailable) ||
+      retried) {
+    done(status, AppendResp{});
+    return;
+  }
+  // Stale mapping (file moved/recreated, primary unreachable): refresh and
+  // retry once. The retry re-plans from scratch — a fresh replica set needs
+  // a fresh chain.
+  invalidate_cache(info.name);
+  with_meta(info.name, false,
+            [this, data = std::move(data), done = std::move(done)](
+                Status s2, const FileInfo& fresh) mutable {
+              if (s2 != Status::kOk) {
+                done(s2, AppendResp{});
+                return;
+              }
+              do_append(fresh, std::move(data), true, std::move(done));
+            });
+}
+
+void Client::release_relay(const std::vector<WireAssignment>& relay) {
+  for (const WireAssignment& hop : relay) {
+    write_planner_->flow_complete(node_, hop.cookie);
+    fabric_->remove_path(hop.cookie);
+  }
+}
+
+void Client::upload(const FileInfo& info, ExtentList data, sdn::Cookie cookie,
+                    const net::Path& path, bool planned,
+                    std::vector<WireAssignment> relay, bool retried,
+                    AppendFn done) {
+  // Exactly one of the completion and failure callbacks consumes this.
+  struct Pending {
+    FileInfo info;
+    ExtentList data;
+    std::vector<WireAssignment> relay;
+    AppendFn done;
+  };
+  auto p = std::make_shared<Pending>(
+      Pending{info, std::move(data), std::move(relay), std::move(done)});
+  const double bytes = static_cast<double>(p->data.size());
+  fabric_->start_flow(
+      cookie, path, bytes,
+      [this, p, planned, retried](sdn::Cookie c, sim::SimTime) {
+        if (planned) write_planner_->flow_complete(node_, c);
+        send_append_rpc(p->info, std::move(p->data), std::move(p->relay),
+                        retried, std::move(p->done));
+      },
+      [this, p, retried](sdn::Cookie, const net::FlowRecord&) {
+        // The bytes never reached the primary: its relay hops will never
+        // run, and the append fails as if the primary were unreachable.
+        release_relay(p->relay);
+        retry_append(p->info, std::move(p->data), Status::kUnavailable,
+                     retried, std::move(p->done));
+      });
+}
+
 void Client::do_append(const FileInfo& info, ExtentList data, bool retried,
                        AppendFn done) {
   if (config_.write_pipeline && write_planner_ != nullptr &&
@@ -223,32 +271,9 @@ void Client::do_append(const FileInfo& info, ExtentList data, bool retried,
     do_append_pipelined(info, std::move(data), retried, std::move(done));
     return;
   }
-  const net::NodeId primary = info.primary();
-  if (primary == node_) {
+  if (info.primary() == node_) {
     // Node-local write: no network hop for the bytes.
     send_append_rpc(info, std::move(data), {}, retried, std::move(done));
-    return;
-  }
-  // Ship the bytes to the primary first, then issue the append RPC. The
-  // paper's system uses ECMP for writes (the co-design optimizes reads,
-  // §3.3); the co_designed_writes extension asks the scheme instead.
-  if (config_.co_designed_writes) {
-    planner_->plan(
-        primary, {node_}, static_cast<double>(data.size()),
-        [this, info, data = std::move(data), retried,
-         done = std::move(done)](
-            Status pstatus, std::vector<policy::ReadAssignment> plan) mutable {
-          MAYFLOWER_ASSERT(pstatus == Status::kOk && plan.size() == 1);
-          fabric_->start_flow(
-              plan[0].cookie, plan[0].path, plan[0].bytes,
-              [this, info, data = std::move(data), retried,
-               done = std::move(done)](sdn::Cookie cookie,
-                                       sim::SimTime) mutable {
-                planner_->flow_complete(node_, cookie);
-                send_append_rpc(info, std::move(data), {}, retried,
-                                std::move(done));
-              });
-        });
     return;
   }
   do_append_ecmp(info, std::move(data), retried, std::move(done));
@@ -256,18 +281,16 @@ void Client::do_append(const FileInfo& info, ExtentList data, bool retried,
 
 void Client::do_append_ecmp(const FileInfo& info, ExtentList data,
                             bool retried, AppendFn done) {
+  // The paper's system ships append bytes over ECMP (the co-design
+  // optimizes reads, §3.3).
   const net::NodeId primary = info.primary();
   const auto& candidates = paths_.get(node_, primary);
   MAYFLOWER_ASSERT(!candidates.empty());
   const sdn::Cookie cookie = fabric_->new_cookie();
   const net::Path& path = ecmp_.choose(candidates, node_, primary, cookie);
   fabric_->install_path(cookie, path);
-  fabric_->start_flow(
-      cookie, path, static_cast<double>(data.size()),
-      [this, info, data = std::move(data), retried,
-       done = std::move(done)](sdn::Cookie, sim::SimTime) mutable {
-        send_append_rpc(info, std::move(data), {}, retried, std::move(done));
-      });
+  upload(info, std::move(data), cookie, path, /*planned=*/false, {}, retried,
+         std::move(done));
 }
 
 void Client::do_append_pipelined(const FileInfo& info, ExtentList data,
@@ -314,15 +337,8 @@ void Client::do_append_pipelined(const FileInfo& info, ExtentList data,
                           std::move(done));
           return;
         }
-        fabric_->start_flow(
-            plan[0].cookie, plan[0].path, plan[0].bytes,
-            [this, info, data = std::move(data), relay = std::move(relay),
-             retried, done = std::move(done)](sdn::Cookie cookie,
-                                              sim::SimTime) mutable {
-              write_planner_->flow_complete(node_, cookie);
-              send_append_rpc(info, std::move(data), std::move(relay),
-                              retried, std::move(done));
-            });
+        upload(info, std::move(data), plan[0].cookie, plan[0].path,
+               /*planned=*/true, std::move(relay), retried, std::move(done));
       });
 }
 

@@ -33,9 +33,6 @@ struct ClientConfig {
   // node failure").
   sim::SimTime meta_cache_ttl = sim::SimTime::from_seconds(60.0);
   std::uint32_t replication = 3;
-  // Extension: route append uploads through the read scheme's path
-  // selection (Flowserver for Mayflower clusters) instead of ECMP.
-  bool co_designed_writes = false;
   // Extension: plan the WHOLE replication chain with the Flowserver
   // (kPlanWrite) as one jointly-scheduled unit and carry the relay hops in
   // the append RPC, so the primary pipelines the relay instead of fanning
@@ -100,7 +97,7 @@ class Client {
   void set_meta_router(meta::MetaRouter* router) { router_ = router; }
 
   // Write-chain planner for the write_pipeline extension. Not owned; null
-  // keeps appends on the legacy upload + fan-out path.
+  // keeps appends on the ECMP upload + fan-out path.
   void set_write_planner(WritePlanner* planner) { write_planner_ = planner; }
 
   // Telemetry.
@@ -155,15 +152,31 @@ class Client {
   void do_append_pipelined(const FileInfo& info, ExtentList data,
                            bool retried, AppendFn done);
   // Ships the bytes over an ECMP-hashed path, then issues the append RPC
-  // (the unplanned upload used by the baselines and as the degraded path
-  // when chain planning finds no route).
+  // (the paper's unplanned upload, also the degraded path when chain
+  // planning finds no route).
   void do_append_ecmp(const FileInfo& info, ExtentList data, bool retried,
                       AppendFn done);
-  // The append RPC itself (+ the stale-mapping retry): `chain` carries the
-  // planned relay hops (empty = legacy fan-out at the primary).
+  // Ships the bytes to the primary over `path` (already installed) under
+  // `cookie`, then sends the append RPC carrying `relay`. A `planned` upload
+  // is reported to the write planner when it lands. A dead upload hands
+  // `relay` back and counts as an append answered kUnavailable.
+  void upload(const FileInfo& info, ExtentList data, sdn::Cookie cookie,
+              const net::Path& path, bool planned,
+              std::vector<WireAssignment> relay, bool retried, AppendFn done);
+  // The append RPC itself: `chain` carries the planned relay hops (empty =
+  // ECMP fan-out at the primary). A failed append hands the hops back and
+  // goes through retry_append.
   void send_append_rpc(const FileInfo& info, ExtentList data,
                        std::vector<WireAssignment> chain, bool retried,
                        AppendFn done);
+  // A failed append attempt: a stale-mapping status (kNotFound,
+  // kNotPrimary, kUnavailable) refreshes the mapping and retries once;
+  // anything else, or a second failure, answers `done` with `status`.
+  void retry_append(const FileInfo& info, ExtentList data, Status status,
+                    bool retried, AppendFn done);
+  // Hands planned relay hops back: the write planner drops them from its
+  // table and their switch entries are removed.
+  void release_relay(const std::vector<WireAssignment>& relay);
   sim::SimTime retry_backoff(std::uint32_t attempt) const;
   // retry_backoff + observability: counts the retry and records the wait.
   sim::SimTime count_retry_backoff(std::uint32_t attempt);

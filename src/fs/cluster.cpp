@@ -114,8 +114,8 @@ Cluster::Cluster(ClusterConfig config)
 
   // Write-path co-design wiring. Measured placement swaps the Flowserver's
   // write-target ranking for residual-headroom ranking; model keeps the
-  // ranker null (the historical believed-share ranking, byte-identical);
-  // static disables the create-time advisor outright.
+  // ranker null (the believed-share ranking); static wires no create-time
+  // advisor at all.
   if (config_.write_placement == policy::WritePlacementKind::kMeasured &&
       flow_server_) {
     measured_paths_ = std::make_unique<net::PathCache>(tree_.topo);
@@ -135,8 +135,8 @@ Cluster::Cluster(ClusterConfig config)
           return measured_placement_->rank(writer, pool, v);
         });
   }
-  if (config_.collaborative_placement && flow_server_ &&
-      config_.write_placement != policy::WritePlacementKind::kStatic) {
+  if (config_.write_placement != policy::WritePlacementKind::kStatic &&
+      flow_server_) {
     config_.nameserver.placement_advisor =
         [this](net::NodeId writer, const std::vector<net::NodeId>& pool) {
           return flow_server_->best_write_target(writer, pool);
@@ -192,7 +192,6 @@ Cluster::Cluster(ClusterConfig config)
         return meta_plane_->owner_node_of(name);
       };
     }
-    if (config_.co_designed_writes) ds.write_scheduler = flow_server_.get();
     if (!ds.disk_root.empty()) {
       ds.disk_root = ds.disk_root / strfmt("ds%zu", i);
     }
@@ -258,9 +257,6 @@ Client& Cluster::client_at(net::NodeId host) {
     if (c->node() == host) return *c;
   }
   ClientConfig client_config = config_.client;
-  if (config_.co_designed_writes && flow_server_ != nullptr) {
-    client_config.co_designed_writes = true;
-  }
   if (write_planner_ != nullptr) client_config.write_pipeline = true;
   clients_.push_back(std::make_unique<Client>(*transport_, *fabric_,
                                               *planner_, host,

@@ -41,20 +41,17 @@ struct ClusterConfig {
   sim::SimTime rpc_latency = sim::SimTime::from_micros(200);
   std::uint64_t seed = 1;
   // Extensions beyond the paper's evaluated system (both default off, as in
-  // the paper): Flowserver-collaborative replica placement at create time,
-  // and Flowserver-scheduled append/relay flows (writes co-design).
-  bool collaborative_placement = false;
-  bool co_designed_writes = false;
-  // Which ranking the write-placement decisions use (create-time advisor
-  // and Flowserver write-target selection). kModel (default) is the
-  // believed-share ranking — byte-identical to the historical behavior;
-  // kMeasured ranks by measured residual headroom (Sinbad-style); kStatic
-  // disables the placement advisor entirely (nameserver default spread).
+  // the paper). Write placement: kStatic (default) is the nameserver's
+  // random constrained spread; kModel makes the create-time decision
+  // collaboratively with the Flowserver, ranking targets by believed
+  // max-min share; kMeasured ranks by measured residual headroom
+  // (Sinbad-style). kModel and kMeasured need a Flowserver scheme.
   policy::WritePlacementKind write_placement =
-      policy::WritePlacementKind::kModel;
+      policy::WritePlacementKind::kStatic;
   // Flowserver-planned pipelined chain replication for appends: clients
   // plan writer -> primary -> secondaries as one kPlanWrite chain and the
-  // primary pipelines the relay instead of fanning out. Off = legacy.
+  // primary pipelines the relay instead of fanning out. Off = the paper's
+  // ECMP upload + primary fan-out.
   bool write_pipeline = false;
   // When true (default, matching the prototype in §5) the Flowserver is an
   // RPC service on a controller node and every selection costs a round

@@ -293,38 +293,16 @@ void Dataserver::relay_fanout(const Uuid& uuid,
                          if (--*pending_acks == 0) (*shared_finish)();
                        });
     };
-    // Bulk bytes travel the fabric first. By default writes use ECMP (the
-    // paper optimizes the read path); with a write scheduler attached, the
-    // Flowserver picks the relay path by Eq. 2 instead.
-    // If a failure kills the relay flow, the secondary simply misses this
-    // append (its replica falls behind; recovery re-copies whole replicas),
-    // but the client's ack must not hang: count the relay as settled.
+    // Bulk bytes travel the fabric first, over ECMP (the paper optimizes the
+    // read path). If a failure kills the relay flow — or it is stillborn on
+    // a path that is already dead — the secondary simply misses this append
+    // (its replica falls behind; recovery re-copies whole replicas), but the
+    // client's ack must not hang: count the relay as settled.
     auto relay_failed = [this, uuid, secondary, pending_acks, shared_finish](
                             sdn::Cookie, const net::FlowRecord&) {
       count_relay_failure(uuid, secondary);
       if (--*pending_acks == 0) (*shared_finish)();
     };
-    if (config_.write_scheduler != nullptr) {
-      const auto assignment = config_.write_scheduler->select_path_for_replica(
-          /*client=*/secondary, /*replica=*/node_, bytes);
-      if (assignment.cookie == 0) {  // secondary unreachable right now
-        // Stillborn relay: no fabric flow ever started, so no failure
-        // callback will fire — settle (degraded) here, visibly.
-        count_relay_failure(uuid, secondary);
-        if (--*pending_acks == 0) (*shared_finish)();
-        continue;
-      }
-      flowserver::Flowserver* scheduler = config_.write_scheduler;
-      fabric_->start_flow(
-          assignment.cookie, assignment.path, assignment.bytes,
-          [scheduler, send_rpc = std::move(send_rpc)](
-              sdn::Cookie cookie, sim::SimTime) mutable {
-            scheduler->flow_dropped(cookie);
-            send_rpc();
-          },
-          relay_failed);
-      continue;
-    }
     const auto& candidates = paths_.get(node_, secondary);
     MAYFLOWER_ASSERT(!candidates.empty());
     const sdn::Cookie cookie = fabric_->new_cookie();
@@ -390,7 +368,6 @@ void Dataserver::relay_pipelined(const Uuid& uuid, std::uint64_t offset,
   // relay host forwards bytes as they stream in, so the chain completes in
   // roughly bytes/bottleneck instead of hops * bytes/bottleneck, and no two
   // hops share this primary's uplink (unlike fan-out).
-  flowserver::Flowserver* scheduler = config_.write_scheduler;
   for (std::size_t j = 0; j < st->hops.size(); ++j) {
     const WireAssignment& hop = st->hops[j];
     net::Path path;
@@ -398,8 +375,7 @@ void Dataserver::relay_pipelined(const Uuid& uuid, std::uint64_t offset,
     path.links = hop.path_links;
     fabric_->start_flow(
         hop.cookie, path, hop.bytes,
-        [this, st, j, scheduler](sdn::Cookie cookie, sim::SimTime) {
-          if (scheduler != nullptr) scheduler->flow_dropped(cookie);
+        [this, st, j](sdn::Cookie, sim::SimTime) {
           st->flow_done[j] = true;
           chain_advance(st);
         },

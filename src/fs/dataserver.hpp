@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <unordered_map>
 
-#include "flowserver/flowserver.hpp"
 #include "fs/rpc/transport.hpp"
 #include "net/ecmp.hpp"
 #include "obs/observability.hpp"
@@ -30,10 +29,6 @@ struct DataserverConfig {
   // Sharded metadata plane: when set, size reports are routed per file name
   // to the nameserver shard owning the path (overrides `nameserver`).
   std::function<net::NodeId(const std::string& name)> nameserver_resolver;
-  // Extension: when set, append relay flows are routed by the Flowserver
-  // (cost-based path selection) instead of ECMP — the write-path co-design
-  // the paper leaves as future work.
-  flowserver::Flowserver* write_scheduler = nullptr;
 };
 
 class Dataserver {
@@ -118,8 +113,8 @@ class Dataserver {
   void handle_replicate_to(const Bytes& request, ResponseFn reply);
   void pump_appends(Stored& file);
   void apply_append(Stored& file, std::uint64_t offset, const ExtentList& data);
-  // Legacy relay: one independent flow + RPC per secondary, every flow
-  // leaving this primary's uplink.
+  // Unplanned relay (the paper's system): one ECMP flow + RPC per
+  // secondary, every flow leaving this primary's uplink.
   void relay_fanout(const Uuid& uuid, std::shared_ptr<const Bytes> wire,
                     double bytes,
                     const std::vector<net::NodeId>& secondaries,

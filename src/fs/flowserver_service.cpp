@@ -1,5 +1,8 @@
 #include "fs/flowserver_service.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/assert.hpp"
 #include "fs/planner.hpp"
 
@@ -28,11 +31,28 @@ policy::ReadAssignment from_wire(const WireAssignment& w) {
   return a;
 }
 
-// A plannable chain: at least one hop, positive size, consecutive hosts
-// distinct (enforced here so malformed requests surface as kBadRequest
-// instead of tripping the planner's asserts).
-bool valid_chain(const PlanWriteReq& req) {
-  if (req.chain.size() < 2 || req.bytes <= 0.0) return false;
+// What every plan request must satisfy before it reaches the planner, whose
+// asserts would otherwise abort the controller: a finite, positive size and
+// node ids inside the topology. A failure answers kBadRequest.
+bool plannable(const net::Topology& topo, double bytes,
+               const std::vector<net::NodeId>& nodes) {
+  if (!std::isfinite(bytes) || bytes <= 0.0) return false;
+  return std::all_of(nodes.begin(), nodes.end(), [&topo](net::NodeId n) {
+    return n < topo.node_count();
+  });
+}
+
+bool valid_read(const net::Topology& topo, const SelectReplicasReq& req) {
+  return !req.replicas.empty() && req.client < topo.node_count() &&
+         plannable(topo, req.bytes, req.replicas);
+}
+
+// A plannable chain also has at least one hop and distinct consecutive
+// hosts.
+bool valid_chain(const net::Topology& topo, const PlanWriteReq& req) {
+  if (req.chain.size() < 2 || !plannable(topo, req.bytes, req.chain)) {
+    return false;
+  }
   for (std::size_t i = 0; i + 1 < req.chain.size(); ++i) {
     if (req.chain[i] == req.chain[i + 1]) return false;
   }
@@ -54,11 +74,12 @@ FlowserverService::~FlowserverService() { transport_->unbind(node_); }
 
 void FlowserverService::handle(net::NodeId /*from*/, Method method,
                                const Bytes& request, ResponseFn reply) {
+  const net::Topology& topo = server_->fabric().topology();
   switch (method) {
     case Method::kSelectReplicas: {
       Reader r(request);
       const SelectReplicasReq req = SelectReplicasReq::decode(r);
-      if (!r.ok() || req.replicas.empty() || req.bytes <= 0.0) {
+      if (!r.ok() || !valid_read(topo, req)) {
         reply(Status::kBadRequest, {});
         return;
       }
@@ -86,7 +107,7 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
         return;
       }
       for (const SelectReplicasReq& one : req.reads) {
-        if (one.replicas.empty() || one.bytes <= 0.0) {
+        if (!valid_read(topo, one)) {
           reply(Status::kBadRequest, {});
           return;
         }
@@ -122,7 +143,7 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
     case Method::kPlanWrite: {
       Reader r(request);
       const PlanWriteReq req = PlanWriteReq::decode(r);
-      if (!r.ok() || !valid_chain(req)) {
+      if (!r.ok() || !valid_chain(topo, req)) {
         reply(Status::kBadRequest, {});
         return;
       }
@@ -138,46 +159,6 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
       for (const auto& a : assignments) {
         resp.assignments.push_back(to_wire(a));
       }
-      reply(Status::kOk, resp.encode());
-      return;
-    }
-    case Method::kPlanWriteBatch: {
-      Reader r(request);
-      const PlanWriteBatchReq req = PlanWriteBatchReq::decode(r);
-      if (!r.ok() || req.writes.empty()) {
-        reply(Status::kBadRequest, {});
-        return;
-      }
-      for (const PlanWriteReq& one : req.writes) {
-        if (!valid_chain(one)) {
-          reply(Status::kBadRequest, {});
-          return;
-        }
-      }
-      requests_ += req.writes.size();
-      // Mirror of kSelectReplicasBatch: enqueue every chain, then drain —
-      // one view snapshot, one bulk install, callbacks complete before the
-      // reply goes out.
-      SelectReplicasBatchResp resp;
-      resp.plans.resize(req.writes.size());
-      std::size_t delivered = 0;
-      for (std::size_t i = 0; i < req.writes.size(); ++i) {
-        const PlanWriteReq& one = req.writes[i];
-        server_->enqueue(
-            {.replicas = one.chain,
-             .bytes = one.bytes,
-             .write = true,
-             .done = [&resp, &delivered,
-                      i](std::vector<flowserver::ReadAssignment> plan) {
-               for (const auto& a : plan) {
-                 resp.plans[i].assignments.push_back(to_wire(a));
-               }
-               ++delivered;
-             }});
-      }
-      server_->drain();  // flush the final partial batch
-      MAYFLOWER_ASSERT_MSG(delivered == req.writes.size(),
-                           "batched write admission left requests undecided");
       reply(Status::kOk, resp.encode());
       return;
     }
@@ -281,40 +262,6 @@ void RpcPlanner::plan_write(net::NodeId client,
           assignments.push_back(from_wire(w));
         }
         done(Status::kOk, std::move(assignments));
-      });
-}
-
-void RpcPlanner::plan_write_batch(net::NodeId client,
-                                  const std::vector<PlanWriteReq>& writes,
-                                  BatchPlanFn done) {
-  PlanWriteBatchReq req;
-  req.writes = writes;
-  transport_->call(
-      client, controller_, Method::kPlanWriteBatch, req.encode(),
-      [n = writes.size(), done = std::move(done)](Status status,
-                                                  Bytes payload) {
-        if (status != Status::kOk) {
-          done(status, {});
-          return;
-        }
-        Reader r(payload);
-        const SelectReplicasBatchResp resp =
-            SelectReplicasBatchResp::decode(r);
-        if (!r.ok() || resp.plans.size() != n) {
-          done(Status::kBadRequest, {});
-          return;
-        }
-        std::vector<std::vector<policy::ReadAssignment>> plans;
-        plans.reserve(resp.plans.size());
-        for (const SelectReplicasResp& one : resp.plans) {
-          std::vector<policy::ReadAssignment> assignments;
-          assignments.reserve(one.assignments.size());
-          for (const WireAssignment& w : one.assignments) {
-            assignments.push_back(from_wire(w));
-          }
-          plans.push_back(std::move(assignments));
-        }
-        done(Status::kOk, std::move(plans));
       });
 }
 

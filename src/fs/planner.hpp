@@ -130,12 +130,6 @@ class RpcPlanner final : public ReadPlanner, public WritePlanner {
   void plan_write(net::NodeId client, const std::vector<net::NodeId>& chain,
                   double bytes, PlanFn done) override;
 
-  // Batched variant: one kPlanWriteBatch RPC, one decision batch, one
-  // snapshot; plans[i] answers writes[i].
-  void plan_write_batch(net::NodeId client,
-                        const std::vector<PlanWriteReq>& writes,
-                        BatchPlanFn done);
-
   void flow_complete(net::NodeId client, sdn::Cookie cookie) override;
 
  private:

@@ -55,7 +55,6 @@ const char* to_string(Method method) {
     case Method::kSelectReplicasBatch: return "SelectReplicasBatch";
     case Method::kGetShardMap: return "GetShardMap";
     case Method::kPlanWrite: return "PlanWrite";
-    case Method::kPlanWriteBatch: return "PlanWriteBatch";
   }
   return "?";
 }
@@ -394,44 +393,17 @@ SelectReplicasBatchResp SelectReplicasBatchResp::decode(Reader& r) {
   return resp;
 }
 
-namespace {
-
-void encode_plan_write_req(Writer& w, const PlanWriteReq& req) {
-  encode_u32_list(w, req.chain);
-  w.f64(req.bytes);
-}
-
-PlanWriteReq decode_plan_write_req(Reader& r) {
-  PlanWriteReq req;
-  req.chain = decode_u32_list(r);
-  req.bytes = r.f64();
-  return req;
-}
-
-}  // namespace
-
 Bytes PlanWriteReq::encode() const {
   Writer w;
-  encode_plan_write_req(w, *this);
+  encode_u32_list(w, chain);
+  w.f64(bytes);
   return w.take();
 }
 
 PlanWriteReq PlanWriteReq::decode(Reader& r) {
-  return decode_plan_write_req(r);
-}
-
-Bytes PlanWriteBatchReq::encode() const {
-  Writer w;
-  w.list(writes, [](Writer& writer, const PlanWriteReq& one) {
-    encode_plan_write_req(writer, one);
-  });
-  return w.take();
-}
-
-PlanWriteBatchReq PlanWriteBatchReq::decode(Reader& r) {
-  PlanWriteBatchReq req;
-  req.writes = r.list<PlanWriteReq>(
-      [](Reader& reader) { return decode_plan_write_req(reader); });
+  PlanWriteReq req;
+  req.chain = decode_u32_list(r);
+  req.bytes = r.f64();
   return req;
 }
 

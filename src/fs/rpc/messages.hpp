@@ -38,7 +38,6 @@ enum class Method : std::uint16_t {
   kSelectReplicasBatch = 18,  // client -> Flowserver service (batched)
   kGetShardMap = 19,          // client/router -> metadata coordinator
   kPlanWrite = 20,            // client -> Flowserver service (write chain)
-  kPlanWriteBatch = 21,       // client -> Flowserver service (batched)
 };
 
 const char* to_string(Method method);
@@ -234,15 +233,6 @@ struct PlanWriteReq {
   double bytes = 0.0;
   Bytes encode() const;
   static PlanWriteReq decode(Reader& r);
-};
-
-// Batched variant: one request, one decision batch, one snapshot — the
-// write-side mirror of kSelectReplicasBatch (answered with
-// SelectReplicasBatchResp, plans[i] answering writes[i]).
-struct PlanWriteBatchReq {
-  std::vector<PlanWriteReq> writes;
-  Bytes encode() const;
-  static PlanWriteBatchReq decode(Reader& r);
 };
 
 // Nameserver -> surviving dataserver: "copy your replica of `file` to

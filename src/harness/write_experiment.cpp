@@ -12,8 +12,6 @@ WriteRunResult run_write_experiment(const WriteExperimentConfig& config) {
   cluster_cfg.scheme = fs::FsScheme::kMayflower;
   cluster_cfg.fabric = config.fabric;
   cluster_cfg.write_placement = config.placement;
-  cluster_cfg.collaborative_placement =
-      config.placement != policy::WritePlacementKind::kStatic;
   cluster_cfg.write_pipeline = config.pipeline;
   cluster_cfg.nameserver.chunk_size =
       static_cast<std::uint64_t>(config.block_bytes);

@@ -20,6 +20,15 @@ class FlowserverTest : public ::testing::Test {
     return cfg;
   }
 
+  // A read with the replica fixed: only the network path is chosen.
+  ReadAssignment read_from_replica(Flowserver& server, net::NodeId client,
+                                   net::NodeId replica, double bytes) {
+    const std::vector<ReadAssignment> plan =
+        server.select_for_read(client, {replica}, bytes);
+    EXPECT_EQ(plan.size(), 1u);
+    return plan.empty() ? ReadAssignment{} : plan[0];
+  }
+
   // Runs assignments to completion, reporting drops like a real client.
   void execute(Flowserver& server,
                const std::vector<ReadAssignment>& assignments,
@@ -95,8 +104,7 @@ TEST_F(FlowserverTest, SplitReadCompletesAndCountsAsOne) {
 TEST_F(FlowserverTest, PathOnlySelectionRespectsReplica) {
   Flowserver server(fabric_, default_config());
   const net::NodeId replica = tree_.hosts[16];
-  const auto a =
-      server.select_path_for_replica(tree_.hosts[0], replica, 64e6);
+  const auto a = read_from_replica(server, tree_.hosts[0], replica, 64e6);
   EXPECT_EQ(a.replica, replica);
   EXPECT_EQ(a.path.nodes.front(), replica);
   EXPECT_EQ(a.path.nodes.back(), tree_.hosts[0]);
@@ -114,7 +122,7 @@ TEST_F(FlowserverTest, PathSchedulerSpreadsLoadAcrossCorePaths) {
   std::set<std::vector<net::LinkId>> distinct_paths;
   std::vector<ReadAssignment> all;
   for (int i = 0; i < 4; ++i) {
-    const auto a = server.select_path_for_replica(client, replica, 256e6);
+    const auto a = read_from_replica(server, client, replica, 256e6);
     distinct_paths.insert(a.path.links);
     all.push_back(a);
     fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
@@ -143,8 +151,8 @@ TEST_F(FlowserverTest, StatsPollRefreshesUnfrozenEstimates) {
   execute(server, assignments);
 
   // Competing flow on the same edge link halves the real rate to 62.5e6.
-  const auto competing = server.select_path_for_replica(
-      tree_.hosts[2], tree_.hosts[1], 500e6);
+  const auto competing =
+      read_from_replica(server, tree_.hosts[2], tree_.hosts[1], 500e6);
   fabric_.start_flow(competing.cookie, competing.path, competing.bytes,
                      nullptr);
 
@@ -167,8 +175,8 @@ TEST_F(FlowserverTest, FrozenEstimateSurvivesFirstPoll) {
   const double estimate = assignments[0].est_bw_bps;
   execute(server, assignments);
   // Competing flow makes the measured rate diverge from the estimate...
-  const auto competing = server.select_path_for_replica(
-      tree_.hosts[2], tree_.hosts[1], 500e6);
+  const auto competing =
+      read_from_replica(server, tree_.hosts[2], tree_.hosts[1], 500e6);
   fabric_.start_flow(competing.cookie, competing.path, competing.bytes,
                      nullptr);
   events_.run_until(sim::SimTime::from_seconds(1.5));
@@ -203,7 +211,7 @@ TEST_F(FlowserverTest, BestWriteTargetPrefersUncontendedHost) {
   const net::NodeId quiet = tree_.hosts[24];
 
   // Saturate `busy`'s downlink with a tracked flow (a read INTO it).
-  const auto a = server.select_path_for_replica(busy, tree_.hosts[21], 1e9);
+  const auto a = read_from_replica(server, busy, tree_.hosts[21], 1e9);
   fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
 
   EXPECT_EQ(server.best_write_target(writer, {busy, quiet}), quiet);
@@ -229,7 +237,7 @@ TEST_F(FlowserverTest, EstimatesAgreeWithGroundTruthAfterPoll) {
   // Two long flows sharing host[1]'s uplink: true rate 62.5 MB/s each.
   std::vector<sdn::Cookie> cookies;
   for (const net::NodeId dst : {tree_.hosts[0], tree_.hosts[2]}) {
-    const auto a = server.select_path_for_replica(dst, tree_.hosts[1], 1e9);
+    const auto a = read_from_replica(server, dst, tree_.hosts[1], 1e9);
     fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
     cookies.push_back(a.cookie);
   }

@@ -450,7 +450,7 @@ TEST(Cluster, AppendFailsWhilePrimaryDownThenRecovers) {
 
 TEST(Cluster, CollaborativePlacementKeepsFaultDomains) {
   ClusterConfig cfg = small_config();
-  cfg.collaborative_placement = true;
+  cfg.write_placement = policy::WritePlacementKind::kModel;
   Cluster cluster(cfg);
   Client& client = cluster.client_at(cluster.tree().hosts[22]);
   bool done = false;
@@ -469,7 +469,7 @@ TEST(Cluster, CollaborativePlacementKeepsFaultDomains) {
 
 TEST(Cluster, CoDesignedWritesRoundTrip) {
   ClusterConfig cfg = small_config();
-  cfg.co_designed_writes = true;
+  cfg.write_pipeline = true;
   Cluster cluster(cfg);
   Client& client = cluster.client_at(cluster.tree().hosts[3]);
   bool done = false;
@@ -485,8 +485,8 @@ TEST(Cluster, CoDesignedWritesRoundTrip) {
     });
   });
   run_until_done(cluster, done);
-  // Upload + two relays + the read all consulted the Flowserver.
-  EXPECT_GE(cluster.flow_server()->selections(), 4u);
+  // The append travelled a Flowserver-planned chain.
+  EXPECT_GE(cluster.flow_server()->write_chains(), 1u);
 }
 
 

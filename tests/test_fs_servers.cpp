@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <limits>
 #include <memory>
 
 #include "common/strings.hpp"
@@ -438,6 +439,48 @@ TEST_F(ServerTest, SelectReplicasBatchRejectsMalformedReads) {
     events_.run();
     EXPECT_EQ(seen, Status::kBadRequest);
   }
+}
+
+TEST_F(ServerTest, PlanRpcsRejectMalformedRequests) {
+  flowserver::Flowserver server(fabric_, {});
+  const net::NodeId controller = tree_.hosts[47];
+  FlowserverService service(transport_, controller, server);
+  RpcPlanner planner(transport_, controller);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const net::NodeId client = tree_.hosts[0];
+  const net::NodeId replica = tree_.hosts[16];
+  const auto beyond = static_cast<net::NodeId>(tree_.topo.node_count());
+  std::vector<Status> seen;
+  auto record = [&seen](Status s, auto) { seen.push_back(s); };
+
+  // kSelectReplicas: a NaN or infinite size, an out-of-range client or
+  // replica.
+  planner.plan(client, {replica}, nan, record);
+  planner.plan(client, {replica}, inf, record);
+  planner.plan(beyond, {replica}, 1e6, record);
+  planner.plan(client, {replica, beyond}, 1e6, record);
+  // kSelectReplicasBatch: one bad read after a good one spoils the batch.
+  SelectReplicasReq good;
+  good.client = client;
+  good.replicas = {replica};
+  good.bytes = 1e6;
+  SelectReplicasReq nan_read = good;
+  nan_read.bytes = nan;
+  SelectReplicasReq far_read = good;
+  far_read.replicas = {beyond};
+  planner.plan_batch(client, {good, nan_read}, record);
+  planner.plan_batch(client, {good, far_read}, record);
+  // kPlanWrite: a NaN or infinite size, an out-of-range chain host.
+  planner.plan_write(client, {client, replica}, nan, record);
+  planner.plan_write(client, {client, replica}, inf, record);
+  planner.plan_write(client, {client, beyond}, 1e6, record);
+  events_.run();
+
+  ASSERT_EQ(seen.size(), 9u);
+  for (const Status s : seen) EXPECT_EQ(s, Status::kBadRequest);
+  EXPECT_EQ(server.table().size(), 0u);
 }
 
 }  // namespace

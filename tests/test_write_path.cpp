@@ -431,7 +431,6 @@ TEST(ClusterWritePath, StillbornFanoutRelayIsCountedNotSilent) {
   cfg.nameserver.chunk_size = 1000;
   cfg.client.replication = 3;
   cfg.seed = 5;
-  cfg.co_designed_writes = true;  // legacy fan-out with the write scheduler
   cfg.obs = &hub;
   fs::Cluster cluster(cfg);
   fs::Client& client = cluster.client_at(cluster.tree().hosts[3]);
@@ -444,9 +443,9 @@ TEST(ClusterWritePath, StillbornFanoutRelayIsCountedNotSilent) {
   });
   run_until_done(cluster, created_ok);
 
-  // Crash a secondary (downs its access links too): the scheduler finds no
-  // path, the relay is stillborn — it must be counted, and the ack must
-  // still reach the client.
+  // Crash a secondary (downs its access links too): the ECMP relay to it is
+  // stillborn in the fabric — it must be counted, and the ack must still
+  // reach the client.
   fault::FaultPlan plan;
   plan.events.push_back(
       {cluster.events().now() + sim::SimTime::from_millis(50.0),
@@ -465,6 +464,104 @@ TEST(ClusterWritePath, StillbornFanoutRelayIsCountedNotSilent) {
   ASSERT_TRUE(done);
   EXPECT_GE(cluster.dataserver_at(created.primary()).relay_failures(), 1u);
   EXPECT_NE(hub.to_json().find("fs.ds.relay_failed"), std::string::npos);
+}
+
+// --- failed appends: the client always answers, the plan is handed back ----
+
+std::size_t switch_entries(fs::Cluster& cluster) {
+  const net::Topology& topo = cluster.tree().topo;
+  std::size_t entries = 0;
+  for (net::NodeId n = 0; n < topo.node_count(); ++n) {
+    if (topo.node(n).kind == net::NodeKind::kHost) continue;
+    entries += cluster.fabric().switch_at(n).table_size();
+  }
+  return entries;
+}
+
+// Creates a file, then appends 50 MB to it from a host holding no replica
+// and takes that writer's uplink down 5 ms in, killing the upload. The
+// retry's upload is stillborn on the dead uplink, so the append must answer
+// kUnavailable, and nothing it planned or installed may outlive it.
+void run_dead_upload(bool pipelined) {
+  fs::ClusterConfig cfg = pipeline_config();
+  cfg.write_pipeline = pipelined;
+  fs::Cluster cluster(cfg);
+  const net::ThreeTier& tree = cluster.tree();
+  fs::Client& creator = cluster.client_at(tree.hosts[6]);
+  bool created_ok = false;
+  fs::FileInfo created;
+  creator.create("doomed", [&](fs::Status s, const fs::FileInfo& info) {
+    ASSERT_EQ(s, fs::Status::kOk);
+    created = info;
+    created_ok = true;
+  });
+  run_until_done(cluster, created_ok);
+  net::NodeId writer = net::kInvalidNode;
+  for (const net::NodeId h : tree.hosts) {
+    if (std::find(created.replicas.begin(), created.replicas.end(), h) ==
+        created.replicas.end()) {
+      writer = h;
+      break;
+    }
+  }
+  ASSERT_NE(writer, net::kInvalidNode);
+
+  bool done = false;
+  cluster.client_at(writer).append(
+      "doomed", fs::ExtentList(fs::Extent::pattern(9, 50'000'000)),
+      [&](fs::Status as, const fs::AppendResp&) {
+        EXPECT_EQ(as, fs::Status::kUnavailable);
+        done = true;
+      });
+  cluster.events().schedule_in(sim::SimTime::from_millis(5.0), [&] {
+    cluster.fabric().fail_link(tree.host_uplink(writer));
+  });
+  run_until_done(cluster, done, /*timeout_sec=*/120.0);
+  // Let the fire-and-forget drop notifications land.
+  cluster.run_until(cluster.events().now() + sim::SimTime::from_seconds(1.0));
+  if (pipelined) {
+    EXPECT_GE(cluster.flow_server()->write_chains(), 1u);
+  }
+  EXPECT_EQ(cluster.flow_server()->table().size(), 0u);
+  EXPECT_EQ(switch_entries(cluster), 0u);
+}
+
+TEST(ClusterWritePath, DeadEcmpUploadAnswersUnavailable) {
+  run_dead_upload(/*pipelined=*/false);
+}
+
+TEST(ClusterWritePath, DeadChainUploadAnswersAndHandsTheRelayHopsBack) {
+  run_dead_upload(/*pipelined=*/true);
+}
+
+TEST(ClusterWritePath, RejectedChainAppendHandsTheRelayHopsBack) {
+  fs::Cluster cluster(pipeline_config());
+  const net::ThreeTier& tree = cluster.tree();
+  fs::Client& client = cluster.client_at(tree.hosts[11]);
+  bool created_ok = false;
+  fs::FileInfo created;
+  client.create("refused", [&](fs::Status s, const fs::FileInfo& info) {
+    ASSERT_EQ(s, fs::Status::kOk);
+    created = info;
+    created_ok = true;
+  });
+  run_until_done(cluster, created_ok);
+
+  // The primary's RPC server is gone but its links are up: both attempts
+  // plan a chain and ship the bytes, then the append RPC answers
+  // kUnavailable, and each attempt's relay hops must go back.
+  cluster.dataserver_at(created.primary()).detach();
+  bool done = false;
+  client.append("refused", fs::ExtentList(fs::Extent::pattern(4, 4000)),
+                [&](fs::Status as, const fs::AppendResp&) {
+                  EXPECT_EQ(as, fs::Status::kUnavailable);
+                  done = true;
+                });
+  run_until_done(cluster, done);
+  cluster.run_until(cluster.events().now() + sim::SimTime::from_seconds(1.0));
+  EXPECT_GE(cluster.flow_server()->write_chains(), 2u);
+  EXPECT_EQ(cluster.flow_server()->table().size(), 0u);
+  EXPECT_EQ(switch_entries(cluster), 0u);
 }
 
 }  // namespace

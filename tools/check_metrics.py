@@ -29,11 +29,11 @@ file it also diffs for determinism):
     complete: meta.shard.count gauge >= 1, one meta.shard.<i>.ops counter
     per shard, the router counters, the lookup-latency histogram, and the
     async-commit trio all-or-nothing;
-  * when the write-path planner exports its counters (a planned chain —
-    lazy registration makes the family appear as a unit), the
-    flowserver.write.* family is complete (three counters + the bottleneck
-    histogram, all-or-nothing) and coherent: every chain has at least one
-    hop and exactly one bottleneck observation;
+  * when the write-path planner exports its counters (every run with a
+    Flowserver: the family is registered with the others at construction),
+    the flowserver.write.* family is complete (three counters + the
+    bottleneck histogram, all-or-nothing) and coherent: every chain has at
+    least one hop and exactly one bottleneck observation;
   * when a run carries a write-phase export (the optional per-run
     "write_obs" object written for --write-jobs > 0), it passes the same
     structural checks as the main obs block;
@@ -353,7 +353,7 @@ def check_write_family(obs, where):
     present = [c for c in WRITE_COUNTERS if c in counters]
     has_hist = WRITE_HISTOGRAM in histograms
     if not present and not has_hist:
-        return  # no write was ever planned: nothing due
+        return  # no Flowserver in this run: nothing due
     missing = [c for c in WRITE_COUNTERS if c not in counters]
     if missing:
         fail(f"{where}: partial flowserver.write.* export, missing "

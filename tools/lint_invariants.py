@@ -160,8 +160,6 @@ RPC_METHODS = {
     "kGetShardMap": (None, "ShardMapResp", ("meta",)),
     "kPlanWrite": ("PlanWriteReq", "SelectReplicasResp",
                    ("flowserver_service",)),
-    "kPlanWriteBatch": ("PlanWriteBatchReq", "SelectReplicasBatchResp",
-                        ("flowserver_service",)),
 }
 
 # ---------------------------------------------------------------------------
