@@ -45,6 +45,28 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
         config_.obs->metrics.counter("flowserver.write.truncated");
     write_bottleneck_hist_ = config_.obs->metrics.histogram(
         "flowserver.write.bottleneck_bps", {1e6, 1e7, 1e8, 1e9, 1e10});
+    // Stats-poll telemetry: applied samples in either mode; deferrals and
+    // classes stay 0 unless the adaptive layer is on.
+    poll_applied_metric_ =
+        config_.obs->metrics.counter("flowserver.poll.applied");
+    poll_deferred_mouse_metric_ =
+        config_.obs->metrics.counter("flowserver.poll.deferred_mouse");
+    poll_deferred_budget_metric_ =
+        config_.obs->metrics.counter("flowserver.poll.deferred_budget");
+    poll_promotions_metric_ =
+        config_.obs->metrics.counter("flowserver.poll.promotions");
+    poll_demotions_metric_ =
+        config_.obs->metrics.counter("flowserver.poll.demotions");
+    poll_elephants_gauge_ =
+        config_.obs->metrics.gauge("flowserver.poll.elephants");
+    poll_mice_gauge_ = config_.obs->metrics.gauge("flowserver.poll.mice");
+    // View refreshes; the shard count is 1 for the unsharded layout.
+    full_rebuilds_metric_ =
+        config_.obs->metrics.counter("flowserver.shard.full_rebuilds");
+    shard_reloads_metric_ =
+        config_.obs->metrics.counter("flowserver.shard.reloads");
+    link_refreshes_metric_ =
+        config_.obs->metrics.counter("flowserver.shard.link_refreshes");
   }
   // Failure awareness: a killed transfer's (frozen) estimate must expire —
   // its bandwidth is free again and SETBW state for it would be stale
@@ -78,32 +100,9 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
   if (config_.poll_groups > 1) {
     poller_.set_groups(static_cast<std::uint32_t>(config_.poll_groups));
   }
-  if (config_.obs != nullptr && telemetry_.active()) {
-    // Registered only when the adaptive layer is on: a default run's metrics
-    // JSON must stay byte-identical to the pre-telemetry baseline.
-    poll_applied_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.applied");
-    poll_deferred_mouse_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.deferred_mouse");
-    poll_deferred_budget_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.deferred_budget");
-    poll_promotions_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.promotions");
-    poll_demotions_metric_ =
-        config_.obs->metrics.counter("flowserver.poll.demotions");
-    poll_elephants_gauge_ =
-        config_.obs->metrics.gauge("flowserver.poll.elephants");
-    poll_mice_gauge_ = config_.obs->metrics.gauge("flowserver.poll.mice");
-  }
-  if (config_.obs != nullptr && config_.shard_metrics) {
+  if (config_.obs != nullptr) {
     config_.obs->metrics.gauge("flowserver.shard.count")
         .set(static_cast<double>(table_.shard_count()));
-    full_rebuilds_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.full_rebuilds");
-    shard_reloads_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.reloads");
-    link_refreshes_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.link_refreshes");
   }
 }
 
@@ -606,9 +605,9 @@ void Flowserver::collect_stats() {
           poll_deferred_budget_metric_.inc();
           continue;
         }
-        poll_applied_metric_.inc();
       }
       ++stats_samples_;
+      poll_applied_metric_.inc();
       table_.update_from_stats(rec.cookie, rec.bytes, now);
     }
   }

@@ -28,6 +28,7 @@
 #include "common/rng.hpp"
 #include "common/sync.hpp"
 #include "common/worker_pool.hpp"
+#include "flowserver/assignment.hpp"
 #include "flowserver/multiread.hpp"
 #include "flowserver/selector.hpp"
 #include "flowserver/telemetry.hpp"
@@ -75,22 +76,9 @@ struct FlowserverConfig {
   // default config keeps the layer inactive and the legacy full-rate sweep
   // byte-identical.
   TelemetryConfig telemetry;
-  // Export the per-shard rebuild counters (flowserver.shard.*) into the
-  // metrics registry. Off by default so a sharded run's metrics JSON stays
-  // byte-identical to the unsharded baseline it is diffed against.
-  bool shard_metrics = false;
   // Optional observability hub (not owned): selection audits, freeze
   // suppression, poll-cycle work all land here. Null measures nothing.
   obs::Observability* obs = nullptr;
-};
-
-// One subflow the client should fetch: `bytes` from `replica` along `path`.
-struct ReadAssignment {
-  sdn::Cookie cookie = 0;
-  net::NodeId replica = net::kInvalidNode;
-  net::Path path;           // replica -> client
-  double bytes = 0.0;
-  double est_bw_bps = 0.0;
 };
 
 class Flowserver {
@@ -375,13 +363,11 @@ class Flowserver {
   obs::Counter selections_metric_;
   obs::Counter split_reads_metric_;
   obs::Histogram poll_samples_hist_;  // per-cycle samples applied (work/tick)
-  // Sharded-refresh metrics (no-ops unless config.shard_metrics is set —
-  // they must not perturb sharded-vs-legacy metrics JSON diffs).
+  // View-refresh metrics (flowserver.shard.*).
   obs::Counter full_rebuilds_metric_;
   obs::Counter shard_reloads_metric_;
   obs::Counter link_refreshes_metric_;
-  // Adaptive-telemetry metrics (flowserver.poll.*), registered only when the
-  // layer is active so a default run's metrics JSON is untouched.
+  // Stats-poll telemetry metrics (flowserver.poll.*).
   obs::Counter poll_applied_metric_;
   obs::Counter poll_deferred_mouse_metric_;
   obs::Counter poll_deferred_budget_metric_;

@@ -171,7 +171,7 @@ void Client::append(const std::string& name, ExtentList data, AppendFn done) {
 }
 
 void Client::send_append_rpc(const FileInfo& info, ExtentList data,
-                             std::vector<WireAssignment> chain, bool retried,
+                             std::vector<ReadAssignment> chain, bool retried,
                              AppendFn done) {
   AppendReq req;
   req.file = info.uuid;
@@ -197,6 +197,10 @@ void Client::send_append_rpc(const FileInfo& info, ExtentList data,
           done(Status::kBadRequest, AppendResp{});
           return;
         }
+        // The primary started a prefix of the chain; the hops it cut (its
+        // replica view disagreed with the plan, or a hop failed its checks)
+        // will never run.
+        release_relay(relay, resp.hops_started);
         // Keep the cached size fresh.
         const auto it = cache_.find(info.name);
         if (it != cache_.end()) it->second.info.size = resp.new_size;
@@ -227,22 +231,23 @@ void Client::retry_append(const FileInfo& info, ExtentList data,
             });
 }
 
-void Client::release_relay(const std::vector<WireAssignment>& relay) {
-  for (const WireAssignment& hop : relay) {
-    write_planner_->flow_complete(node_, hop.cookie);
-    fabric_->remove_path(hop.cookie);
+void Client::release_relay(const std::vector<ReadAssignment>& relay,
+                           std::size_t from) {
+  for (std::size_t i = from; i < relay.size(); ++i) {
+    write_planner_->flow_complete(node_, relay[i].cookie);
+    fabric_->remove_path(relay[i].cookie);
   }
 }
 
 void Client::upload(const FileInfo& info, ExtentList data, sdn::Cookie cookie,
                     const net::Path& path, bool planned,
-                    std::vector<WireAssignment> relay, bool retried,
+                    std::vector<ReadAssignment> relay, bool retried,
                     AppendFn done) {
   // Exactly one of the completion and failure callbacks consumes this.
   struct Pending {
     FileInfo info;
     ExtentList data;
-    std::vector<WireAssignment> relay;
+    std::vector<ReadAssignment> relay;
     AppendFn done;
   };
   auto p = std::make_shared<Pending>(
@@ -305,7 +310,7 @@ void Client::do_append_pipelined(const FileInfo& info, ExtentList data,
       node_, chain, static_cast<double>(data.size()),
       [this, info, primary, data = std::move(data), retried,
        done = std::move(done)](
-          Status pstatus, std::vector<policy::ReadAssignment> plan) mutable {
+          Status pstatus, std::vector<ReadAssignment> plan) mutable {
         if (pstatus != Status::kOk || plan.empty()) {
           // Chain unroutable from its very first hop: degrade to the
           // unplanned upload + fan-out path (the next append re-plans).
@@ -317,28 +322,19 @@ void Client::do_append_pipelined(const FileInfo& info, ExtentList data,
           }
           return;
         }
-        // Hop 0 is the upload leg when the primary is remote; everything
-        // after it rides to the primary as the relay chain.
-        const std::size_t relay_begin = primary == node_ ? 0 : 1;
-        std::vector<WireAssignment> relay;
-        for (std::size_t i = relay_begin; i < plan.size(); ++i) {
-          WireAssignment w;
-          w.cookie = plan[i].cookie;
-          w.replica = plan[i].replica;
-          w.path_nodes = plan[i].path.nodes;
-          w.path_links = plan[i].path.links;
-          w.bytes = plan[i].bytes;
-          w.est_bw_bps = plan[i].est_bw_bps;
-          relay.push_back(std::move(w));
-        }
-        if (relay_begin == 0) {
-          // Writer-local primary: no upload leg, the RPC goes straight out.
-          send_append_rpc(info, std::move(data), std::move(relay), retried,
+        if (primary == node_) {
+          // Writer-local primary: no upload leg, every hop is a relay hop
+          // and the RPC goes straight out.
+          send_append_rpc(info, std::move(data), std::move(plan), retried,
                           std::move(done));
           return;
         }
-        upload(info, std::move(data), plan[0].cookie, plan[0].path,
-               /*planned=*/true, std::move(relay), retried, std::move(done));
+        // Hop 0 is the upload leg; everything after it rides to the primary
+        // as the relay chain.
+        const ReadAssignment leg = std::move(plan.front());
+        plan.erase(plan.begin());
+        upload(info, std::move(data), leg.cookie, leg.path,
+               /*planned=*/true, std::move(plan), retried, std::move(done));
       });
 }
 
@@ -559,7 +555,7 @@ void Client::read_piece(
                  [this, info, offset, length, replicas, attempt,
                   done = std::move(done)](
                      Status status,
-                     std::vector<policy::ReadAssignment> plan) mutable {
+                     std::vector<ReadAssignment> plan) mutable {
                    if (status == Status::kUnavailable &&
                        attempt + 1 < config_.max_read_attempts) {
                      // No replica reachable right now (failed links or
@@ -586,7 +582,7 @@ void Client::read_piece(
 void Client::execute_plan(
     const FileInfo& info, std::uint64_t offset, std::uint64_t length,
     const std::vector<net::NodeId>& replicas,
-    std::vector<policy::ReadAssignment> plan, std::uint32_t attempt,
+    std::vector<ReadAssignment> plan, std::uint32_t attempt,
     std::function<void(Status, ExtentList, std::uint64_t)> done) {
   MAYFLOWER_ASSERT(!plan.empty());
 
@@ -603,7 +599,7 @@ void Client::execute_plan(
 
   std::uint64_t sub_offset = offset;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    const policy::ReadAssignment& a = plan[i];
+    const ReadAssignment& a = plan[i];
     // The planner sized subflows in fractional bytes; round so the ranges
     // tile [offset, offset+length) exactly.
     const std::uint64_t sub_len =

@@ -98,7 +98,7 @@ class Client {
 
   // Write-chain planner for the write_pipeline extension. Not owned; null
   // keeps appends on the ECMP upload + fan-out path.
-  void set_write_planner(WritePlanner* planner) { write_planner_ = planner; }
+  void set_write_planner(RpcPlanner* planner) { write_planner_ = planner; }
 
   // Telemetry.
   std::uint64_t lookups_sent() const { return lookups_sent_; }
@@ -141,7 +141,7 @@ class Client {
   void execute_plan(const FileInfo& info, std::uint64_t offset,
                     std::uint64_t length,
                     const std::vector<net::NodeId>& replicas,
-                    std::vector<policy::ReadAssignment> plan,
+                    std::vector<ReadAssignment> plan,
                     std::uint32_t attempt,
                     std::function<void(Status, ExtentList, std::uint64_t)> done);
   void do_append(const FileInfo& info, ExtentList data, bool retried,
@@ -162,21 +162,23 @@ class Client {
   // `relay` back and counts as an append answered kUnavailable.
   void upload(const FileInfo& info, ExtentList data, sdn::Cookie cookie,
               const net::Path& path, bool planned,
-              std::vector<WireAssignment> relay, bool retried, AppendFn done);
+              std::vector<ReadAssignment> relay, bool retried, AppendFn done);
   // The append RPC itself: `chain` carries the planned relay hops (empty =
   // ECMP fan-out at the primary). A failed append hands the hops back and
-  // goes through retry_append.
+  // goes through retry_append; a successful one hands back the hops the
+  // primary did not start.
   void send_append_rpc(const FileInfo& info, ExtentList data,
-                       std::vector<WireAssignment> chain, bool retried,
+                       std::vector<ReadAssignment> chain, bool retried,
                        AppendFn done);
   // A failed append attempt: a stale-mapping status (kNotFound,
   // kNotPrimary, kUnavailable) refreshes the mapping and retries once;
   // anything else, or a second failure, answers `done` with `status`.
   void retry_append(const FileInfo& info, ExtentList data, Status status,
                     bool retried, AppendFn done);
-  // Hands planned relay hops back: the write planner drops them from its
-  // table and their switch entries are removed.
-  void release_relay(const std::vector<WireAssignment>& relay);
+  // Hands planned relay hops relay[from..] back: the write planner drops
+  // them from its table and their switch entries are removed.
+  void release_relay(const std::vector<ReadAssignment>& relay,
+                     std::size_t from = 0);
   sim::SimTime retry_backoff(std::uint32_t attempt) const;
   // retry_backoff + observability: counts the retry and records the wait.
   sim::SimTime count_retry_backoff(std::uint32_t attempt);
@@ -188,7 +190,7 @@ class Client {
   net::NodeId nameserver_;
   ClientConfig config_;
   meta::MetaRouter* router_ = nullptr;
-  WritePlanner* write_planner_ = nullptr;
+  RpcPlanner* write_planner_ = nullptr;
   net::PathCache paths_;
   net::EcmpHasher ecmp_;
   std::unordered_map<std::string, CachedMeta> cache_;

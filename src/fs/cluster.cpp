@@ -60,13 +60,11 @@ Cluster::Cluster(ClusterConfig config)
   const bool wants_flowserver = config_.scheme == FsScheme::kMayflower ||
                                 config_.scheme == FsScheme::kHdfsMayflower;
   if (wants_flowserver) {
+    // The Flowserver is an RPC service on the controller node (§5): every
+    // selection and chain plan costs a round trip.
     flow_server_ =
         std::make_unique<flowserver::Flowserver>(*fabric_, config_.flowserver);
     flow_server_->start();
-  }
-  const bool rpc_flowserver =
-      wants_flowserver && config_.flowserver_over_rpc;
-  if (rpc_flowserver) {
     flowserver_service_ = std::make_unique<FlowserverService>(
         *transport_, controller_node_, *flow_server_);
     rpc_planner_ =
@@ -74,27 +72,15 @@ Cluster::Cluster(ClusterConfig config)
   }
   switch (config_.scheme) {
     case FsScheme::kMayflower:
-      if (rpc_flowserver) {
-        // A second RpcPlanner instance, so rpc_planner_ stays available as
-        // the clients' write-chain planner (both talk to the same service).
-        planner_ =
-            std::make_unique<RpcPlanner>(*transport_, controller_node_);
-      } else {
-        scheme_ = std::make_unique<policy::MayflowerScheme>(*flow_server_);
-        planner_ = std::make_unique<LocalSchemePlanner>(*scheme_);
-      }
+      // A second RpcPlanner instance, so rpc_planner_ stays available as the
+      // clients' write-chain planner (both talk to the same service).
+      planner_ = std::make_unique<RpcPlanner>(*transport_, controller_node_);
       break;
     case FsScheme::kHdfsMayflower:
       replica_policy_ = std::make_unique<policy::HdfsRackAwareReplica>(
           tree_.topo, policy_rng_);
-      if (rpc_flowserver) {
-        planner_ = std::make_unique<ReplicaFilteredPlanner>(
-            *replica_policy_, *rpc_planner_, *fabric_);
-      } else {
-        scheme_ = std::make_unique<policy::ReplicaPlusMayflowerPath>(
-            *replica_policy_, *flow_server_, "hdfs-mayflower");
-        planner_ = std::make_unique<LocalSchemePlanner>(*scheme_);
-      }
+      planner_ = std::make_unique<ReplicaFilteredPlanner>(
+          *replica_policy_, *rpc_planner_, *fabric_);
       break;
     case FsScheme::kHdfsEcmp:
       replica_policy_ = std::make_unique<policy::HdfsRackAwareReplica>(
@@ -142,15 +128,7 @@ Cluster::Cluster(ClusterConfig config)
           return flow_server_->best_write_target(writer, pool);
         };
   }
-  if (config_.write_pipeline && flow_server_) {
-    if (rpc_planner_) {
-      write_planner_ = rpc_planner_.get();
-    } else {
-      local_write_planner_ =
-          std::make_unique<LocalWritePlanner>(*flow_server_);
-      write_planner_ = local_write_planner_.get();
-    }
-  }
+  if (config_.write_pipeline) write_planner_ = rpc_planner_.get();
   config_.nameserver.events = &events_;
   if (config_.meta_shards > 0) {
     // Sharded metadata plane: the "nameserver" node becomes the shard-map

@@ -53,10 +53,6 @@ struct ClusterConfig {
   // primary pipelines the relay instead of fanning out. Off = the paper's
   // ECMP upload + primary fan-out.
   bool write_pipeline = false;
-  // When true (default, matching the prototype in §5) the Flowserver is an
-  // RPC service on a controller node and every selection costs a round
-  // trip; when false clients call it in-process (pure-simulation shortcut).
-  bool flowserver_over_rpc = true;
   // Nameserver liveness probing cadence; zero (default) disables monitoring
   // and with it failure detection + re-replication. Under a sharded
   // metadata plane the same cadence also drives the coordinator's shard
@@ -142,9 +138,8 @@ class Cluster {
   std::unique_ptr<sdn::LinkRateMonitor> link_rates_;
   std::unique_ptr<policy::MeasuredWritePlacement> measured_placement_;
   // Chain planner handed to clients when write_pipeline is on: the
-  // RpcPlanner above in RPC mode, an in-process LocalWritePlanner otherwise.
-  std::unique_ptr<LocalWritePlanner> local_write_planner_;
-  WritePlanner* write_planner_ = nullptr;
+  // RpcPlanner above (null without a Flowserver scheme).
+  RpcPlanner* write_planner_ = nullptr;
   std::unique_ptr<Nameserver> nameserver_;
   std::vector<net::NodeId> meta_shard_nodes_;
   std::unique_ptr<meta::MetaPlane> meta_plane_;

@@ -232,8 +232,8 @@ void Dataserver::pump_appends(Stored& file) {
     if (rep != node_) secondaries.push_back(rep);
   }
 
-  auto finish = [this, uuid, offset,
-                 reply = std::move(pending.reply)]() mutable {
+  FinishFn finish = [this, uuid, offset, reply = std::move(pending.reply)](
+                        std::uint32_t hops_started) {
     const auto fit = files_.find(uuid);
     if (fit == files_.end()) {
       reply(Status::kNotFound, {});
@@ -242,13 +242,14 @@ void Dataserver::pump_appends(Stored& file) {
     AppendResp resp;
     resp.offset = offset;
     resp.new_size = fit->second.info.size;
+    resp.hops_started = hops_started;
     reply(Status::kOk, resp.encode());
     fit->second.append_in_progress = false;
     pump_appends(fit->second);
   };
 
   if (secondaries.empty()) {
-    finish();
+    finish(0);
     return;
   }
 
@@ -262,8 +263,8 @@ void Dataserver::pump_appends(Stored& file) {
       AppendRelayReq{uuid, offset, std::move(pending.data)}.encode());
 
   if (!pending.chain.empty()) {
-    relay_pipelined(uuid, offset, std::move(wire), std::move(pending.chain),
-                    secondaries, std::move(finish));
+    relay_pipelined(uuid, offset, std::move(wire), relay_bytes,
+                    std::move(pending.chain), secondaries, std::move(finish));
     return;
   }
   relay_fanout(uuid, std::move(wire), relay_bytes, secondaries,
@@ -281,16 +282,15 @@ void Dataserver::count_relay_failure(const Uuid& uuid, net::NodeId secondary) {
 void Dataserver::relay_fanout(const Uuid& uuid,
                               std::shared_ptr<const Bytes> wire, double bytes,
                               const std::vector<net::NodeId>& secondaries,
-                              std::function<void()> finish) {
+                              FinishFn finish) {
   auto pending_acks = std::make_shared<std::size_t>(secondaries.size());
-  auto shared_finish =
-      std::make_shared<std::function<void()>>(std::move(finish));
+  auto shared_finish = std::make_shared<FinishFn>(std::move(finish));
   for (const net::NodeId secondary : secondaries) {
     auto send_rpc = [this, secondary, wire, pending_acks,
                      shared_finish]() mutable {
       transport_->call(node_, secondary, Method::kAppendRelay, *wire,
                        [pending_acks, shared_finish](Status, Bytes) {
-                         if (--*pending_acks == 0) (*shared_finish)();
+                         if (--*pending_acks == 0) (*shared_finish)(0);
                        });
     };
     // Bulk bytes travel the fabric first, over ECMP (the paper optimizes the
@@ -301,7 +301,7 @@ void Dataserver::relay_fanout(const Uuid& uuid,
     auto relay_failed = [this, uuid, secondary, pending_acks, shared_finish](
                             sdn::Cookie, const net::FlowRecord&) {
       count_relay_failure(uuid, secondary);
-      if (--*pending_acks == 0) (*shared_finish)();
+      if (--*pending_acks == 0) (*shared_finish)(0);
     };
     const auto& candidates = paths_.get(node_, secondary);
     MAYFLOWER_ASSERT(!candidates.empty());
@@ -316,23 +316,47 @@ void Dataserver::relay_fanout(const Uuid& uuid,
   }
 }
 
+bool Dataserver::startable_hop(const std::vector<ReadAssignment>& hops,
+                               std::size_t j, net::NodeId src,
+                               net::NodeId dst, double bytes) const {
+  const ReadAssignment& hop = hops[j];
+  const net::Path& path = hop.path;
+  const net::Topology& topo = fabric_->topology();
+  if (hop.bytes != bytes || hop.replica != src || path.nodes.empty() ||
+      path.nodes.size() != path.links.size() + 1 ||
+      path.nodes.front() != src || path.nodes.back() != dst) {
+    return false;
+  }
+  for (std::size_t i = 0; i < path.links.size(); ++i) {
+    if (path.links[i] >= topo.link_count()) return false;
+    const net::Link& link = topo.link(path.links[i]);
+    if (link.from != path.nodes[i] || link.to != path.nodes[i + 1]) {
+      return false;
+    }
+  }
+  for (std::size_t k = 0; k < j; ++k) {
+    if (hops[k].cookie == hop.cookie) return false;
+  }
+  return !fabric_->flow_active(hop.cookie) &&
+         fabric_->path_installed(hop.cookie, path);
+}
+
 void Dataserver::relay_pipelined(const Uuid& uuid, std::uint64_t offset,
                                  std::shared_ptr<const Bytes> wire,
-                                 std::vector<WireAssignment> hops,
+                                 double bytes,
+                                 std::vector<ReadAssignment> hops,
                                  const std::vector<net::NodeId>& secondaries,
-                                 std::function<void()> finish) {
+                                 FinishFn finish) {
   // Validate the client-carried plan against OUR replica view (the client's
-  // metadata may be stale): hop j must run from the previous chain host to
-  // secondaries[j]. Truncate at the first mismatch — the tail degrades.
+  // metadata may be stale) and the fabric: hop j must run from the previous
+  // chain host to secondaries[j] over its installed path. Truncate at the
+  // first failing hop — the tail degrades, and the client hands the cut
+  // hops back.
   std::size_t covered = 0;
-  while (covered < hops.size() && covered < secondaries.size()) {
-    const WireAssignment& hop = hops[covered];
-    const net::NodeId want_src =
-        covered == 0 ? node_ : secondaries[covered - 1];
-    if (hop.replica != want_src || hop.path_nodes.empty() ||
-        hop.path_nodes.back() != secondaries[covered]) {
-      break;
-    }
+  while (covered < hops.size() && covered < secondaries.size() &&
+         startable_hop(hops, covered,
+                       covered == 0 ? node_ : secondaries[covered - 1],
+                       secondaries[covered], bytes)) {
     ++covered;
   }
   hops.resize(covered);
@@ -351,7 +375,9 @@ void Dataserver::relay_pipelined(const Uuid& uuid, std::uint64_t offset,
   st->rpc_sent.assign(covered, false);
   st->state.assign(covered, 0);
   st->total = secondaries.size();
-  st->finish = std::move(finish);
+  st->finish = [finish = std::move(finish), covered] {
+    finish(static_cast<std::uint32_t>(covered));
+  };
 
   // Secondaries beyond the planned prefix (chain truncated at an
   // unreachable hop, or plan/replica mismatch) settle degraded immediately.
@@ -369,12 +395,9 @@ void Dataserver::relay_pipelined(const Uuid& uuid, std::uint64_t offset,
   // roughly bytes/bottleneck instead of hops * bytes/bottleneck, and no two
   // hops share this primary's uplink (unlike fan-out).
   for (std::size_t j = 0; j < st->hops.size(); ++j) {
-    const WireAssignment& hop = st->hops[j];
-    net::Path path;
-    path.nodes = hop.path_nodes;
-    path.links = hop.path_links;
+    const ReadAssignment& hop = st->hops[j];
     fabric_->start_flow(
-        hop.cookie, path, hop.bytes,
+        hop.cookie, hop.path, hop.bytes,
         [this, st, j](sdn::Cookie, sim::SimTime) {
           st->flow_done[j] = true;
           chain_advance(st);

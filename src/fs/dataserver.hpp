@@ -74,7 +74,7 @@ class Dataserver {
   struct PendingAppend {
     ExtentList data;
     // Flowserver-planned relay hops carried by the client (empty: fan-out).
-    std::vector<WireAssignment> chain;
+    std::vector<ReadAssignment> chain;
     ResponseFn reply;
   };
 
@@ -87,7 +87,7 @@ class Dataserver {
     Uuid uuid;
     std::uint64_t offset = 0;
     std::shared_ptr<const Bytes> wire;      // encoded AppendRelayReq, shared
-    std::vector<WireAssignment> hops;       // validated prefix of the plan
+    std::vector<ReadAssignment> hops;       // validated prefix of the plan
     std::vector<net::NodeId> targets;       // targets[j] receives relay j
     std::vector<bool> flow_done;
     std::vector<bool> rpc_sent;
@@ -97,6 +97,9 @@ class Dataserver {
     std::size_t total = 0;  // all secondaries, including uncovered tail
     std::function<void()> finish;
   };
+  // Acks the append once every relay settled; `hops_started` is how many
+  // planned relay hops ran (the client hands the rest back).
+  using FinishFn = std::function<void(std::uint32_t hops_started)>;
 
   struct Stored {
     FileInfo info;
@@ -118,13 +121,22 @@ class Dataserver {
   void relay_fanout(const Uuid& uuid, std::shared_ptr<const Bytes> wire,
                     double bytes,
                     const std::vector<net::NodeId>& secondaries,
-                    std::function<void()> finish);
-  // Planned pipelined relay over the client-carried chain.
+                    FinishFn finish);
+  // Planned pipelined relay over the client-carried chain. Starts the
+  // longest prefix of `hops` that passes startable_hop(); the secondaries
+  // after it settle degraded.
   void relay_pipelined(const Uuid& uuid, std::uint64_t offset,
-                       std::shared_ptr<const Bytes> wire,
-                       std::vector<WireAssignment> hops,
+                       std::shared_ptr<const Bytes> wire, double bytes,
+                       std::vector<ReadAssignment> hops,
                        const std::vector<net::NodeId>& secondaries,
-                       std::function<void()> finish);
+                       FinishFn finish);
+  // Whether hop `j` of `hops` can run as the relay src -> dst moving
+  // `bytes`. The client carried it, so nothing in it is trusted: its path
+  // must be well formed against the topology and run src -> dst, its
+  // entries must be installed under a cookie no flow or earlier hop uses,
+  // and it must move exactly the append's bytes.
+  bool startable_hop(const std::vector<ReadAssignment>& hops, std::size_t j,
+                     net::NodeId src, net::NodeId dst, double bytes) const;
   // Sends the next eligible relay RPC of the chain, if any.
   void chain_advance(const std::shared_ptr<ChainRelay>& st);
   // Settles hops [k, hops.size()) of the chain as degraded.

@@ -9,28 +9,6 @@
 namespace mayflower::fs {
 namespace {
 
-WireAssignment to_wire(const flowserver::ReadAssignment& a) {
-  WireAssignment w;
-  w.cookie = a.cookie;
-  w.replica = a.replica;
-  w.path_nodes = a.path.nodes;
-  w.path_links = a.path.links;
-  w.bytes = a.bytes;
-  w.est_bw_bps = a.est_bw_bps;
-  return w;
-}
-
-policy::ReadAssignment from_wire(const WireAssignment& w) {
-  policy::ReadAssignment a;
-  a.cookie = w.cookie;
-  a.replica = w.replica;
-  a.path.nodes = w.path_nodes;
-  a.path.links = w.path_links;
-  a.bytes = w.bytes;
-  a.est_bw_bps = w.est_bw_bps;
-  return a;
-}
-
 // What every plan request must satisfy before it reaches the planner, whose
 // asserts would otherwise abort the controller: a finite, positive size and
 // node ids inside the topology. A failure answers kBadRequest.
@@ -84,17 +62,13 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
         return;
       }
       ++requests_;
-      const auto assignments =
-          server_->select_for_read(req.client, req.replicas, req.bytes);
-      if (assignments.empty()) {
+      SelectReplicasResp resp{
+          server_->select_for_read(req.client, req.replicas, req.bytes)};
+      if (resp.assignments.empty()) {
         // Failures cut off every listed replica; the client backs off and
         // refetches its metadata (the mapping may have moved meanwhile).
         reply(Status::kUnavailable, {});
         return;
-      }
-      SelectReplicasResp resp;
-      for (const auto& a : assignments) {
-        resp.assignments.push_back(to_wire(a));
       }
       reply(Status::kOk, resp.encode());
       return;
@@ -127,10 +101,8 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
              .replicas = one.replicas,
              .bytes = one.bytes,
              .done = [&resp, &delivered,
-                      i](std::vector<flowserver::ReadAssignment> plan) {
-               for (const auto& a : plan) {
-                 resp.plans[i].assignments.push_back(to_wire(a));
-               }
+                      i](std::vector<ReadAssignment> plan) {
+               resp.plans[i].assignments = std::move(plan);
                ++delivered;
              }});
       }
@@ -148,16 +120,12 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
         return;
       }
       ++requests_;
-      const auto assignments = server_->plan_write(req.chain, req.bytes);
-      if (assignments.empty()) {
+      SelectReplicasResp resp{server_->plan_write(req.chain, req.bytes)};
+      if (resp.assignments.empty()) {
         // Even the first hop is unreachable; the client degrades to the
         // unplanned upload path and retries planning on its next append.
         reply(Status::kUnavailable, {});
         return;
-      }
-      SelectReplicasResp resp;
-      for (const auto& a : assignments) {
-        resp.assignments.push_back(to_wire(a));
       }
       reply(Status::kOk, resp.encode());
       return;
@@ -189,17 +157,12 @@ void RpcPlanner::plan(net::NodeId client,
           return;
         }
         Reader r(payload);
-        const SelectReplicasResp resp = SelectReplicasResp::decode(r);
+        SelectReplicasResp resp = SelectReplicasResp::decode(r);
         if (!r.ok()) {
           done(Status::kBadRequest, {});
           return;
         }
-        std::vector<policy::ReadAssignment> assignments;
-        assignments.reserve(resp.assignments.size());
-        for (const WireAssignment& w : resp.assignments) {
-          assignments.push_back(from_wire(w));
-        }
-        done(Status::kOk, std::move(assignments));
+        done(Status::kOk, std::move(resp.assignments));
       });
 }
 
@@ -217,21 +180,15 @@ void RpcPlanner::plan_batch(net::NodeId client,
           return;
         }
         Reader r(payload);
-        const SelectReplicasBatchResp resp =
-            SelectReplicasBatchResp::decode(r);
+        SelectReplicasBatchResp resp = SelectReplicasBatchResp::decode(r);
         if (!r.ok() || resp.plans.size() != n) {
           done(Status::kBadRequest, {});
           return;
         }
-        std::vector<std::vector<policy::ReadAssignment>> plans;
+        std::vector<std::vector<ReadAssignment>> plans;
         plans.reserve(resp.plans.size());
-        for (const SelectReplicasResp& one : resp.plans) {
-          std::vector<policy::ReadAssignment> assignments;
-          assignments.reserve(one.assignments.size());
-          for (const WireAssignment& w : one.assignments) {
-            assignments.push_back(from_wire(w));
-          }
-          plans.push_back(std::move(assignments));
+        for (SelectReplicasResp& one : resp.plans) {
+          plans.push_back(std::move(one.assignments));
         }
         done(Status::kOk, std::move(plans));
       });
@@ -251,17 +208,12 @@ void RpcPlanner::plan_write(net::NodeId client,
           return;
         }
         Reader r(payload);
-        const SelectReplicasResp resp = SelectReplicasResp::decode(r);
+        SelectReplicasResp resp = SelectReplicasResp::decode(r);
         if (!r.ok()) {
           done(Status::kBadRequest, {});
           return;
         }
-        std::vector<policy::ReadAssignment> assignments;
-        assignments.reserve(resp.assignments.size());
-        for (const WireAssignment& w : resp.assignments) {
-          assignments.push_back(from_wire(w));
-        }
-        done(Status::kOk, std::move(assignments));
+        done(Status::kOk, std::move(resp.assignments));
       });
 }
 

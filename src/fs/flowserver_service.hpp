@@ -1,8 +1,8 @@
 // RPC front-end for the Flowserver (§5): "The Flowserver implementation is
 // not tied to Mayflower, and can be integrated with any distributed
 // application through its RPC framework." This binds the select/drop
-// methods to a controller node on the cluster transport and translates
-// between wire assignments and the in-process Flowserver API.
+// methods to a controller node on the cluster transport; plans travel in
+// the Flowserver's own assignment type.
 #pragma once
 
 #include "flowserver/flowserver.hpp"

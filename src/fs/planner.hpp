@@ -3,8 +3,9 @@
 // The paper's Flowserver is an RPC service inside the SDN controller (§5):
 // clients send (source/destination addresses, data size) and receive a list
 // of replicas with the data size to fetch from each. RpcPlanner reproduces
-// that hop — selections cost a real round trip — while LocalSchemePlanner
-// wraps any in-process policy::Scheme (the ECMP baselines, unit tests).
+// that hop — selections cost a real round trip — and is the filesystem's
+// only way to the Flowserver, for read and write-chain plans alike.
+// LocalSchemePlanner wraps the ECMP baselines' in-process policy::Scheme.
 #pragma once
 
 #include <functional>
@@ -18,7 +19,7 @@ namespace mayflower::fs {
 class ReadPlanner {
  public:
   using PlanFn =
-      std::function<void(Status, std::vector<policy::ReadAssignment>)>;
+      std::function<void(Status, std::vector<ReadAssignment>)>;
 
   virtual ~ReadPlanner() = default;
 
@@ -32,20 +33,23 @@ class ReadPlanner {
   virtual void flow_complete(net::NodeId client, sdn::Cookie cookie) = 0;
 };
 
-// Synchronous adapter over an in-process scheme.
+// Adapter over an in-process scheme.
 class LocalSchemePlanner final : public ReadPlanner {
  public:
   explicit LocalSchemePlanner(policy::Scheme& scheme) : scheme_(&scheme) {}
 
   void plan(net::NodeId client, const std::vector<net::NodeId>& replicas,
             double bytes, PlanFn done) override {
-    auto plan = scheme_->plan_read(client, replicas, bytes);
-    if (plan.empty()) {
-      // No replica is reachable over a live path right now.
-      done(Status::kUnavailable, {});
-      return;
-    }
-    done(Status::kOk, std::move(plan));
+    scheme_->plan_read_async(
+        client, replicas, bytes,
+        [done = std::move(done)](std::vector<ReadAssignment> plan) {
+          if (plan.empty()) {
+            // No replica is reachable over a live path right now.
+            done(Status::kUnavailable, {});
+            return;
+          }
+          done(Status::kOk, std::move(plan));
+        });
   }
 
   void flow_complete(net::NodeId /*client*/, sdn::Cookie cookie) override {
@@ -56,63 +60,14 @@ class LocalSchemePlanner final : public ReadPlanner {
   policy::Scheme* scheme_;
 };
 
-// Write-chain planning abstraction (the kPlanWrite half of the co-design):
-// plans the replication chain of one append as jointly-scheduled hop flows.
-// The plan holds one assignment per routed hop in chain order (path
-// chain[i] -> chain[i+1], est_bw reporting the chain bottleneck); fewer
-// assignments than hops means the chain was truncated at the first
-// unreachable host and the tail degrades to the settled-relay contract.
-class WritePlanner {
- public:
-  using PlanFn = ReadPlanner::PlanFn;
-
-  virtual ~WritePlanner() = default;
-
-  // Plans the chain `chain` (writer first, then primary and secondaries in
-  // relay order; consecutive hosts distinct) moving `bytes`.
-  virtual void plan_write(net::NodeId client,
-                          const std::vector<net::NodeId>& chain, double bytes,
-                          PlanFn done) = 0;
-
-  // Completion/abort notification for one hop's cookie.
-  virtual void flow_complete(net::NodeId client, sdn::Cookie cookie) = 0;
-};
-
-// In-process write planner over the Flowserver itself (non-RPC clusters,
-// tests, benches).
-class LocalWritePlanner final : public WritePlanner {
- public:
-  explicit LocalWritePlanner(flowserver::Flowserver& server)
-      : server_(&server) {}
-
-  void plan_write(net::NodeId /*client*/,
-                  const std::vector<net::NodeId>& chain, double bytes,
-                  PlanFn done) override {
-    auto plan = server_->plan_write(chain, bytes);
-    if (plan.empty()) {
-      done(Status::kUnavailable, {});
-      return;
-    }
-    done(Status::kOk, std::move(plan));
-  }
-
-  void flow_complete(net::NodeId /*client*/, sdn::Cookie cookie) override {
-    server_->flow_dropped(cookie);
-  }
-
- private:
-  flowserver::Flowserver* server_;
-};
-
 // Remote planner: selection requests travel as RPCs to the Flowserver
 // service on the controller node; drops are fire-and-forget. One instance
 // serves both roles — read plans (kSelectReplicas) and write-chain plans
 // (kPlanWrite) talk to the same controller.
-class RpcPlanner final : public ReadPlanner, public WritePlanner {
+class RpcPlanner final : public ReadPlanner {
  public:
-  using PlanFn = ReadPlanner::PlanFn;
   using BatchPlanFn = std::function<void(
-      Status, std::vector<std::vector<policy::ReadAssignment>>)>;
+      Status, std::vector<std::vector<ReadAssignment>>)>;
 
   RpcPlanner(Transport& transport, net::NodeId controller)
       : transport_(&transport), controller_(controller) {}
@@ -127,8 +82,14 @@ class RpcPlanner final : public ReadPlanner, public WritePlanner {
                   const std::vector<SelectReplicasReq>& reads,
                   BatchPlanFn done);
 
+  // Plans the replication chain `chain` (writer first, then primary and
+  // secondaries in relay order; consecutive hosts distinct) moving `bytes`.
+  // The plan holds one assignment per routed hop in chain order (path
+  // chain[i] -> chain[i+1], est_bw reporting the chain bottleneck); fewer
+  // assignments than hops means the chain was truncated at the first
+  // unreachable host and the tail degrades to the settled-relay contract.
   void plan_write(net::NodeId client, const std::vector<net::NodeId>& chain,
-                  double bytes, PlanFn done) override;
+                  double bytes, PlanFn done);
 
   void flow_complete(net::NodeId client, sdn::Cookie cookie) override;
 

@@ -166,35 +166,35 @@ std::vector<std::uint32_t> decode_u32_list(Reader& r) {
   return r.list<std::uint32_t>([](Reader& reader) { return reader.u32(); });
 }
 
-void encode_assignment(Writer& w, const WireAssignment& a) {
+void encode_assignment(Writer& w, const ReadAssignment& a) {
   w.u64(a.cookie);
   w.u32(a.replica);
-  encode_u32_list(w, a.path_nodes);
-  encode_u32_list(w, a.path_links);
+  encode_u32_list(w, a.path.nodes);
+  encode_u32_list(w, a.path.links);
   w.f64(a.bytes);
   w.f64(a.est_bw_bps);
 }
 
-WireAssignment decode_assignment(Reader& r) {
-  WireAssignment a;
+ReadAssignment decode_assignment(Reader& r) {
+  ReadAssignment a;
   a.cookie = r.u64();
   a.replica = r.u32();
-  a.path_nodes = decode_u32_list(r);
-  a.path_links = decode_u32_list(r);
+  a.path.nodes = decode_u32_list(r);
+  a.path.links = decode_u32_list(r);
   a.bytes = r.f64();
   a.est_bw_bps = r.f64();
   return a;
 }
 
 void encode_assignment_list(Writer& w,
-                            const std::vector<WireAssignment>& list) {
-  w.list(list, [](Writer& writer, const WireAssignment& a) {
+                            const std::vector<ReadAssignment>& list) {
+  w.list(list, [](Writer& writer, const ReadAssignment& a) {
     encode_assignment(writer, a);
   });
 }
 
-std::vector<WireAssignment> decode_assignment_list(Reader& r) {
-  return r.list<WireAssignment>(
+std::vector<ReadAssignment> decode_assignment_list(Reader& r) {
+  return r.list<ReadAssignment>(
       [](Reader& reader) { return decode_assignment(reader); });
 }
 
@@ -220,6 +220,7 @@ Bytes AppendResp::encode() const {
   Writer w;
   w.u64(offset);
   w.u64(new_size);
+  w.u32(hops_started);
   return w.take();
 }
 
@@ -227,6 +228,7 @@ AppendResp AppendResp::decode(Reader& r) {
   AppendResp resp;
   resp.offset = r.u64();
   resp.new_size = r.u64();
+  resp.hops_started = r.u32();
   return resp;
 }
 
@@ -344,16 +346,13 @@ SelectReplicasReq SelectReplicasReq::decode(Reader& r) {
 
 Bytes SelectReplicasResp::encode() const {
   Writer w;
-  w.list(assignments, [](Writer& writer, const WireAssignment& a) {
-    encode_assignment(writer, a);
-  });
+  encode_assignment_list(w, assignments);
   return w.take();
 }
 
 SelectReplicasResp SelectReplicasResp::decode(Reader& r) {
   SelectReplicasResp resp;
-  resp.assignments = r.list<WireAssignment>(
-      [](Reader& reader) { return decode_assignment(reader); });
+  resp.assignments = decode_assignment_list(r);
   return resp;
 }
 
@@ -375,9 +374,7 @@ SelectReplicasBatchReq SelectReplicasBatchReq::decode(Reader& r) {
 Bytes SelectReplicasBatchResp::encode() const {
   Writer w;
   w.list(plans, [](Writer& writer, const SelectReplicasResp& one) {
-    writer.list(one.assignments, [](Writer& inner, const WireAssignment& a) {
-      encode_assignment(inner, a);
-    });
+    encode_assignment_list(writer, one.assignments);
   });
   return w.take();
 }
@@ -385,10 +382,7 @@ Bytes SelectReplicasBatchResp::encode() const {
 SelectReplicasBatchResp SelectReplicasBatchResp::decode(Reader& r) {
   SelectReplicasBatchResp resp;
   resp.plans = r.list<SelectReplicasResp>([](Reader& reader) {
-    SelectReplicasResp one;
-    one.assignments = reader.list<WireAssignment>(
-        [](Reader& inner) { return decode_assignment(inner); });
-    return one;
+    return SelectReplicasResp{decode_assignment_list(reader)};
   });
   return resp;
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/uuid.hpp"
+#include "flowserver/assignment.hpp"
 #include "fs/data.hpp"
 #include "fs/meta/shard_map.hpp"
 #include "fs/rpc/serializer.hpp"
@@ -105,18 +106,9 @@ struct ListFilesResp {
   static ListFilesResp decode(Reader& r);
 };
 
-// One planned flow: `bytes` over the path described by path_nodes/path_links
-// under `cookie`. Read plans source it at `replica`; write-chain plans use
-// it per hop (replica = the hop's source host, the path runs source -> next
-// host in the chain).
-struct WireAssignment {
-  std::uint64_t cookie = 0;
-  net::NodeId replica = net::kInvalidNode;
-  std::vector<net::NodeId> path_nodes;
-  std::vector<net::LinkId> path_links;
-  double bytes = 0.0;
-  double est_bw_bps = 0.0;
-};
+// Plans travel in the Flowserver's own plan unit: one planned flow per
+// assignment (flowserver/assignment.hpp).
+using flowserver::ReadAssignment;
 
 struct AppendReq {
   Uuid file;
@@ -125,7 +117,7 @@ struct AppendReq {
   // relay order), carried by the client from its kPlanWrite response so the
   // primary pipelines the relay without its own planning round trip. Empty:
   // legacy fan-out relay.
-  std::vector<WireAssignment> chain;
+  std::vector<ReadAssignment> chain;
   Bytes encode() const;
   static AppendReq decode(Reader& r);
 };
@@ -133,6 +125,9 @@ struct AppendReq {
 struct AppendResp {
   std::uint64_t offset = 0;    // where the append landed
   std::uint64_t new_size = 0;  // file size afterwards
+  // How many of the request's relay hops the primary started: a prefix of
+  // `chain`. The client hands the rest back to the Flowserver.
+  std::uint32_t hops_started = 0;
   Bytes encode() const;
   static AppendResp decode(Reader& r);
 };
@@ -194,7 +189,7 @@ struct SelectReplicasReq {
 };
 
 struct SelectReplicasResp {
-  std::vector<WireAssignment> assignments;
+  std::vector<ReadAssignment> assignments;
   Bytes encode() const;
   static SelectReplicasResp decode(Reader& r);
 };

@@ -34,25 +34,16 @@ class Scheme {
 
   virtual ~Scheme() = default;
 
-  // Plans a read of `bytes` for `client`; installs paths and returns the
-  // subflows to start. The caller starts each via
+  // Plans a read of `bytes` for `client`: installs paths and delivers the
+  // subflows to start through `done`, possibly later (Flowserver-backed
+  // schemes queue the request and decide a whole batch against one view
+  // snapshot). The caller starts each via
   // fabric.start_flow(a.cookie, a.path, a.bytes, ...) and reports each
   // completion through on_flow_complete(). An empty plan means no listed
   // replica is reachable right now (never an assert — callers retry).
-  virtual std::vector<ReadAssignment> plan_read(
-      net::NodeId client, const std::vector<net::NodeId>& replicas,
-      double bytes) = 0;
-
-  // Batched variant: the plan is delivered through `done`, possibly later
-  // (Flowserver-backed schemes queue the request and decide a whole batch
-  // against one view snapshot). The default adapter is batch-of-one: it
-  // runs the synchronous planner inline, so baselines without an admission
-  // queue behave identically either way.
   virtual void plan_read_async(net::NodeId client,
                                const std::vector<net::NodeId>& replicas,
-                               double bytes, PlanCallback done) {
-    done(plan_read(client, replicas, bytes));
-  }
+                               double bytes, PlanCallback done) = 0;
 
   virtual void on_flow_complete(sdn::Cookie cookie) = 0;
 
@@ -65,12 +56,6 @@ class MayflowerScheme final : public Scheme {
   explicit MayflowerScheme(flowserver::Flowserver& server,
                            std::string name = "mayflower")
       : server_(&server), name_(std::move(name)) {}
-
-  std::vector<ReadAssignment> plan_read(
-      net::NodeId client, const std::vector<net::NodeId>& replicas,
-      double bytes) override {
-    return server_->select_for_read(client, replicas, bytes);
-  }
 
   void plan_read_async(net::NodeId client,
                        const std::vector<net::NodeId>& replicas, double bytes,
@@ -102,21 +87,6 @@ class ReplicaPlusMayflowerPath final : public Scheme {
   ReplicaPlusMayflowerPath(ReplicaPolicy& replica,
                            flowserver::Flowserver& server, std::string name)
       : replica_(&replica), server_(&server), name_(std::move(name)) {}
-
-  std::vector<ReadAssignment> plan_read(
-      net::NodeId client, const std::vector<net::NodeId>& replicas,
-      double bytes) override {
-    std::vector<ReadAssignment> out;
-    server_->enqueue({.client = client,
-                      .replicas = replicas,
-                      .bytes = bytes,
-                      .chooser = chooser(),
-                      .done = [&out](std::vector<ReadAssignment> plan) {
-                        out = std::move(plan);
-                      }});
-    server_->drain();  // no-op when the enqueue already size-triggered
-    return out;
-  }
 
   void plan_read_async(net::NodeId client,
                        const std::vector<net::NodeId>& replicas, double bytes,
@@ -169,9 +139,16 @@ class ExternalReplicaScheme : public Scheme {
     views_.set_rate_monitor(monitor);
   }
 
+  // Plans inline: ECMP has no admission queue, so the plan is ready now.
   std::vector<ReadAssignment> plan_read(
       net::NodeId client, const std::vector<net::NodeId>& replicas,
-      double bytes) final;
+      double bytes);
+
+  void plan_read_async(net::NodeId client,
+                       const std::vector<net::NodeId>& replicas, double bytes,
+                       PlanCallback done) final {
+    done(plan_read(client, replicas, bytes));
+  }
 
   void on_flow_complete(sdn::Cookie /*cookie*/) override {}
 

@@ -95,15 +95,17 @@ void SdnFabric::remove_path(Cookie cookie) {
   removes_.inc();
 }
 
-void SdnFabric::verify_installed(Cookie cookie, const net::Path& path) const {
+bool SdnFabric::path_installed(Cookie cookie, const net::Path& path) const {
+  common::MutexLock lock(table_mu_);
+  // The first link leaves the source host; every later one leaves a switch.
   for (std::size_t i = 1; i < path.links.size(); ++i) {
-    const net::NodeId node = path.nodes[i];
-    const auto out = switch_at(node).lookup(cookie);
-    MAYFLOWER_ASSERT_MSG(out.has_value(),
-                         "flow started before its path was installed");
-    MAYFLOWER_ASSERT_MSG(*out == path.links[i],
-                         "installed entry forwards onto a different link");
+    if (i >= path.nodes.size()) return false;
+    const auto it = switches_.find(path.nodes[i]);
+    if (it == switches_.end() || it->second.lookup(cookie) != path.links[i]) {
+      return false;
+    }
   }
+  return true;
 }
 
 void SdnFabric::unindex_edge_flow(net::NodeId src_edge, Cookie cookie) {
@@ -118,8 +120,6 @@ void SdnFabric::start_flow(Cookie cookie, const net::Path& path, double bytes,
                            CompletionFn on_complete, FailureFn on_fail) {
   MAYFLOWER_ASSERT_MSG(active_.find(cookie) == active_.end(),
                        "cookie already has an active flow");
-  verify_installed(cookie, path);
-
   if (!flow_sim_.path_alive(path)) {
     // The chosen path is already dead (the scheme did not know): the
     // transfer fails immediately, but asynchronously — callers observe the
@@ -143,6 +143,8 @@ void SdnFabric::start_flow(Cookie cookie, const net::Path& path, double bytes,
         });
     return;
   }
+  MAYFLOWER_ASSERT_MSG(path_installed(cookie, path),
+                       "flow started before its path was installed");
 
   ActiveFlow rec;
   rec.src_edge = path.links.empty() ? net::kInvalidNode

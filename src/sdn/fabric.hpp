@@ -5,7 +5,8 @@
 //
 //   1. the controller installs the path's flow-table entries,
 //   2. the endpoint starts the transfer (start_flow), which verifies hop by
-//      hop that the installed entries actually forward along the given path,
+//      hop that the installed entries actually forward along the given path
+//      (a transfer over a dead path fails before that check),
 //   3. edge switches answer periodic stats polls with per-flow and per-port
 //      cumulative byte counters,
 //   4. on completion/cancel the entries are torn down.
@@ -72,6 +73,12 @@ class SdnFabric {
 
   void remove_path(Cookie cookie) EXCLUDES(table_mu_);
 
+  // Whether every switch along `path` forwards `cookie` onto the path's
+  // next link. False, never an assert, for any path it cannot follow:
+  // endpoints check client-carried plans with it.
+  bool path_installed(Cookie cookie, const net::Path& path) const
+      EXCLUDES(table_mu_);
+
   // --- data plane -------------------------------------------------------
 
   using CompletionFn = std::function<void(Cookie, sim::SimTime start_time)>;
@@ -85,7 +92,8 @@ class SdnFabric {
   // are removed automatically at completion; `on_complete` (optional) fires
   // from the event loop. If the path crosses a down link — now or later —
   // the transfer fails instead: entries are torn down, failure listeners are
-  // notified and `on_fail` (optional) fires from the event loop.
+  // notified and `on_fail` (optional) fires from the event loop. Liveness is
+  // checked first, so a path whose entries a switch crash wiped fails too.
   void start_flow(Cookie cookie, const net::Path& path, double bytes,
                   CompletionFn on_complete = nullptr,
                   FailureFn on_fail = nullptr);
@@ -193,8 +201,6 @@ class SdnFabric {
     FailureFn on_fail;
   };
 
-  void verify_installed(Cookie cookie, const net::Path& path) const
-      EXCLUDES(table_mu_);
   Switch& mutable_switch(net::NodeId node) REQUIRES(table_mu_);
   // Cleanup + notification for a flow the simulator killed (link failure).
   void on_flow_killed(const net::FlowRecord& record);

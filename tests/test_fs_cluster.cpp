@@ -550,26 +550,6 @@ TEST(Cluster, FlowserverRpcServiceHandlesSelections) {
   run_until_done(cluster, drained);
 }
 
-TEST(Cluster, InProcessFlowserverModeStillWorks) {
-  ClusterConfig cfg = small_config();
-  cfg.flowserver_over_rpc = false;
-  Cluster cluster(cfg);
-  EXPECT_EQ(cluster.flowserver_service(), nullptr);
-  Client& client = cluster.client_at(cluster.tree().hosts[8]);
-  bool done = false;
-  const ExtentList payload(Extent::pattern(4, 1500));
-  client.create("local-file", [&](Status, const FileInfo&) {
-    client.append("local-file", payload, [&](Status, const AppendResp&) {
-      client.read_file("local-file", [&](Status rs, ReadResult r) {
-        EXPECT_EQ(rs, Status::kOk);
-        EXPECT_TRUE(r.data.content_equals(payload));
-        done = true;
-      });
-    });
-  });
-  run_until_done(cluster, done);
-}
-
 TEST(Cluster, StrongReadsSeePrefixesUnderConcurrentAppends) {
   // Writers keep appending while a strong-consistency reader polls: every
   // read must return a prefix of the final content with a consistent size.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <functional>
 #include <limits>
 #include <memory>
 
@@ -45,10 +46,12 @@ class ServerTest : public ::testing::Test {
     }
   }
 
-  AppendResp append_to_primary(const FileInfo& info, const ExtentList& data) {
+  AppendResp append_to_primary(const FileInfo& info, const ExtentList& data,
+                               std::vector<ReadAssignment> chain = {}) {
     AppendReq req;
     req.file = info.uuid;
     req.data = data;
+    req.chain = std::move(chain);
     AppendResp out;
     bool done = false;
     transport_.call(1, info.primary(), Method::kAppend, req.encode(),
@@ -61,6 +64,49 @@ class ServerTest : public ::testing::Test {
     events_.run();
     EXPECT_TRUE(done);
     return out;
+  }
+
+  // The relay hops kPlanWrite would hand a client for `info`'s chain
+  // (primary -> replicas[1] -> replicas[2] ...), installed in the fabric.
+  std::vector<ReadAssignment> planned_relay(const FileInfo& info,
+                                            double bytes) {
+    std::vector<ReadAssignment> hops;
+    for (std::size_t i = 0; i + 1 < info.replicas.size(); ++i) {
+      ReadAssignment hop;
+      hop.cookie = fabric_.new_cookie();
+      hop.replica = info.replicas[i];
+      hop.path = net::shortest_paths(tree_.topo, info.replicas[i],
+                                     info.replicas[i + 1])
+                     .front();
+      hop.bytes = bytes;
+      fabric_.install_path(hop.cookie, hop.path);
+      hops.push_back(std::move(hop));
+    }
+    return hops;
+  }
+
+  // Appends over a three-replica relay chain whose hop `bad` (if any: 2
+  // names none) was damaged by `corrupt`. The primary must answer, start
+  // only the hops before `bad`, and settle every secondary from `bad` on
+  // degraded.
+  void expect_chain_cut_at(std::size_t bad,
+                           const std::function<void(ReadAssignment&)>& corrupt) {
+    Dataserver primary(transport_, fabric_, tree_.hosts[0], {}, 1);
+    Dataserver middle(transport_, fabric_, tree_.hosts[20], {}, 2);
+    Dataserver last(transport_, fabric_, tree_.hosts[40], {}, 3);
+    const FileInfo info = make_info(
+        "chain", 1000, {tree_.hosts[0], tree_.hosts[20], tree_.hosts[40]});
+    provision(info);
+    std::vector<ReadAssignment> relay = planned_relay(info, 1500.0);
+    if (bad < relay.size()) corrupt(relay[bad]);
+    const AppendResp resp = append_to_primary(
+        info, ExtentList(Extent::pattern(1, 1500)), std::move(relay));
+    EXPECT_EQ(resp.new_size, 1500u);
+    EXPECT_EQ(resp.hops_started, bad);
+    EXPECT_EQ(primary.file_size(info.uuid), 1500u);
+    EXPECT_EQ(middle.file_size(info.uuid), bad > 0 ? 1500u : 0u);
+    EXPECT_EQ(last.file_size(info.uuid), bad > 1 ? 1500u : 0u);
+    EXPECT_EQ(primary.relay_failures(), 2 - bad);
   }
 
   sim::EventQueue events_;
@@ -84,6 +130,52 @@ TEST_F(ServerTest, AppendAppliesLocallyAndRelays) {
   EXPECT_EQ(primary.file_size(info.uuid), 1500u);
   EXPECT_EQ(secondary.file_size(info.uuid), 1500u);
   EXPECT_EQ(primary.appends_served(), 1u);
+}
+
+TEST_F(ServerTest, PlannedRelayRunsEveryValidHop) {
+  expect_chain_cut_at(2, [](ReadAssignment&) {});
+}
+
+// --- a relay hop the primary cannot run cuts the chain, never aborts -------
+
+TEST_F(ServerTest, RelayHopWithALinkOutsideTheTopologyIsCut) {
+  const std::size_t links = tree_.topo.link_count();
+  expect_chain_cut_at(1, [links](ReadAssignment& hop) {
+    hop.path.links[1] = static_cast<net::LinkId>(links + 7);
+  });
+}
+
+TEST_F(ServerTest, RelayHopWhoseLinksDoNotJoinItsNodesIsCut) {
+  expect_chain_cut_at(0, [](ReadAssignment& hop) {
+    hop.path.links[1] = hop.path.links[0];
+  });
+}
+
+TEST_F(ServerTest, RelayHopWithTooFewNodesIsCut) {
+  expect_chain_cut_at(1, [](ReadAssignment& hop) {
+    hop.path.nodes.erase(hop.path.nodes.begin() + 1);
+  });
+}
+
+TEST_F(ServerTest, RelayHopWithZeroOrNanBytesIsCut) {
+  expect_chain_cut_at(1, [](ReadAssignment& hop) { hop.bytes = 0.0; });
+  expect_chain_cut_at(0, [](ReadAssignment& hop) {
+    hop.bytes = std::numeric_limits<double>::quiet_NaN();
+  });
+}
+
+TEST_F(ServerTest, RelayHopWithAnUninstalledCookieIsCut) {
+  sdn::SdnFabric& fabric = fabric_;
+  expect_chain_cut_at(1, [&fabric](ReadAssignment& hop) {
+    hop.cookie = fabric.new_cookie();
+  });
+}
+
+TEST_F(ServerTest, RelayHopWhoseCookieAlreadyCarriesAFlowIsCut) {
+  sdn::SdnFabric& fabric = fabric_;
+  expect_chain_cut_at(1, [&fabric](ReadAssignment& hop) {
+    fabric.start_flow(hop.cookie, hop.path, 1e6);
+  });
 }
 
 TEST_F(ServerTest, AppendToNonPrimaryRejected) {

@@ -85,6 +85,25 @@ TEST_F(FabricTest, CompletionTearsDownFlowTableEntries) {
   }
 }
 
+TEST_F(FabricTest, StartOverACrashedSwitchFailsLikeAStillbornFlow) {
+  // The crash wiped the path's entries along with its links. Liveness is
+  // checked before installation, so the start fails through on_fail
+  // instead of asserting on the missing entries.
+  const Path p = first_path(tree_.hosts[0], tree_.hosts[16]);  // 6 links
+  const Cookie c = fabric_.new_cookie();
+  fabric_.install_path(c, p);
+  fabric_.fail_switch(p.nodes[3]);  // the core switch
+  bool failed = false;
+  fabric_.start_flow(c, p, 1e6, nullptr,
+                     [&](Cookie cookie, const net::FlowRecord&) {
+                       EXPECT_EQ(cookie, c);
+                       failed = true;
+                     });
+  events_.run();
+  EXPECT_TRUE(failed);
+  EXPECT_FALSE(fabric_.flow_active(c));
+}
+
 TEST_F(FabricTest, CancelStopsTheTransfer) {
   const Path p = first_path(tree_.hosts[0], tree_.hosts[1]);
   const Cookie c = fabric_.new_cookie();

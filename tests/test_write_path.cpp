@@ -289,24 +289,6 @@ TEST(ClusterWritePath, PipelinedAppendReplicatesEverywhere) {
   EXPECT_NE(json.find("fs.ds.chain_appends"), std::string::npos);
 }
 
-TEST(ClusterWritePath, PipelinedAppendWorksInProcessToo) {
-  fs::ClusterConfig cfg = pipeline_config();
-  cfg.flowserver_over_rpc = false;  // LocalWritePlanner route
-  fs::Cluster cluster(cfg);
-  fs::Client& client = cluster.client_at(cluster.tree().hosts[12]);
-  bool done = false;
-  client.create("local-plan", [&](fs::Status, const fs::FileInfo&) {
-    client.append("local-plan", fs::ExtentList(fs::Extent::pattern(8, 900)),
-                  [&](fs::Status as, const fs::AppendResp& resp) {
-                    EXPECT_EQ(as, fs::Status::kOk);
-                    EXPECT_EQ(resp.new_size, 900u);
-                    done = true;
-                  });
-  });
-  run_until_done(cluster, done);
-  EXPECT_GE(cluster.flow_server()->write_chains(), 1u);
-}
-
 TEST(ClusterWritePath, WriterLocalPrimarySkipsTheUploadHop) {
   fs::ClusterConfig cfg = pipeline_config();
   fs::Cluster cluster(cfg);
@@ -560,6 +542,131 @@ TEST(ClusterWritePath, RejectedChainAppendHandsTheRelayHopsBack) {
   run_until_done(cluster, done);
   cluster.run_until(cluster.events().now() + sim::SimTime::from_seconds(1.0));
   EXPECT_GE(cluster.flow_server()->write_chains(), 2u);
+  EXPECT_EQ(cluster.flow_server()->table().size(), 0u);
+  EXPECT_EQ(switch_entries(cluster), 0u);
+}
+
+// --- relay hops the primary cannot start are cut and handed back -----------
+
+// Creates a three-replica file and returns its metadata.
+fs::FileInfo create_file(fs::Cluster& cluster, net::NodeId creator,
+                         const std::string& name) {
+  bool created_ok = false;
+  fs::FileInfo created;
+  cluster.client_at(creator).create(
+      name, [&](fs::Status s, const fs::FileInfo& info) {
+        ASSERT_EQ(s, fs::Status::kOk);
+        created = info;
+        created_ok = true;
+      });
+  run_until_done(cluster, created_ok);
+  return created;
+}
+
+// Crashes the last secondary's edge switch 50 ms into a 50 MB upload and,
+// with `restore`, brings it back 50 ms later. Either way the crash wiped the
+// last relay hop's entries before the primary could start it: the primary
+// cuts the chain there, the append still answers, and the client hands the
+// cut hop back.
+void run_switch_crash_during_upload(bool restore) {
+  fs::Cluster cluster(pipeline_config());
+  const net::ThreeTier& tree = cluster.tree();
+  const fs::FileInfo created = create_file(cluster, tree.hosts[6], "cut");
+  ASSERT_EQ(created.replicas.size(), 3u);
+  const net::NodeId last_edge = tree.edge_of_host(created.replicas.back());
+  ASSERT_NE(tree.edge_of_host(created.primary()), last_edge);
+  // The writer's upload to the primary must not cross the crashed switch.
+  net::NodeId writer = net::kInvalidNode;
+  for (const net::NodeId h : tree.hosts) {
+    if (tree.edge_of_host(h) != last_edge &&
+        std::find(created.replicas.begin(), created.replicas.end(), h) ==
+            created.replicas.end()) {
+      writer = h;
+      break;
+    }
+  }
+  ASSERT_NE(writer, net::kInvalidNode);
+
+  bool done = false;
+  cluster.client_at(writer).append(
+      "cut", fs::ExtentList(fs::Extent::pattern(9, 50'000'000)),
+      [&](fs::Status as, const fs::AppendResp& resp) {
+        EXPECT_EQ(as, fs::Status::kOk);
+        EXPECT_LT(resp.hops_started, 2u);
+        done = true;
+      });
+  cluster.events().schedule_in(sim::SimTime::from_millis(50.0), [&] {
+    cluster.fabric().fail_switch(last_edge);
+  });
+  if (restore) {
+    cluster.events().schedule_in(sim::SimTime::from_millis(100.0), [&] {
+      cluster.fabric().restore_switch(last_edge);
+    });
+  }
+  run_until_done(cluster, done, /*timeout_sec=*/120.0);
+  cluster.run_until(cluster.events().now() + sim::SimTime::from_seconds(2.0));
+  EXPECT_EQ(cluster.dataserver_at(created.primary()).file_size(created.uuid),
+            50'000'000u);
+  EXPECT_EQ(cluster.dataserver_at(created.replicas.back())
+                .file_size(created.uuid),
+            0u);
+  EXPECT_GE(cluster.dataserver_at(created.primary()).relay_failures(), 1u);
+  EXPECT_EQ(cluster.flow_server()->table().size(), 0u);
+  EXPECT_EQ(switch_entries(cluster), 0u);
+}
+
+TEST(ClusterWritePath, SwitchCrashDuringUploadCutsTheChain) {
+  run_switch_crash_during_upload(/*restore=*/false);
+}
+
+TEST(ClusterWritePath, SwitchCrashAndRestoreDuringUploadCutsTheChain) {
+  run_switch_crash_during_upload(/*restore=*/true);
+}
+
+TEST(ClusterWritePath, StalePlanHandsTheSkippedHopBack) {
+  fs::Cluster cluster(pipeline_config());
+  const net::ThreeTier& tree = cluster.tree();
+  const fs::FileInfo created = create_file(cluster, tree.hosts[11], "moved");
+  ASSERT_EQ(created.replicas.size(), 3u);
+
+  // The last replica moved to another host (as re-replication would move
+  // it) and the primary heard, but the writer's cached mapping still names
+  // the old host: its chain plans a last hop the primary no longer relays.
+  net::NodeId moved_to = net::kInvalidNode;
+  for (const net::NodeId h : tree.hosts) {
+    if (std::find(created.replicas.begin(), created.replicas.end(), h) ==
+        created.replicas.end()) {
+      moved_to = h;
+      break;
+    }
+  }
+  ASSERT_NE(moved_to, net::kInvalidNode);
+  fs::UpdateReplicasReq update;
+  update.file = created.uuid;
+  update.replicas = {created.replicas[0], created.replicas[1], moved_to};
+  bool updated = false;
+  cluster.transport().call(tree.hosts[0], created.primary(),
+                           fs::Method::kUpdateReplicas, update.encode(),
+                           [&](fs::Status s, fs::Bytes) {
+                             EXPECT_EQ(s, fs::Status::kOk);
+                             updated = true;
+                           });
+  run_until_done(cluster, updated);
+
+  bool done = false;
+  cluster.client_at(tree.hosts[11]).append(
+      "moved", fs::ExtentList(fs::Extent::pattern(3, 3000)),
+      [&](fs::Status as, const fs::AppendResp& resp) {
+        EXPECT_EQ(as, fs::Status::kOk);
+        EXPECT_EQ(resp.hops_started, 1u);
+        done = true;
+      });
+  run_until_done(cluster, done);
+  // Let the drop notifications and the next stats poll land.
+  cluster.run_until(cluster.events().now() + sim::SimTime::from_seconds(2.0));
+  EXPECT_EQ(cluster.dataserver_at(created.replicas[1]).file_size(created.uuid),
+            3000u);
+  EXPECT_EQ(cluster.dataserver_at(created.primary()).relay_failures(), 1u);
   EXPECT_EQ(cluster.flow_server()->table().size(), 0u);
   EXPECT_EQ(switch_entries(cluster), 0u);
 }

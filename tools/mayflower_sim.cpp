@@ -58,8 +58,7 @@ void usage() {
       "[--topology=three_tier|fat_tree]\n"
       "                     [--fat-k=N] [--shard-state] [--poll-groups=N]\n"
       "                     [--poll-budget=N] [--mouse-period=N]\n"
-      "                     [--shard-metrics] [--csv=FILE] "
-      "[--metrics-out=FILE]\n"
+      "                     [--csv=FILE] [--metrics-out=FILE]\n"
       "                     [--meta-shards=N] [--meta-async] "
       "[--meta-partition=hash|subtree]\n"
       "                     [--meta-ops=N] [--meta-service-us=F]\n"
@@ -88,7 +87,7 @@ int main(int argc, char** argv) {
                        "no-multiread", "no-freeze", "batch-size",
                        "decision-threads", "topology", "fat-k", "shard-state",
                        "poll-groups", "poll-budget", "mouse-period",
-                       "shard-metrics", "csv", "metrics-out",
+                       "csv", "metrics-out",
                        "meta-shards", "meta-async", "meta-partition",
                        "meta-ops", "meta-service-us", "write-placement",
                        "write-pipeline", "write-jobs", "write-lambda",
@@ -162,7 +161,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(poll_budget);
   cfg.flowserver.telemetry.mouse_period =
       static_cast<std::size_t>(mouse_period);
-  if (flags.get_bool("shard-metrics")) cfg.flowserver.shard_metrics = true;
   cfg.gen.total_jobs = static_cast<std::size_t>(flags.get_int("jobs", 1100));
   cfg.warmup_jobs = static_cast<std::size_t>(flags.get_int("warmup", 100));
   cfg.catalog.num_files =
@@ -469,7 +467,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
       return 1;
     }
-    std::string doc = "{\"schema_version\":1,\"scheme\":\"";
+    std::string doc = "{\"schema_version\":2,\"scheme\":\"";
     doc += pooled.scheme;
     doc += "\",\"runs\":[";
     doc += metrics_json;
