@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: invariant linter first (fails in seconds), then build + test
-# the default configuration, again under ASan+UBSan, again under TSan, then
-# the cheap end-to-end checks (CLI determinism, microbenchmark speedup bars).
+# the default configuration, again under ASan+UBSan, again under TSan, the
+# data-plane suites in a Debug build, then the cheap end-to-end checks (CLI
+# determinism, microbenchmark speedup bars).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -25,6 +26,18 @@ echo "=== thread-sanitized build (TSan, full suite) ==="
 cmake -B build-tsan -S . -DMAYFLOWER_TSAN=ON >/dev/null
 cmake --build build-tsan -j "${jobs}"
 (cd build-tsan && ctest --output-on-failure -j "${jobs}")
+
+echo "=== debug build (data-plane tests, FlowSim full-solve cross-check live) ==="
+# The lanes above build RelWithDebInfo, which defines NDEBUG, so FlowSim's
+# check of every incremental recompute against a full solve never runs
+# there. This lane builds only the suites that drive the data plane.
+debug_tests="test_flow_sim test_fault test_sdn test_harness test_fs_cluster test_write_path"
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
+# shellcheck disable=SC2086
+cmake --build build-debug -j "${jobs}" --target ${debug_tests}
+for t in ${debug_tests}; do
+  ./build-debug/tests/"${t}" --gtest_brief=1
+done
 
 echo "=== mayflower_sim determinism (same seed => identical report) ==="
 ./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 >/tmp/mayflower_sim_run1.txt

@@ -40,7 +40,10 @@ std::vector<net::NodeId> rank_write_targets_by_model(
     if (candidate == writer) {
       share = model.zero_hop_bps();
     } else {
+      // A dead path carries nothing: a candidate the writer cannot reach
+      // scores 0, as in the measured ranking.
       for (const net::Path& p : paths.get(writer, candidate)) {
+        if (!view.path_alive(p)) continue;
         share = std::max(share, memo.new_flow_share(p));
       }
     }

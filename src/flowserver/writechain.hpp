@@ -36,8 +36,9 @@ std::vector<net::NodeId> tied_best_targets(
     const std::vector<units::Bps>& scores);
 
 // Model-based write-target ranking: each candidate scores the max-min share
-// a new write flow from `writer` would get over its best path (writer-local
-// candidates score the zero-hop rate). Returns the tied-best band.
+// a new write flow from `writer` would get over its best live path
+// (writer-local candidates score the zero-hop rate, unreachable ones 0).
+// Returns the tied-best band.
 std::vector<net::NodeId> rank_write_targets_by_model(
     const BandwidthModel& model, net::PathCache& paths, net::NodeId writer,
     const std::vector<net::NodeId>& candidates, const net::NetworkView& view);

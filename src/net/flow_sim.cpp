@@ -20,7 +20,7 @@ double rate_slack(double rate) { return kMaxMinEps * rate + 1e-12; }
 }  // namespace
 
 FlowSim::FlowSim(sim::EventQueue& events, const Topology& topo, Config config)
-    : events_(&events), topo_(&topo), config_(config), index_(topo.link_count()) {
+    : events_(&events), topo_(&topo), config_(config) {
   link_capacity_.reserve(topo.link_count());
   for (LinkId l = 0; l < topo.link_count(); ++l) {
     link_capacity_.push_back(topo.link(l).capacity_bps);
@@ -29,7 +29,9 @@ FlowSim::FlowSim(sim::EventQueue& events, const Topology& topo, Config config)
   capacity_factor_.assign(topo.link_count(), 1.0);
   link_up_.assign(topo.link_count(), 1);
   link_bytes_.assign(topo.link_count(), 0.0);
+  link_slots_.resize(topo.link_count());
   scratch_capacity_.assign(topo.link_count(), 0.0);
+  region_stamp_.assign(topo.link_count(), 0);
   round_load_.assign(topo.link_count(), 0.0);
   round_max_rate_.assign(topo.link_count(), 0.0);
   round_stamp_.assign(topo.link_count(), 0);
@@ -41,6 +43,69 @@ bool FlowSim::path_alive(const Path& path) const {
     if (!link_up(l)) return false;
   }
   return true;
+}
+
+FlowSim::Slot FlowSim::claim_slot(FlowRecord f, CompletionFn on_complete) {
+  if (free_slots_.empty()) {
+    records_.push_back(std::move(f));
+    completion_fns_.push_back(std::move(on_complete));
+    slot_dirty_.push_back(0);
+    touch_stamp_.push_back(0);
+    return static_cast<Slot>(records_.size() - 1);
+  }
+  const Slot s = free_slots_.back();
+  free_slots_.pop_back();
+  records_[s] = std::move(f);
+  completion_fns_[s] = std::move(on_complete);
+  return s;
+}
+
+void FlowSim::release_slot(Slot s) {
+  records_[s] = FlowRecord{};
+  completion_fns_[s] = nullptr;
+  free_slots_.push_back(s);
+}
+
+const FlowSim::LiveFlow* FlowSim::find_live(FlowId id) const {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), id,
+      [](const LiveFlow& lf, FlowId key) { return lf.id < key; });
+  return it != live_.end() && it->id == id ? &*it : nullptr;
+}
+
+void FlowSim::erase_live(FlowId id) {
+  const LiveFlow* lf = find_live(id);
+  MAYFLOWER_ASSERT(lf != nullptr);
+  live_.erase(live_.begin() + (lf - live_.data()));
+}
+
+void FlowSim::link_slot(Slot s) {
+  const FlowId id = records_[s].id;
+  for (const LinkId l : records_[s].path.links) {
+    std::vector<Slot>& on = link_slots_[l];
+    if (on.empty() || records_[on.back()].id < id) {
+      on.push_back(s);  // monotone id allocation: the common case
+      continue;
+    }
+    const auto it = std::lower_bound(
+        on.begin(), on.end(), id,
+        [this](Slot x, FlowId key) { return records_[x].id < key; });
+    MAYFLOWER_ASSERT_MSG(it == on.end() || *it != s, "slot already linked");
+    on.insert(it, s);
+  }
+}
+
+void FlowSim::unlink_slot(Slot s) {
+  const FlowId id = records_[s].id;
+  for (const LinkId l : records_[s].path.links) {
+    std::vector<Slot>& on = link_slots_[l];
+    const auto it = std::lower_bound(
+        on.begin(), on.end(), id,
+        [this](Slot x, FlowId key) { return records_[x].id < key; });
+    MAYFLOWER_ASSERT_MSG(it != on.end() && *it == s,
+                         "unlinking a slot the link does not hold");
+    on.erase(it);
+  }
 }
 
 FlowId FlowSim::start_flow(Path path, double size_bytes,
@@ -62,51 +127,54 @@ FlowId FlowSim::start_flow(Path path, double size_bytes,
   f.demand_bps = f.path.links.empty() ? std::min(demand, config_.zero_hop_bps)
                                       : demand;
   // Zero-hop flows take exactly their (bounded) demand and never contend;
-  // they stay out of the link index and the solver.
+  // they stay off every link list and out of the solver.
   if (f.path.links.empty()) f.rate_bps = f.demand_bps;
   f.tag = tag;
   f.start_time = events_->now();
   const FlowId id = f.id;
-  const std::vector<LinkId> seed = f.path.links;
-  flows_.emplace(id, std::move(f));
-  if (on_complete) callbacks_.emplace(id, std::move(on_complete));
-  index_.add(id, seed);
+  const Slot s = claim_slot(std::move(f), std::move(on_complete));
+  live_.push_back({id, s});
+  link_slot(s);
 
-  recompute_after_change(seed);
+  // The record's own link list seeds the recompute: nothing in it moves
+  // the record or edits its path.
+  recompute_after_change(records_[s].path.links);
   schedule_next_completion();
   return id;
 }
 
 bool FlowSim::cancel(FlowId id) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
+  const LiveFlow* lf = find_live(id);
+  if (lf == nullptr) return false;
+  const Slot s = lf->slot;
   advance_to_now();
-  const std::vector<LinkId> seed = std::move(it->second.path.links);
-  index_.remove(id, seed);
-  flows_.erase(it);
-  callbacks_.erase(id);
+  unlink_slot(s);
+  const std::vector<LinkId> seed = std::move(records_[s].path.links);
+  erase_live(id);
+  release_slot(s);
   recompute_after_change(seed);
   schedule_next_completion();
   return true;
 }
 
 bool FlowSim::reroute(FlowId id, Path new_path) {
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
+  const LiveFlow* lf = find_live(id);
+  if (lf == nullptr) return false;
+  const Slot s = lf->slot;
+  FlowRecord& f = records_[s];
   MAYFLOWER_ASSERT_MSG(!new_path.nodes.empty() &&
-                           new_path.nodes.front() == it->second.src() &&
-                           new_path.nodes.back() == it->second.dst(),
+                           new_path.nodes.front() == f.src() &&
+                           new_path.nodes.back() == f.dst(),
                        "reroute must preserve the flow's endpoints");
   MAYFLOWER_ASSERT_MSG(path_alive(new_path), "reroute onto a down link");
   advance_to_now();
   // Dirty region spans both placements: the vacated links may speed up the
   // flows left behind, the new links slow their current tenants down.
-  std::vector<LinkId> seed = it->second.path.links;
-  index_.remove(id, it->second.path.links);
-  it->second.path = std::move(new_path);
-  index_.add(id, it->second.path.links);
-  seed.insert(seed.end(), it->second.path.links.begin(),
-              it->second.path.links.end());
+  std::vector<LinkId> seed = f.path.links;
+  unlink_slot(s);
+  f.path = std::move(new_path);
+  link_slot(s);  // an older flow lands mid-list on links newer flows hold
+  seed.insert(seed.end(), f.path.links.begin(), f.path.links.end());
   recompute_after_change(seed);
   schedule_next_completion();
   return true;
@@ -117,17 +185,15 @@ void FlowSim::sync() {
 }
 
 const FlowRecord* FlowSim::find(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? nullptr : &it->second;
+  const LiveFlow* lf = find_live(id);
+  return lf == nullptr ? nullptr : &records_[lf->slot];
 }
 
 std::vector<const FlowRecord*> FlowSim::flows_on_link(LinkId link) const {
   std::vector<const FlowRecord*> out;
-  const std::vector<LinkIndex::Key>& keys = index_.on_link(link);
-  out.reserve(keys.size());
-  for (const LinkIndex::Key k : keys) {
-    out.push_back(&flows_.at(k));
-  }
+  if (link >= link_slots_.size()) return out;
+  out.reserve(link_slots_[link].size());
+  for (const Slot s : link_slots_[link]) out.push_back(&records_[s]);
   return out;
 }
 
@@ -144,9 +210,7 @@ double FlowSim::link_utilization(LinkId link) const {
   MAYFLOWER_ASSERT_MSG(link_capacity_[link] > 0.0,
                        "utilization of a down or zero-capacity link");
   double used = 0.0;
-  for (const LinkIndex::Key k : index_.on_link(link)) {
-    used += flows_.at(k).rate_bps;
-  }
+  for (const Slot s : link_slots_[link]) used += records_[s].rate_bps;
   return used / link_capacity_[link];
 }
 
@@ -162,16 +226,15 @@ bool FlowSim::fail_link(LinkId link) {
   // ex-neighbors.
   std::vector<FlowRecord> killed;
   std::vector<LinkId> seed{link};
-  const std::vector<LinkIndex::Key> victims = index_.on_link(link);
-  for (const LinkIndex::Key id : victims) {
-    const auto it = flows_.find(id);
-    MAYFLOWER_ASSERT(it != flows_.end());
-    FlowRecord dead = std::move(it->second);
-    index_.remove(dead.id, dead.path.links);
+  // A copy, in id order: every kill edits the link's own list.
+  const std::vector<Slot> victims = link_slots_[link];
+  for (const Slot s : victims) {
+    unlink_slot(s);
+    FlowRecord& dead = records_[s];
     seed.insert(seed.end(), dead.path.links.begin(), dead.path.links.end());
-    flows_.erase(it);
-    callbacks_.erase(dead.id);
+    erase_live(dead.id);
     killed.push_back(std::move(dead));
+    release_slot(s);
   }
   recompute_after_change(seed);
   schedule_next_completion();
@@ -212,7 +275,8 @@ void FlowSim::advance_to_now() {
   const double dt = (now - last_advance_).seconds();
   last_advance_ = now;
   if (dt <= 0.0) return;
-  for (auto& [id, f] : flows_) {
+  for (const LiveFlow& lf : live_) {
+    FlowRecord& f = records_[lf.slot];
     if (f.rate_bps <= 0.0) continue;
     const double moved = std::min(f.remaining_bytes, f.rate_bps * dt);
     f.remaining_bytes -= moved;
@@ -223,7 +287,7 @@ void FlowSim::advance_to_now() {
 }
 
 void FlowSim::recompute_after_change(const std::vector<LinkId>& seed_links) {
-  if (flows_.empty()) return;
+  if (live_.empty()) return;
   if (!config_.incremental) {
     recompute_full();
     return;
@@ -249,7 +313,8 @@ void FlowSim::set_metrics(obs::MetricsRegistry* registry) {
 
 void FlowSim::collect_all(std::vector<FlowLinks>& out) const {
   out.clear();
-  for (const auto& [id, f] : flows_) {
+  for (const LiveFlow& lf : live_) {
+    const FlowRecord& f = records_[lf.slot];
     out.push_back({f.path.links, f.path.links.empty()
                                      ? std::min(f.demand_bps,
                                                 config_.zero_hop_bps)
@@ -261,17 +326,16 @@ void FlowSim::recompute_full() {
   full_solves_.inc();
   collect_all(solve_flows_);
   solver_.solve(solve_flows_, link_capacity_, solve_rates_);
-  std::size_t i = 0;
-  for (auto& [id, f] : flows_) {
-    f.rate_bps = solve_rates_[i++];
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    records_[live_[i].slot].rate_bps = solve_rates_[i];
   }
 }
 
 std::pair<double, double> FlowSim::round_link_stats(LinkId link) {
   if (round_stamp_[link] != round_) {
     double load = 0.0, max_rate = 0.0;
-    for (const LinkIndex::Key k : index_.on_link(link)) {
-      const double r = flows_.at(k).rate_bps;
+    for (const Slot s : link_slots_[link]) {
+      const double r = records_[s].rate_bps;
       load += r;
       max_rate = std::max(max_rate, r);
     }
@@ -294,60 +358,73 @@ std::pair<double, double> FlowSim::round_link_stats(LinkId link) {
 // the unique global max-min solution; flows in untouched connected
 // components are never visited. Every working set lives in a member buffer.
 void FlowSim::recompute_incremental(const std::vector<LinkId>& seed_links) {
-  index_.on_links(seed_links, dirty_);  // sorted, unique
+  const auto by_id = [](const LiveFlow& a, const LiveFlow& b) {
+    return a.id < b.id;
+  };
+  // Seed: every flow on a changed link, flagged once, then put in id order.
+  dirty_.clear();
+  for (const LinkId l : seed_links) {
+    for (const Slot s : link_slots_[l]) {
+      if (slot_dirty_[s]) continue;
+      slot_dirty_[s] = 1;
+      dirty_.push_back({records_[s].id, s});
+    }
+  }
   if (dirty_.empty()) {
     incremental_solves_.inc();
     return;
   }
-
-  const auto is_dirty = [this](FlowId id) {
-    return std::binary_search(dirty_.begin(), dirty_.end(), id);
+  std::sort(dirty_.begin(), dirty_.end(), by_id);
+  // Every exit clears the flags again, the hand-off to the full solve too.
+  const auto clear_dirty = [this] {
+    for (const LiveFlow& d : dirty_) slot_dirty_[d.slot] = 0;
   };
 
   for (std::size_t round = 0;; ++round) {
-    MAYFLOWER_ASSERT_MSG(round <= flows_.size(),
+    MAYFLOWER_ASSERT_MSG(round <= live_.size(),
                          "dirty-set expansion failed to converge");
     // When the change stops being local (a saturated mesh can couple most of
     // the network), the subproblem machinery costs more than it saves: hand
     // off to the full solve. The answer is identical either way.
-    if (dirty_.size() > 64 && 4 * dirty_.size() > flows_.size()) {
+    if (dirty_.size() > 64 && 4 * dirty_.size() > live_.size()) {
+      clear_dirty();
       handoff_solves_.inc();
       recompute_full();
       return;
     }
-    dirty_records_.clear();
+    ++round_;
     region_.clear();
-    for (const FlowId id : dirty_) {
-      FlowRecord& f = flows_.at(id);
-      dirty_records_.push_back(&f);
-      region_.insert(region_.end(), f.path.links.begin(), f.path.links.end());
+    for (const LiveFlow& d : dirty_) {
+      for (const LinkId l : records_[d.slot].path.links) {
+        if (region_stamp_[l] == round_) continue;
+        region_stamp_[l] = round_;
+        region_.push_back(l);
+      }
     }
-    std::sort(region_.begin(), region_.end());
-    region_.erase(std::unique(region_.begin(), region_.end()), region_.end());
 
     // Residual capacity on region links: whatever the fixed-rate flows
     // (non-dirty tenants) are not already holding.
     for (const LinkId l : region_) {
       double fixed = 0.0;
-      for (const LinkIndex::Key k : index_.on_link(l)) {
-        if (!is_dirty(k)) fixed += flows_.at(k).rate_bps;
+      for (const Slot s : link_slots_[l]) {
+        if (!slot_dirty_[s]) fixed += records_[s].rate_bps;
       }
       scratch_capacity_[l] = std::max(link_capacity_[l] - fixed, 0.0);
     }
 
-    // The solver reads each dirty flow's links in place.
+    // The solver reads each dirty flow's links in place, in id order.
     solve_flows_.clear();
-    for (const FlowRecord* f : dirty_records_) {
-      solve_flows_.push_back({f->path.links, f->demand_bps});
+    for (const LiveFlow& d : dirty_) {
+      const FlowRecord& f = records_[d.slot];
+      solve_flows_.push_back({f.path.links, f.demand_bps});
     }
     solver_.solve(solve_flows_, scratch_capacity_, solve_rates_);
-    for (std::size_t i = 0; i < dirty_records_.size(); ++i) {
-      dirty_records_[i]->rate_bps = solve_rates_[i];
+    for (std::size_t i = 0; i < dirty_.size(); ++i) {
+      records_[dirty_[i].slot].rate_bps = solve_rates_[i];
     }
 
     // Verify bottleneck certificates over every flow touching the region,
     // against this round's per-link aggregates.
-    ++round_;
     const auto certified = [this](const FlowRecord& f) {
       if (std::isfinite(f.demand_bps) &&
           f.rate_bps >= f.demand_bps - rate_slack(f.demand_bps)) {
@@ -363,40 +440,51 @@ void FlowSim::recompute_incremental(const std::vector<LinkId>& seed_links) {
       return false;
     };
 
+    // Each touched flow is visited once per round (stamped); the order it
+    // is met in does not matter, as expand_ is sorted before it merges.
     expand_.clear();
-    index_.on_links(region_, touched_);
-    for (const FlowId id : touched_) {
-      const FlowRecord& f = flows_.at(id);
-      if (certified(f)) continue;
-      if (!is_dirty(id)) {
-        expand_.push_back(id);
-        continue;
-      }
-      // A dirty flow can only lack a certificate because a fixed-rate flow
-      // out-earns it on one of its saturated links; pull those flows in
-      // (even demand-certified ones — their demand may exceed the new fair
-      // share).
-      for (const LinkId l : f.path.links) {
-        const auto [load, max_rate] = round_link_stats(l);
-        if (!link_saturated(load, link_capacity_[l])) continue;
-        for (const LinkIndex::Key k : index_.on_link(l)) {
-          if (is_dirty(k)) continue;
-          if (flows_.at(k).rate_bps > f.rate_bps + rate_slack(f.rate_bps)) {
-            expand_.push_back(k);
+    for (const LinkId region_link : region_) {
+      for (const Slot s : link_slots_[region_link]) {
+        if (touch_stamp_[s] == round_) continue;
+        touch_stamp_[s] = round_;
+        const FlowRecord& f = records_[s];
+        if (certified(f)) continue;
+        if (!slot_dirty_[s]) {
+          expand_.push_back({f.id, s});
+          continue;
+        }
+        // A dirty flow can only lack a certificate because a fixed-rate
+        // flow out-earns it on one of its saturated links; pull those flows
+        // in (even demand-certified ones — their demand may exceed the new
+        // fair share).
+        for (const LinkId l : f.path.links) {
+          const auto [load, max_rate] = round_link_stats(l);
+          if (!link_saturated(load, link_capacity_[l])) continue;
+          for (const Slot k : link_slots_[l]) {
+            if (slot_dirty_[k]) continue;
+            if (records_[k].rate_bps > f.rate_bps + rate_slack(f.rate_bps)) {
+              expand_.push_back({records_[k].id, k});
+            }
           }
         }
       }
     }
     if (expand_.empty()) break;
-    std::sort(expand_.begin(), expand_.end());
-    expand_.erase(std::unique(expand_.begin(), expand_.end()), expand_.end());
+    std::sort(expand_.begin(), expand_.end(), by_id);
+    expand_.erase(std::unique(expand_.begin(), expand_.end(),
+                              [](const LiveFlow& a, const LiveFlow& b) {
+                                return a.id == b.id;
+                              }),
+                  expand_.end());
     merged_.clear();
     std::set_union(dirty_.begin(), dirty_.end(), expand_.begin(),
-                   expand_.end(), std::back_inserter(merged_));
+                   expand_.end(), std::back_inserter(merged_), by_id);
     MAYFLOWER_ASSERT_MSG(merged_.size() > dirty_.size(),
                          "dirty-set expansion made no progress");
+    for (const LiveFlow& e : expand_) slot_dirty_[e.slot] = 1;
     dirty_.swap(merged_);
   }
+  clear_dirty();
   incremental_solves_.inc();
 }
 
@@ -405,10 +493,9 @@ bool FlowSim::rates_match_full_solve(double rel_eps) const {
   collect_all(all);
   std::vector<double> want;
   MaxMinSolver().solve(all, link_capacity_, want);
-  std::size_t i = 0;
-  for (const auto& [id, f] : flows_) {
-    const double w = want[i++];
-    if (std::abs(f.rate_bps - w) > rel_eps * (1.0 + std::abs(w))) {
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    const double got = records_[live_[i].slot].rate_bps;
+    if (std::abs(got - want[i]) > rel_eps * (1.0 + std::abs(want[i]))) {
       return false;
     }
   }
@@ -419,7 +506,8 @@ void FlowSim::schedule_next_completion() {
   events_->cancel(completion_event_);
   completion_event_ = sim::EventId{};
   double earliest = std::numeric_limits<double>::infinity();
-  for (const auto& [id, f] : flows_) {
+  for (const LiveFlow& lf : live_) {
+    const FlowRecord& f = records_[lf.slot];
     if (f.rate_bps <= 0.0) continue;
     earliest = std::min(earliest, f.remaining_bytes / f.rate_bps);
   }
@@ -439,27 +527,24 @@ void FlowSim::on_completion_event() {
   completion_event_ = sim::EventId{};
   advance_to_now();
 
+  // One pass in id order: finished flows leave, the rest close ranks.
   std::vector<std::pair<FlowRecord, CompletionFn>> done;
   std::vector<LinkId> seed;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining_bytes <= kCompleteEps) {
-      it->second.remaining_bytes = 0.0;
-      FlowRecord finished = std::move(it->second);
-      index_.remove(finished.id, finished.path.links);
-      seed.insert(seed.end(), finished.path.links.begin(),
-                  finished.path.links.end());
-      CompletionFn cb;
-      if (const auto cit = callbacks_.find(finished.id);
-          cit != callbacks_.end()) {
-        cb = std::move(cit->second);
-        callbacks_.erase(cit);
-      }
-      done.emplace_back(std::move(finished), std::move(cb));
-      it = flows_.erase(it);
-    } else {
-      ++it;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    const LiveFlow lf = live_[i];
+    FlowRecord& f = records_[lf.slot];
+    if (f.remaining_bytes > kCompleteEps) {
+      live_[kept++] = lf;
+      continue;
     }
+    f.remaining_bytes = 0.0;
+    unlink_slot(lf.slot);
+    seed.insert(seed.end(), f.path.links.begin(), f.path.links.end());
+    done.emplace_back(std::move(f), std::move(completion_fns_[lf.slot]));
+    release_slot(lf.slot);
   }
+  live_.resize(kept);
   recompute_after_change(seed);
   schedule_next_completion();
 

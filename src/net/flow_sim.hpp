@@ -6,8 +6,13 @@
 // simulator only needs events at flow starts, cancellations and the earliest
 // predicted completion.
 //
-// Rate maintenance is incremental: a per-link flow index (LinkIndex) tracks
-// which flows cross which links, and a change re-solves only the dirty
+// Storage is slot-indexed. Flow records and completion callbacks live in
+// slot vectors whose freed slots are reused; live_ lists the (id, slot) of
+// every active flow in ascending id, and each link keeps the slots of the
+// flows crossing it, also in ascending id. Every loop reads records
+// straight out of a slot; no lookup goes through a tree or a hash.
+//
+// Rate maintenance is incremental: a change re-solves only the dirty
 // region — the flows sharing links with the changed flow, expanded until
 // every flow again holds a max-min bottleneck certificate. Untouched
 // connected components keep their rates. If the dirty set outgrows a
@@ -17,6 +22,14 @@
 // false) and as an equivalence cross-check (#ifndef NDEBUG, and
 // rates_match_full_solve() for tests in any build type).
 //
+// Every floating-point sum keeps one order, so rates, completion times and
+// link byte counters are reproducible to the bit:
+//   * the solver reads the dirty flows in id order;
+//   * residual capacities and a round's per-link (load, max rate) sum a
+//     link's flows in id order;
+//   * advance_to_now() adds to the link byte counters in flow-id order;
+//   * completions fire, and a failed link's flows die, in id order.
+//
 // This is the substitution for the paper's Mininet/Open vSwitch testbed: the
 // quantities the evaluation measures (completion times under contention, link
 // byte counters) are produced by the same sharing dynamics, deterministically.
@@ -24,12 +37,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "net/fair_share.hpp"
-#include "net/link_index.hpp"
 #include "net/paths.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -136,8 +147,13 @@ class FlowSim {
 
   void set_kill_handler(KillFn handler) { kill_handler_ = std::move(handler); }
 
+  // The record of an active flow, or nullptr. O(log active flows).
+  //
+  // find() and flows_on_link() point into slot storage: a pointer stays
+  // valid only until the next start, cancel, reroute, link fault or
+  // completion. Read through it at once; keep the FlowId, not the pointer.
   const FlowRecord* find(FlowId id) const;
-  std::size_t active_flow_count() const { return flows_.size(); }
+  std::size_t active_flow_count() const { return live_.size(); }
 
   // Active flows whose path crosses `link`, in id order. O(flows on link).
   std::vector<const FlowRecord*> flows_on_link(LinkId link) const;
@@ -147,7 +163,7 @@ class FlowSim {
   double link_tx_bytes(LinkId link) const;
 
   // Instantaneous utilization in [0, 1]: sum of allocated rates / capacity.
-  // O(flows on link) through the index.
+  // O(flows on link), summed in id order.
   double link_utilization(LinkId link) const;
 
   // Switches between incremental and full recompute at runtime (benchmarks
@@ -169,6 +185,29 @@ class FlowSim {
   sim::EventQueue& events() { return *events_; }
 
  private:
+  // Index of a flow's record in records_. A freed slot is reused by a later
+  // start, so a slot names a flow only while that flow is active.
+  using Slot = std::uint32_t;
+  struct LiveFlow {
+    FlowId id = kInvalidFlow;
+    Slot slot = 0;
+  };
+
+  // Stores `f` and its callback in a free slot (growing the slot vectors
+  // when none is free) and returns the slot.
+  Slot claim_slot(FlowRecord f, CompletionFn on_complete);
+  // Resets the slot's record and callback, so a reuse starts clean, and
+  // puts the slot on the free list.
+  void release_slot(Slot s);
+  // The live_ entry of `id`, or nullptr. Binary search: ids ascend.
+  const LiveFlow* find_live(FlowId id) const;
+  void erase_live(FlowId id);
+  // Adds the slot to / removes it from the list of every link on its
+  // record's path, keeping each list in id order. Both read the record's id
+  // and links, so unlink a slot before moving its record out.
+  void link_slot(Slot s);
+  void unlink_slot(Slot s);
+
   void advance_to_now();
   // Re-solves rates after a change whose affected links are `seed_links`
   // (union of old and new paths of every changed flow).
@@ -189,9 +228,16 @@ class FlowSim {
   Config config_;
 
   FlowId next_id_ = 1;
-  std::map<FlowId, FlowRecord> flows_;  // ordered => deterministic iteration
-  std::map<FlowId, CompletionFn> callbacks_;
-  LinkIndex index_;                     // link -> flows crossing it
+  // Slot storage: records_[s] and completion_fns_[s] belong to the flow in
+  // slot s; free_slots_ holds the slots no active flow uses.
+  std::vector<FlowRecord> records_;
+  std::vector<CompletionFn> completion_fns_;
+  std::vector<Slot> free_slots_;
+  // Every active flow, ascending id: the global iteration order. Ids are
+  // allocated monotonically, so a start appends.
+  std::vector<LiveFlow> live_;
+  // link -> slots of the flows crossing it, ascending id.
+  std::vector<std::vector<Slot>> link_slots_;
   // Effective capacities (what the solver sees): base * factor while up,
   // 0 while down. Base capacities come from the topology at construction.
   std::vector<double> link_capacity_;
@@ -204,22 +250,26 @@ class FlowSim {
   sim::EventId completion_event_;
 
   // Working state of the re-solves, kept across changes so a dirty-set
-  // round allocates nothing once the buffers have grown. solve_flows_ and
-  // dirty_records_ point into flows_: each round refills them before use,
-  // and nothing reads them after the solve that filled them.
+  // round allocates nothing once the buffers have grown. solve_flows_
+  // borrows the dirty records' link lists: each round refills it before
+  // use, and nothing reads it after the solve that filled it.
   MaxMinSolver solver_;
   std::vector<FlowLinks> solve_flows_;
   std::vector<double> solve_rates_;
-  std::vector<FlowId> dirty_;           // sorted, unique
-  std::vector<FlowRecord*> dirty_records_;  // dirty_'s records, same order
-  std::vector<FlowId> touched_;         // flows crossing the region
-  std::vector<FlowId> expand_;
-  std::vector<FlowId> merged_;
+  std::vector<LiveFlow> dirty_;         // ascending id, unique
+  std::vector<LiveFlow> expand_;
+  std::vector<LiveFlow> merged_;
   std::vector<LinkId> region_;          // links some dirty flow crosses
   std::vector<double> scratch_capacity_;
-  // Per-link (load, max rate) aggregates of one dirty-set round. An entry
-  // is current only while its stamp equals round_, so starting a round
-  // invalidates every entry by bumping round_.
+  // Per-slot flag: set exactly while the slot's flow is in dirty_, and
+  // clear again whenever no recompute is running.
+  std::vector<char> slot_dirty_;
+  // Every dirty-set round bumps round_. A stamp equal to round_ marks a
+  // link as already in this round's region (region_stamp_), a slot as
+  // already touched (touch_stamp_), or a link's (load, max rate) aggregate
+  // as current (round_stamp_), so one bump invalidates all of them.
+  std::vector<std::uint64_t> region_stamp_;
+  std::vector<std::uint64_t> touch_stamp_;
   std::vector<double> round_load_;
   std::vector<double> round_max_rate_;
   std::vector<std::uint64_t> round_stamp_;

@@ -1,10 +1,11 @@
 // Per-link reverse flow index: LinkId -> ordered set of flow keys.
 //
-// The shared substrate behind every "who crosses this link?" query. The fluid
-// simulator (net::FlowSim, keyed by FlowId) and the Flowserver's state table
-// (flowserver::FlowStateTable, keyed by sdn::Cookie) both maintain one on
-// flow add/drop/reroute, turning per-link lookups from O(total flows) scans
-// into O(flows on the link).
+// The substrate behind the decision side's "who crosses this link?" query:
+// net::NetworkView (keyed by sdn::Cookie) maintains one on believed-flow
+// add/drop, turning per-link lookups from O(total flows) scans into
+// O(flows on the link). The fluid simulator keeps its own per-link slot
+// lists instead (net::FlowSim), so its loops read flow records without a
+// key lookup.
 //
 // Keys on a link are kept sorted ascending, so iteration order is the id /
 // cookie order every consumer already relies on for determinism. Keys are

@@ -1,5 +1,7 @@
 #include "sdn/fabric.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace mayflower::sdn {
@@ -62,14 +64,21 @@ const Switch& SdnFabric::switch_at(net::NodeId node) const {
   return it->second;
 }
 
-void SdnFabric::install_path(Cookie cookie, const net::Path& path) {
-  common::MutexLock lock(table_mu_);
+void SdnFabric::install_entries(Cookie cookie, const net::Path& path) {
   // Each intermediate node forwards onto the next link. The first link
   // leaves the source host (no switch entry needed there).
+  if (path.links.size() < 2) return;
+  std::vector<net::NodeId>& at = installed_at_[cookie];
   for (std::size_t i = 1; i < path.links.size(); ++i) {
     const net::NodeId node = path.nodes[i];
     mutable_switch(node).install(cookie, path.links[i]);
+    if (std::find(at.begin(), at.end(), node) == at.end()) at.push_back(node);
   }
+}
+
+void SdnFabric::install_path(Cookie cookie, const net::Path& path) {
+  common::MutexLock lock(table_mu_);
+  install_entries(cookie, path);
   installs_.inc();
 }
 
@@ -77,20 +86,20 @@ void SdnFabric::install_paths(const std::vector<PathInstall>& batch) {
   common::MutexLock lock(table_mu_);
   for (const PathInstall& p : batch) {
     MAYFLOWER_ASSERT(p.path != nullptr);
-    for (std::size_t i = 1; i < p.path->links.size(); ++i) {
-      const net::NodeId node = p.path->nodes[i];
-      mutable_switch(node).install(p.cookie, p.path->links[i]);
-    }
+    install_entries(p.cookie, *p.path);
   }
   installs_.inc(static_cast<std::uint64_t>(batch.size()));
 }
 
 void SdnFabric::remove_path(Cookie cookie) {
   common::MutexLock lock(table_mu_);
-  // Removal visits every switch; visiting order is irrelevant (each remove
-  // touches only that switch's own table). lint:allow(nondet)
-  for (auto& [node, sw] : switches_) {
-    sw.remove(cookie);
+  // Only the switches an install wrote can hold the cookie. A crashed
+  // switch's table is already wiped; removing from it is a no-op.
+  if (const auto it = installed_at_.find(cookie); it != installed_at_.end()) {
+    for (const net::NodeId node : it->second) {
+      mutable_switch(node).remove(cookie);
+    }
+    installed_at_.erase(it);
   }
   removes_.inc();
 }

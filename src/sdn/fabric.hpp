@@ -71,6 +71,7 @@ class SdnFabric {
   void install_paths(const std::vector<PathInstall>& batch)
       EXCLUDES(table_mu_);
 
+  // Removes `cookie`'s entries from every switch its installs wrote.
   void remove_path(Cookie cookie) EXCLUDES(table_mu_);
 
   // Whether every switch along `path` forwards `cookie` onto the path's
@@ -111,6 +112,8 @@ class SdnFabric {
   // The simulator record behind an active cookie (nullptr once finished):
   // the controller legitimately knows the path it installed and the byte
   // counter it can poll; rate/remaining are also exposed for convenience.
+  // Like FlowSim::find(), the pointer is valid only until the next flow
+  // start, cancel, reroute, link fault or completion.
   const net::FlowRecord* flow_record(Cookie cookie);
 
   // --- telemetry (what a controller can legitimately see) ---------------
@@ -202,6 +205,9 @@ class SdnFabric {
   };
 
   Switch& mutable_switch(net::NodeId node) REQUIRES(table_mu_);
+  // Writes `path`'s entries for `cookie` and remembers the switches written.
+  void install_entries(Cookie cookie, const net::Path& path)
+      REQUIRES(table_mu_);
   // Cleanup + notification for a flow the simulator killed (link failure).
   void on_flow_killed(const net::FlowRecord& record);
   void notify_flow_failed(Cookie cookie, const net::FlowRecord& record,
@@ -218,6 +224,10 @@ class SdnFabric {
   // whose cleanup re-enters remove_path().
   mutable common::Mutex table_mu_;
   std::unordered_map<net::NodeId, Switch> switches_ GUARDED_BY(table_mu_);
+  // cookie -> the switches its installs wrote, so remove_path() visits
+  // those instead of every switch in the fabric.
+  std::unordered_map<Cookie, std::vector<net::NodeId>> installed_at_
+      GUARDED_BY(table_mu_);
   std::unordered_map<Cookie, ActiveFlow> active_;
   // Poll index: source edge switch -> active cookies polled there (ordered,
   // so stats replies are deterministic and O(flows at the edge)).

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "net/fat_tree.hpp"
 #include "net/tree.hpp"
 
 namespace mayflower::net {
@@ -400,6 +406,324 @@ TEST(FlowSim, IncrementalMatchesFullUnderLinkFaultChurn) {
   }
   EXPECT_FALSE(killed_inc.empty()) << "churn never exercised a fault kill";
 }
+
+// A freed slot is reused by the next start: the new flow must start clean,
+// the old id must stay dead, and per-link lists must stay in id order even
+// when a reroute moves an older flow onto links newer flows already hold.
+TEST(FlowSim, ReusedSlotStartsCleanAndRerouteKeepsLinkListsInIdOrder) {
+  const ThreeTier tree = build_three_tier(ThreeTierConfig{});
+  sim::EventQueue events;
+  FlowSim fs(events, tree.topo);
+  // Hosts in different pods: several equal-cost paths through the core.
+  const NodeId src = tree.hosts.front();
+  const NodeId dst = tree.hosts.back();
+  const auto paths = shortest_paths(tree.topo, src, dst);
+  ASSERT_GE(paths.size(), 2u);
+  const Path& old_path = paths[0];
+  const Path& new_path = paths[1];
+
+  const FlowId victim = fs.start_flow(old_path, 5e8, nullptr, 11);
+  const FlowId oldest = fs.start_flow(old_path, 5e8, nullptr, 22);
+  ASSERT_TRUE(fs.cancel(victim));
+  EXPECT_EQ(fs.find(victim), nullptr);
+
+  // The next start takes the cancelled flow's slot.
+  const FlowId reused = fs.start_flow(new_path, 7e8, nullptr, 33, 4e6);
+  EXPECT_EQ(fs.find(victim), nullptr);
+  const FlowRecord* r = fs.find(reused);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->id, reused);
+  EXPECT_EQ(r->tag, 33u);
+  EXPECT_EQ(r->size_bytes, 7e8);
+  EXPECT_EQ(r->remaining_bytes, 7e8);
+  EXPECT_EQ(r->demand_bps, 4e6);
+  EXPECT_EQ(r->path.links, new_path.links);
+  EXPECT_EQ(fs.active_flow_count(), 2u);
+  const FlowId newest = fs.start_flow(new_path, 5e8, nullptr, 44);
+
+  // Reroute the oldest flow onto the path the two newer flows share: it
+  // lands at the front of every list there.
+  ASSERT_TRUE(fs.reroute(oldest, new_path));
+  for (const LinkId l : new_path.links) {
+    const auto on = fs.flows_on_link(l);
+    ASSERT_EQ(on.size(), 3u) << tree.topo.link(l).name;
+    EXPECT_EQ(on[0]->id, oldest);
+    EXPECT_EQ(on[1]->id, reused);
+    EXPECT_EQ(on[2]->id, newest);
+  }
+  for (const LinkId l : old_path.links) {
+    if (new_path.contains_link(l)) continue;
+    EXPECT_TRUE(fs.flows_on_link(l).empty()) << tree.topo.link(l).name;
+  }
+  EXPECT_TRUE(fs.rates_match_full_solve());
+
+  // Back onto the old path, then cut it: the flows die in id order and
+  // every list drains.
+  for (const FlowId id : {newest, reused, oldest}) {
+    ASSERT_TRUE(fs.reroute(id, old_path));
+  }
+  std::vector<FlowId> killed;
+  fs.set_kill_handler([&](const FlowRecord& f) { killed.push_back(f.id); });
+  ASSERT_TRUE(fs.fail_link(old_path.links[2]));
+  EXPECT_EQ(killed, (std::vector<FlowId>{oldest, reused, newest}));
+  EXPECT_EQ(fs.active_flow_count(), 0u);
+  for (const FlowId id : {victim, oldest, reused, newest}) {
+    EXPECT_EQ(fs.find(id), nullptr);
+  }
+  for (LinkId l = 0; l < tree.topo.link_count(); ++l) {
+    EXPECT_TRUE(fs.flows_on_link(l).empty());
+  }
+}
+
+// Differential test on random fabrics: twin simulators, one incremental and
+// one full-solve, driven through one seeded schedule of starts (finite and
+// infinite demands, zero-hop flows), cancels, reroutes onto another live
+// equal-cost path, link failures and restores, capacity factors, and time
+// advancing so that flows complete. After every step the twins must hold
+// the same live flows at rates within 1e-6 relative of each other and of a
+// from-scratch solve, every link's flow list must equal a brute-force scan
+// of the live flows in id order, and both must have fired the same
+// completions and kills, in the same order, at the same simulated times.
+struct Fabric {
+  Topology topo;
+  std::vector<NodeId> hosts;
+};
+
+Fabric make_fabric(const std::string& name) {
+  if (name == "three_tier") {
+    ThreeTier tree = build_three_tier(ThreeTierConfig{});
+    return {std::move(tree.topo), std::move(tree.hosts)};
+  }
+  FatTreeConfig cfg;
+  cfg.k = name == "fat_tree_k4" ? 4 : 8;
+  FatTree ft = build_fat_tree(cfg);
+  return {std::move(ft.topo), std::move(ft.hosts)};
+}
+
+class FlowSimDifferential : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(FlowSimDifferential, TwinsAgreeUnderFaultAndRerouteChurn) {
+  const Fabric fabric = make_fabric(GetParam());
+  const Topology& topo = fabric.topo;
+  PathCache paths(topo);
+  Rng rng(20261017);
+
+  sim::EventQueue ev_inc, ev_full;
+  FlowSim::Config full_cfg;
+  full_cfg.incremental = false;
+  FlowSim inc(ev_inc, topo);
+  FlowSim full(ev_full, topo, full_cfg);
+  obs::MetricsRegistry solves;  // the bursts must reach the full-solve handoff
+  inc.set_metrics(&solves);
+
+  // ('c'ompleted | 'k'illed, flow id, simulated ns), in firing order.
+  using Fired = std::tuple<char, FlowId, std::int64_t>;
+  std::vector<Fired> fired_inc, fired_full;
+  inc.set_kill_handler([&](const FlowRecord& r) {
+    fired_inc.emplace_back('k', r.id, ev_inc.now().nanos());
+  });
+  full.set_kill_handler([&](const FlowRecord& r) {
+    fired_full.emplace_back('k', r.id, ev_full.now().nanos());
+  });
+
+  // Faultable links: switch-switch only, so no host is ever stranded.
+  std::vector<LinkId> faultable;
+  for (LinkId l = 0; l < topo.link_count(); ++l) {
+    if (topo.node(topo.link(l).from).kind != NodeKind::kHost &&
+        topo.node(topo.link(l).to).kind != NodeKind::kHost) {
+      faultable.push_back(l);
+    }
+  }
+  std::vector<LinkId> down;
+  std::set<FlowId> live;
+  std::size_t seen = 0;  // fired entries already retired from `live`
+  int reroutes = 0, zero_hop = 0, finite = 0;
+  // Brute-force per-link scans, rebuilt after every step.
+  std::vector<std::vector<FlowId>> expected(topo.link_count());
+  std::vector<FlowId> got;
+
+  const auto random_live = [&] {
+    return *std::next(live.begin(),
+                      static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+  };
+  const auto random_host = [&] {
+    return fabric.hosts[rng.next_below(fabric.hosts.size())];
+  };
+  // A random path from `src` to `dst` that is alive now, or nullptr.
+  const auto random_alive_path = [&](NodeId src, NodeId dst) -> const Path* {
+    std::vector<const Path*> alive;
+    for (const Path& p : paths.get(src, dst)) {
+      if (inc.path_alive(p)) alive.push_back(&p);
+    }
+    return alive.empty() ? nullptr : alive[rng.next_below(alive.size())];
+  };
+  const auto start = [&](const Path& p, double bytes, double demand) {
+    const FlowId a = inc.start_flow(
+        p, bytes,
+        [&](const FlowRecord& r) {
+          fired_inc.emplace_back('c', r.id, ev_inc.now().nanos());
+        },
+        0, demand);
+    const FlowId b = full.start_flow(
+        p, bytes,
+        [&](const FlowRecord& r) {
+          fired_full.emplace_back('c', r.id, ev_full.now().nanos());
+        },
+        0, demand);
+    EXPECT_EQ(a, b);
+    live.insert(a);
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const double dice = rng.next_double();
+    if (step % 200 == 100) {  // burst: couples more flows than a local solve
+      const NodeId dst = random_host();
+      for (int i = 0; i < 72; ++i) {
+        const NodeId src = random_host();
+        if (src == dst) continue;
+        if (const Path* p = random_alive_path(src, dst)) {
+          start(*p, rng.uniform(1e6, 2e7), kInfiniteDemand);
+        }
+      }
+    } else if (dice < 0.08) {  // fail an up link, often one a live flow crosses
+      LinkId l = faultable[rng.next_below(faultable.size())];
+      if (!live.empty() && rng.bernoulli(0.5)) {
+        const std::vector<LinkId>& on = inc.find(random_live())->path.links;
+        if (on.size() > 2) l = on[1 + rng.next_below(on.size() - 2)];
+      }
+      if (inc.link_up(l)) {
+        EXPECT_TRUE(inc.fail_link(l));
+        EXPECT_TRUE(full.fail_link(l));
+        down.push_back(l);
+      }
+    } else if (dice < 0.14) {  // restore a down link
+      if (!down.empty()) {
+        const std::size_t i = rng.next_below(down.size());
+        EXPECT_TRUE(inc.restore_link(down[i]));
+        EXPECT_TRUE(full.restore_link(down[i]));
+        down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    } else if (dice < 0.20) {  // degrade or restore capacity
+      const LinkId l = faultable[rng.next_below(faultable.size())];
+      const double factors[] = {0.25, 0.5, 1.0};
+      const double factor = factors[rng.next_below(3)];
+      inc.set_link_capacity_factor(l, factor);
+      full.set_link_capacity_factor(l, factor);
+    } else if (dice < 0.30) {  // cancel
+      if (!live.empty()) {
+        const FlowId id = random_live();
+        EXPECT_TRUE(inc.cancel(id));
+        EXPECT_TRUE(full.cancel(id));
+        live.erase(id);
+        EXPECT_EQ(inc.find(id), nullptr);
+        EXPECT_EQ(full.find(id), nullptr);
+      }
+    } else if (dice < 0.40) {  // reroute onto another live equal-cost path
+      if (!live.empty()) {
+        const FlowId id = random_live();
+        const Path current = inc.find(id)->path;
+        if (!current.links.empty()) {
+          std::vector<const Path*> options;
+          for (const Path& p :
+               paths.get(current.nodes.front(), current.nodes.back())) {
+            if (p.links != current.links && inc.path_alive(p)) {
+              options.push_back(&p);
+            }
+          }
+          if (!options.empty()) {
+            const Path& p = *options[rng.next_below(options.size())];
+            EXPECT_TRUE(inc.reroute(id, p));
+            EXPECT_TRUE(full.reroute(id, p));
+            ++reroutes;
+          }
+        }
+      }
+    } else if (dice < 0.55) {  // advance time; flows complete on the way
+      const sim::SimTime until =
+          ev_inc.now() + sim::SimTime::from_seconds(rng.uniform(0.0, 0.15));
+      for (sim::EventQueue* ev : {&ev_inc, &ev_full}) {
+        ev->schedule_at(until, [] {});  // pins now() at `until`
+        ev->run_until(until);
+      }
+    } else {  // start: zero-hop or over a live path, finite or elastic
+      const NodeId src = random_host();
+      const double bytes = rng.uniform(1e6, 2e8);
+      const double demand =
+          rng.bernoulli(0.5) ? kInfiniteDemand : rng.uniform(5e6, 1e8);
+      finite += std::isfinite(demand) ? 1 : 0;
+      if (rng.bernoulli(0.1)) {
+        Path local;
+        local.nodes = {src};
+        start(local, bytes, demand);
+        ++zero_hop;
+      } else {
+        NodeId dst = src;
+        while (dst == src) dst = random_host();
+        if (const Path* p = random_alive_path(src, dst)) {
+          start(*p, bytes, demand);
+        }
+      }
+    }
+
+    ASSERT_EQ(fired_inc, fired_full) << "step " << step;
+    for (; seen < fired_inc.size(); ++seen) {
+      const FlowId id = std::get<1>(fired_inc[seen]);
+      EXPECT_EQ(live.erase(id), 1u) << "step " << step;
+      EXPECT_EQ(inc.find(id), nullptr);
+      EXPECT_EQ(full.find(id), nullptr);
+    }
+    ASSERT_EQ(inc.active_flow_count(), live.size()) << "step " << step;
+    ASSERT_EQ(full.active_flow_count(), live.size()) << "step " << step;
+    ASSERT_TRUE(inc.rates_match_full_solve()) << "step " << step;
+    for (const FlowId id : live) {
+      const FlowRecord* a = inc.find(id);
+      const FlowRecord* b = full.find(id);
+      ASSERT_NE(a, nullptr) << "step " << step;
+      ASSERT_NE(b, nullptr) << "step " << step;
+      ASSERT_NEAR(a->rate_bps, b->rate_bps, 1e-6 * (1.0 + b->rate_bps))
+          << "step " << step;
+    }
+    for (const FlowSim* sim : {&inc, &full}) {
+      for (std::vector<FlowId>& ids : expected) ids.clear();
+      for (const FlowId id : live) {  // ascending
+        for (const LinkId l : sim->find(id)->path.links) {
+          expected[l].push_back(id);
+        }
+      }
+      for (LinkId l = 0; l < topo.link_count(); ++l) {
+        got.clear();
+        for (const FlowRecord* f : sim->flows_on_link(l)) got.push_back(f->id);
+        ASSERT_EQ(got, expected[l]) << "step " << step << " link " << l;
+      }
+    }
+  }
+
+  // Drain: every flow is finite, so both twins empty out identically.
+  ev_inc.run();
+  ev_full.run();
+  EXPECT_EQ(fired_inc, fired_full);
+  EXPECT_EQ(inc.active_flow_count(), 0u);
+  EXPECT_EQ(full.active_flow_count(), 0u);
+
+  // The schedule reached every kind of change it mixes.
+  const auto count = [&](char kind) {
+    return std::count_if(fired_inc.begin(), fired_inc.end(),
+                         [&](const Fired& f) { return std::get<0>(f) == kind; });
+  };
+  EXPECT_GT(count('c'), 0);
+  EXPECT_GT(count('k'), 0);
+  EXPECT_GT(reroutes, 0);
+  EXPECT_GT(zero_hop, 0);
+  EXPECT_GT(finite, 0);
+  EXPECT_GT(solves.counter_value("net.flowsim.handoff_solves"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fabrics, FlowSimDifferential,
+                         ::testing::Values("three_tier", "fat_tree_k4",
+                                           "fat_tree_k8"),
+                         [](const ::testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
 
 // Satellite guardrails: interrogating the utilization or capacity of a link
 // id that does not exist must abort loudly instead of reading garbage.

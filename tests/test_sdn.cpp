@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/tree.hpp"
@@ -82,6 +83,69 @@ TEST_F(FabricTest, CompletionTearsDownFlowTableEntries) {
   events_.run();
   for (std::size_t i = 1; i + 1 < p.nodes.size(); ++i) {
     EXPECT_FALSE(fabric_.switch_at(p.nodes[i]).lookup(c).has_value());
+  }
+}
+
+// remove_path visits only the switches an install wrote. Whatever retires a
+// cookie — completion, cancel, reroute, handing back a planned hop that
+// never started, or a crash that wiped some of its entries — must leave it
+// in no switch table anywhere in the fabric.
+TEST_F(FabricTest, RetiredCookiesLeaveNoEntryInAnySwitch) {
+  const auto held_anywhere = [&](Cookie c) {
+    for (NodeId n = 0; n < tree_.topo.node_count(); ++n) {
+      if (tree_.topo.node(n).kind == net::NodeKind::kHost) continue;
+      if (fabric_.switch_at(n).lookup(c).has_value()) return true;
+    }
+    return false;
+  };
+  const auto paths =
+      net::shortest_paths(tree_.topo, tree_.hosts[0], tree_.hosts[16]);
+  ASSERT_GE(paths.size(), 2u);
+  const Path& a = paths[0];
+  const Path& b = paths[1];
+
+  const Cookie completed = fabric_.new_cookie();
+  fabric_.install_path(completed, a);
+  fabric_.start_flow(completed, a, 1e6);
+
+  const Cookie cancelled = fabric_.new_cookie();
+  fabric_.install_path(cancelled, a);
+  fabric_.start_flow(cancelled, a, 1e9);
+
+  // Rerouted mid-flight, then completes on the new path.
+  const Cookie rerouted = fabric_.new_cookie();
+  fabric_.install_path(rerouted, a);
+  fabric_.start_flow(rerouted, a, 1e7);
+  ASSERT_TRUE(fabric_.reroute_flow(rerouted, b));
+  for (std::size_t i = 1; i + 1 < a.nodes.size(); ++i) {  // a's switches
+    const bool on_b = std::find(b.nodes.begin(), b.nodes.end(),
+                                a.nodes[i]) != b.nodes.end();
+    EXPECT_EQ(fabric_.switch_at(a.nodes[i]).lookup(rerouted).has_value(),
+              on_b)
+        << "switch " << i;
+  }
+
+  // A batch plans two relay hops; the client hands both back unstarted.
+  const Cookie hop1 = fabric_.new_cookie();
+  const Cookie hop2 = fabric_.new_cookie();
+  fabric_.install_paths({{hop1, &a}, {hop2, &b}});
+  EXPECT_TRUE(held_anywhere(hop1));
+  EXPECT_TRUE(held_anywhere(hop2));
+  fabric_.remove_path(hop1);
+  fabric_.remove_path(hop2);
+
+  EXPECT_TRUE(fabric_.cancel_flow(cancelled));
+  events_.run();
+
+  // A crash wipes one of the entries; removing the rest still works.
+  const Cookie crashed = fabric_.new_cookie();
+  fabric_.install_path(crashed, b);
+  fabric_.fail_switch(b.nodes[3]);  // the core switch
+  fabric_.restore_switch(b.nodes[3]);
+  EXPECT_TRUE(held_anywhere(crashed));
+  fabric_.remove_path(crashed);
+  for (const Cookie c : {completed, cancelled, rerouted, hop1, hop2, crashed}) {
+    EXPECT_FALSE(held_anywhere(c)) << "cookie " << c;
   }
 }
 

@@ -236,6 +236,28 @@ TEST(WritePlacement, MeasuredRanksByResidualHeadroom) {
   EXPECT_EQ(local[0], writer);
 }
 
+TEST(WritePlacement, ModelSkipsPathsTheWriterCannotUse) {
+  net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
+  net::NetworkView view;
+  view.reset_links(tree.topo);
+
+  const net::NodeId writer = tree.hosts[0];
+  const net::NodeId cut = tree.hosts[17];
+  const net::NodeId healthy = tree.hosts[33];
+  // Every path into the cut host ends on its dead access downlink. On an
+  // idle view both hosts would otherwise tie on the model's share.
+  view.mark_link_down(tree.host_downlink(cut));
+
+  net::PathCache paths(tree.topo);
+  flowserver::BandwidthModel model;
+  policy::ModelWritePlacement by_model(model, paths);
+  policy::MeasuredWritePlacement measured(paths);
+  const std::vector<net::NodeId> want{healthy};
+  EXPECT_EQ(measured.rank(writer, {cut, healthy}, view), want);
+  EXPECT_EQ(by_model.rank(writer, {cut, healthy}, view), want);
+  EXPECT_EQ(by_model.rank(writer, {healthy, cut}, view), want);
+}
+
 // --- cluster end-to-end ------------------------------------------------------
 
 fs::ClusterConfig pipeline_config() {
