@@ -5,8 +5,8 @@
 // Four modes:
 //  * default: google-benchmark micro timings of select() and evaluate_path()
 //    against a prebuilt decision view;
-//  * --flows: background-flow sweep on a k=8 fat-tree comparing the legacy
-//    single-shard state plane against the edge-sharded one over an identical
+//  * --flows: background-flow sweep on a k=8 fat-tree comparing the
+//    one-shard state plane against the edge-sharded one over an identical
 //    churny request stream — decision records must be byte-identical (the
 //    sharding invariant) and go to stdout for CI's determinism diff;
 //  * --threads: drives one large decision batch through the snapshot
@@ -384,19 +384,18 @@ int threads_main() {
 // --- --flows mode ---------------------------------------------------------
 //
 // Background-flow sweep on a k=8 fat-tree: for each population size, drive
-// the same churny request stream through a LEGACY (single-shard) and a
-// SHARDED (by edge switch) Flowserver. Each request is preceded by one
-// background SETBW — under sharding that stales exactly one shard, so the
-// per-request refresh reloads O(flows per edge) instead of re-copying the
-// whole table. Decision records must be byte-identical across layouts (that
-// is the sharding invariant) and go to stdout for CI's determinism diff;
-// timings go to stderr. The >= 5x acceptance bar lives in macro_scale, which
+// the same churny request stream through a ONE-SHARD and an EDGE-SHARDED
+// (by edge switch) Flowserver. Each request is preceded by one background
+// SETBW, which stales exactly one shard: the edge-sharded refresh reloads
+// O(flows per edge), the one-shard refresh re-copies the whole table.
+// Decision records must be byte-identical across layouts (that is the
+// sharding invariant) and go to stdout for CI's determinism diff; timings
+// go to stderr. The >= 5x acceptance bar lives in macro_scale, which
 // sweeps real k=16/k=32 fabrics — this mode is the quick shape check.
 
 struct FlowsRun {
   double secs = 0.0;
   std::uint64_t shard_reloads = 0;
-  std::uint64_t full_rebuilds = 0;
   std::vector<std::string> decisions;
 };
 
@@ -459,7 +458,7 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kFlowsRequests; ++i) {
     // One background SETBW per request: stales the touched flow's shard
-    // (sharded) or the whole table (legacy) before the decision below.
+    // (the whole table with one shard) before the decision below.
     const sdn::Cookie victim = cookies[churn_rng.next_below(cookies.size())];
     server.table().setbw(victim, churn_rng.uniform(1e6, 125e6),
                           sim::SimTime{});
@@ -479,7 +478,6 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows,
   const auto t1 = std::chrono::steady_clock::now();
   run.secs = std::chrono::duration<double>(t1 - t0).count();
   run.shard_reloads = server.shard_reloads();
-  run.full_rebuilds = server.full_view_rebuilds();
   return run;
 }
 
@@ -489,26 +487,26 @@ int flows_main() {
   constexpr std::size_t kSweep[] = {512, 2048, 8192};
   bool ok = true;
   for (const std::size_t flows : kSweep) {
-    const FlowsRun legacy = run_flows_mode(tree, flows, false);
+    const FlowsRun one = run_flows_mode(tree, flows, false);
     const FlowsRun sharded = run_flows_mode(tree, flows, true);
     // Decision records to stdout: CI runs this twice and diffs. The sharded
-    // run's records are printed; identity with legacy is enforced below.
+    // run's records are printed; identity with one shard is enforced below.
     for (const std::string& d : sharded.decisions) {
       std::printf("%s\n", d.c_str());
     }
     std::fprintf(stderr,
-                 "flows=%-5zu legacy  %8.0f selections/s (%llu full "
-                 "rebuilds)\n"
-                 "flows=%-5zu sharded %8.0f selections/s (%llu shard "
+                 "flows=%-5zu 1 shard  %8.0f selections/s (%llu shard "
+                 "reloads)\n"
+                 "flows=%-5zu by edge  %8.0f selections/s (%llu shard "
                  "reloads)  %.2fx\n",
-                 flows, kFlowsRequests / legacy.secs,
-                 static_cast<unsigned long long>(legacy.full_rebuilds), flows,
+                 flows, kFlowsRequests / one.secs,
+                 static_cast<unsigned long long>(one.shard_reloads), flows,
                  kFlowsRequests / sharded.secs,
                  static_cast<unsigned long long>(sharded.shard_reloads),
-                 legacy.secs / sharded.secs);
-    if (legacy.decisions != sharded.decisions) {
+                 one.secs / sharded.secs);
+    if (one.decisions != sharded.decisions) {
       std::fprintf(stderr,
-                   "FAIL: sharded decisions diverge from legacy at "
+                   "FAIL: edge-sharded decisions diverge from one shard at "
                    "flows=%zu\n",
                    flows);
       ok = false;

@@ -145,14 +145,12 @@ RowResult run_row(const net::ThreeTier& tree, const SweepRow& row) {
   // demotes; measure applied samples and belief error after it.
   events.run_until(sim::SimTime::from_seconds(kWarmupSec + 0.25));
   const std::uint64_t samples0 = server.stats_samples();
-  const std::uint64_t cycles0 =
-      server.polls() / server.config().poll_groups;
+  const std::uint64_t cycles0 = server.polls();
   const std::size_t beliefs0 = hub.trace.belief_errors().size();
 
   events.run_until(sim::SimTime::from_seconds(kEndSec + 0.25));
   RowResult r;
-  const std::uint64_t cycles =
-      server.polls() / server.config().poll_groups - cycles0;
+  const std::uint64_t cycles = server.polls() - cycles0;
   MAYFLOWER_ASSERT(cycles > 0);
   r.applied_per_cycle =
       static_cast<double>(server.stats_samples() - samples0) /

@@ -91,46 +91,30 @@ echo "=== threaded admission: byte-identical decisions + >= 1.8x bar ==="
 diff /tmp/mayflower_threads_run1.txt /tmp/mayflower_threads_run2.txt
 echo "deterministic"
 
-echo "=== sharded state plane is decision- and metrics-identical to legacy ==="
-# Seeded fig4-style config at decision_threads 1 and 8: partitioning the
-# state plane by edge switch must not move a single decision or metric
-# beyond flowserver.shard.*, the family that describes the layout.
-# (The report's "wrote metrics to" line names the output file; drop it.)
+echo "=== sharded state plane reproduces the golden decisions ==="
+# Partitioning the state plane by edge switch changes which shards a
+# refresh copies, never a decision: --shard-state at decision_threads 1 and
+# 8 must print the golden fig4 report, and its metrics may differ from the
+# default run's only in flowserver.shard.*, the family that describes the
+# layout.
 for threads in 1 8; do
   ./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
-      --decision-threads="${threads}" \
-      --metrics-out=/tmp/mayflower_metrics_legacy_t"${threads}".json \
-      >/tmp/mayflower_sim_legacy_t"${threads}".txt
-  ./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
       --decision-threads="${threads}" --shard-state \
-      --metrics-out=/tmp/mayflower_metrics_sharded_t"${threads}".json \
       >/tmp/mayflower_sim_sharded_t"${threads}".txt
-  diff <(grep -v "^wrote metrics" /tmp/mayflower_sim_legacy_t"${threads}".txt) \
-       <(grep -v "^wrote metrics" /tmp/mayflower_sim_sharded_t"${threads}".txt)
-  python3 tools/check_metrics.py \
-      --same-obs /tmp/mayflower_metrics_legacy_t"${threads}".json \
-                 /tmp/mayflower_metrics_sharded_t"${threads}".json \
-      --ignore flowserver.shard.
+  diff tests/golden/fig4_report.txt /tmp/mayflower_sim_sharded_t"${threads}".txt
 done
-# Second shape (fig6-style arrival-rate point): same identity contract.
-./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
-    --lambda=4.0 >/tmp/mayflower_sim_fig6_legacy.txt
+./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
+    --decision-threads=8 --shard-state \
+    --metrics-out=/tmp/mayflower_metrics_sharded_t8.json >/dev/null
+python3 tools/check_metrics.py \
+    --same-obs /tmp/mayflower_metrics_run1.json \
+               /tmp/mayflower_metrics_sharded_t8.json \
+    --ignore flowserver.shard.
+# Second shape (fig6-style arrival-rate point): same golden report.
 ./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
     --lambda=4.0 --shard-state >/tmp/mayflower_sim_fig6_sharded.txt
-diff /tmp/mayflower_sim_fig6_legacy.txt /tmp/mayflower_sim_fig6_sharded.txt
+diff tests/golden/fig6_report.txt /tmp/mayflower_sim_fig6_sharded.txt
 echo "identical"
-
-echo "=== rotated polling (poll-groups) is deterministic ==="
-# Rotation deliberately staggers WHEN each edge's samples land, so it is not
-# identity-diffed against the single sweep — but same seed => same report.
-./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
-    --lambda=4.0 --shard-state --poll-groups=4 \
-    >/tmp/mayflower_sim_rotate_run1.txt
-./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
-    --lambda=4.0 --shard-state --poll-groups=4 \
-    >/tmp/mayflower_sim_rotate_run2.txt
-diff /tmp/mayflower_sim_rotate_run1.txt /tmp/mayflower_sim_rotate_run2.txt
-echo "deterministic"
 
 echo "=== unconstrained poll budget is a byte-identical no-op ==="
 # A budget large enough to admit every sample (with mouse-period 1) applies
@@ -226,7 +210,7 @@ diff /tmp/mayflower_metrics_run1.json /tmp/mayflower_metrics_write0.json
 ./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
     --lambda=4.0 --write-placement=static --write-pipeline=off \
     >/tmp/mayflower_sim_fig6_write0.txt
-diff /tmp/mayflower_sim_fig6_legacy.txt /tmp/mayflower_sim_fig6_write0.txt
+diff tests/golden/fig6_report.txt /tmp/mayflower_sim_fig6_write0.txt
 echo "identical"
 
 echo "=== write phase leaves the main run untouched (schema + identity) ==="
@@ -274,7 +258,7 @@ echo "=== metadata scaling bench (>= 3x bar at 4 shards, async < sync) ==="
 diff /tmp/mayflower_meta_run1.txt /tmp/mayflower_meta_run2.txt
 echo "deterministic"
 
-echo "=== background-flow sweep (sharded decisions == legacy, deterministic) ==="
+echo "=== background-flow sweep (edge-sharded decisions == one shard, deterministic) ==="
 ./build/bench/micro_selector --flows >/tmp/mayflower_flows_run1.txt
 ./build/bench/micro_selector --flows >/tmp/mayflower_flows_run2.txt
 diff /tmp/mayflower_flows_run1.txt /tmp/mayflower_flows_run2.txt

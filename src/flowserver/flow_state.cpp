@@ -219,17 +219,8 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
 }
 
 void FlowStateTable::snapshot_into(net::NetworkView& view) const {
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const auto& [cookie, f] : sh->flows) {
-      net::NetworkView::Flow v;
-      v.key = cookie;
-      v.path = f.path;
-      v.size_bytes = f.size_bytes;
-      v.remaining_bytes = f.remaining_bytes;
-      v.bw_bps = f.bw_bps;
-      view.load_flow(std::move(v));
-    }
+  for (std::uint32_t s = 0; s < shard_count(); ++s) {
+    snapshot_shard_into(view, s);
   }
 }
 

@@ -12,8 +12,8 @@
 // per-edge poll index uses — under that shard's own mutex, flow map and
 // version counter. A poll of edge E or a drop of an E-sourced flow
 // moves only shard E's version, so a snapshot consumer reloads one shard
-// instead of the whole table. The default layout is a single shard (the
-// legacy global table) with identical semantics and no routing overhead.
+// instead of the whole table. The default layout is a single shard (one
+// global table) with identical semantics and no routing overhead.
 //
 // The table answers no per-link queries: decisions read a NetworkView
 // snapshot of it (snapshot_into), whose link index serves them. Nor does it

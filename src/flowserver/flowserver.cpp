@@ -1,11 +1,11 @@
 #include "flowserver/flowserver.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <utility>
 
 #include "common/logging.hpp"
+#include "net/shard_map.hpp"
 
 namespace mayflower::flowserver {
 
@@ -76,30 +76,14 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
     table_.drop(cookie);
     telemetry_.forget(cookie);
   });
-  // "Edge switch" in the polling sense: any switch with attached hosts. This
-  // also covers hand-built topologies that do not label tiers.
-  const net::Topology& topo = fabric.topology();
-  for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    if (topo.node(n).kind == net::NodeKind::kHost) continue;
-    for (const net::LinkId l : topo.in_links(n)) {
-      if (topo.node(topo.link(l).from).kind == net::NodeKind::kHost) {
-        edge_switches_.push_back(n);
-        break;
-      }
-    }
-  }
-  // State-plane sharding: one shard per edge switch (the same edge set the
-  // poll sweep above discovered), installed into the empty table and view.
-  if (config_.shard_by_edge) {
-    net::ShardMap map = net::ShardMap::by_edge_switch(topo);
-    sharded_ = map.sharded();
-    table_.set_shard_map(map);
-    view_.set_shard_map(std::move(map));
-  }
-  MAYFLOWER_ASSERT_MSG(config_.poll_groups >= 1, "poll_groups must be >= 1");
-  if (config_.poll_groups > 1) {
-    poller_.set_groups(static_cast<std::uint32_t>(config_.poll_groups));
-  }
+  edge_switches_ = net::edge_switches(fabric.topology());
+  // The state plane's shard map — one shard per polled edge switch, or one
+  // for everything — installed into the empty table and view.
+  net::ShardMap map = config_.shard_by_edge
+                          ? net::ShardMap::by_edge_switch(fabric.topology())
+                          : net::ShardMap{};
+  table_.set_shard_map(map);
+  view_.set_shard_map(std::move(map));
   if (config_.obs != nullptr) {
     config_.obs->metrics.gauge("flowserver.shard.count")
         .set(static_cast<double>(table_.shard_count()));
@@ -116,10 +100,6 @@ bool Flowserver::view_stale() const {
 }
 
 void Flowserver::absorb_table_versions() {
-  if (!sharded_) {
-    seen_table_version_ = table_.version();
-    return;
-  }
   std::uint64_t sum = 0;
   for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
     const std::uint64_t v = table_.shard_version(s);
@@ -130,22 +110,21 @@ void Flowserver::absorb_table_versions() {
 }
 
 void Flowserver::refresh_view() {
-  if (!sharded_ || !view_built_) {
-    // Full rebuild: the legacy path, and a sharded server's first build (or
-    // a manual invalidate — the shard stamps can no longer be trusted).
+  if (!view_built_) {
+    // Full rebuild: the first build, or a manual invalidate — the shard
+    // stamps can no longer be trusted.
     view_.reset_links(fabric_->topology());
     fabric_->snapshot_liveness_into(view_);
     if (monitor_ != nullptr) monitor_->snapshot_into(view_);
     table_.snapshot_into(view_);
-    absorb_table_versions();
     ++full_rebuilds_;
     full_rebuilds_metric_.inc();
   } else {
-    // Incremental sharded refresh: overlay the link sections only if the
-    // fabric epoch or the rate monitor moved (O(links), no flow copying),
-    // then reload exactly the flow shards whose table version ran past the
-    // stamp this view holds. Queries on the result are byte-identical to a
-    // full rebuild's: the flows map and link index are global and the index
+    // Incremental refresh: overlay the link sections only if the fabric
+    // epoch or the rate monitor moved (O(links), no flow copying), then
+    // reload exactly the flow shards whose table version ran past the stamp
+    // this view holds. Queries on the result are byte-identical to a full
+    // rebuild's: the flows map and link index are global and the index
     // keeps keys sorted, so reload order cannot leak into answers.
     const bool links_stale =
         fabric_->state_epoch() != seen_fabric_epoch_ ||
@@ -157,20 +136,15 @@ void Flowserver::refresh_view() {
       ++link_refreshes_;
       link_refreshes_metric_.inc();
     }
-    std::uint64_t sum = 0;
     for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
-      const std::uint64_t v = table_.shard_version(s);
-      if (v != view_.shard_stamp(s)) {
-        view_.unload_shard(s);
-        table_.snapshot_shard_into(view_, s);
-        view_.stamp_shard(s, v);
-        ++shard_reloads_;
-        shard_reloads_metric_.inc();
-      }
-      sum += v;
+      if (table_.shard_version(s) == view_.shard_stamp(s)) continue;
+      view_.unload_shard(s);
+      table_.snapshot_shard_into(view_, s);
+      ++shard_reloads_;
+      shard_reloads_metric_.inc();
     }
-    seen_table_version_ = sum;
   }
+  absorb_table_versions();
   view_.stamp(++view_epoch_, fabric_->events().now());
   seen_fabric_epoch_ = fabric_->state_epoch();
   seen_monitor_samples_ = monitor_ != nullptr ? monitor_->samples() : 0;
@@ -510,7 +484,7 @@ net::NodeId Flowserver::best_write_target(
   MAYFLOWER_ASSERT(!candidates.empty());
   const net::NetworkView& v = view();
   // The ranking itself is a stateless policy over the view (the model-based
-  // default or an injected policy::WritePlacement); only the tie-break draw
+  // default or an injected WriteRanker); only the tie-break draw
   // lives here. Ties are common (an idle fabric offers every candidate the
   // same share) and MUST break randomly: deterministic ties would stack
   // every file's replicas onto the same few hosts.
@@ -527,33 +501,21 @@ void Flowserver::collect_stats() {
   ++polls_;
   const std::uint64_t samples_before = stats_samples_;
   const sim::SimTime now = fabric_->events().now();
-  // Poll rotation: tick t sweeps the edges whose index lands in group
-  // t mod poll_groups, so a full cycle of ticks covers every edge exactly
-  // once and each tick stales only the swept edges' shards. poll_groups 1
-  // degenerates to the legacy full sweep.
-  const std::uint64_t groups = config_.poll_groups;
-  const std::uint64_t group = (polls_ - 1) % groups;
-  const std::uint64_t cycle = (polls_ - 1) / groups;
+  // Every tick sweeps every edge switch once: one collection cycle.
+  const std::uint64_t cycle = polls_ - 1;
   const bool adaptive = telemetry_.active();
   if (adaptive) telemetry_.begin_tick(cycle);
 
-  // This tick's edges, in sweep order. Under a binding samples budget the
-  // start position rotates by cycle so flows of later-indexed edges are not
-  // systematically the ones past the cutoff.
-  std::vector<std::size_t> sweep;
-  sweep.reserve(edge_switches_.size() / groups + 1);
-  for (std::size_t i = 0; i < edge_switches_.size(); ++i) {
-    if (i % groups == group) sweep.push_back(i);
-  }
-  if (adaptive && config_.telemetry.samples_budget > 0 && !sweep.empty()) {
-    std::rotate(sweep.begin(),
-                sweep.begin() + static_cast<std::ptrdiff_t>(
-                                    cycle % sweep.size()),
-                sweep.end());
-  }
-
-  for (const std::size_t i : sweep) {
-    const net::NodeId edge = edge_switches_[i];
+  // Under a binding samples budget the sweep's start edge rotates by cycle
+  // so flows of later-indexed edges are not systematically the ones past
+  // the cutoff.
+  const std::size_t edges = edge_switches_.size();
+  const std::size_t first =
+      adaptive && config_.telemetry.samples_budget > 0 && edges > 0
+          ? static_cast<std::size_t>(cycle % edges)
+          : 0;
+  for (std::size_t k = 0; k < edges; ++k) {
+    const net::NodeId edge = edge_switches_[(first + k) % edges];
     // A crashed switch answers no polls; its flows were killed with it and
     // the failure listener already dropped their table entries.
     if (!fabric_->switch_up(edge)) continue;
@@ -572,6 +534,10 @@ void Flowserver::collect_stats() {
         continue;
       }
       const TrackedFlow* f = table_.find(rec.cookie);
+      // Traffic the Flowserver did not plan (ECMP uploads, background
+      // elephants) has no belief to update: its sample is neither applied
+      // nor charged to the budget.
+      if (f == nullptr) continue;
       // Estimator audit: how far is the share the table believes (frozen
       // estimate or last accepted measurement) from the rate the data plane
       // is actually giving the flow right now? Sampled before UPDATEBW so
@@ -579,11 +545,11 @@ void Flowserver::collect_stats() {
       // DEFERRED flows too, so the audit series keeps full-rate cadence and
       // budget points stay comparable (the audit is experiment
       // instrumentation, not controller work the budget accounts for).
-      if (config_.obs != nullptr && rec.rate_bps > 0.0 && f != nullptr) {
+      if (config_.obs != nullptr && rec.rate_bps > 0.0) {
         config_.obs->trace.belief_error_sample(
             std::abs(f->bw_bps - rec.rate_bps) / rec.rate_bps);
       }
-      if (adaptive && f != nullptr) {
+      if (adaptive) {
         // Classification signal: the flow's byte delta over the window since
         // its last APPLIED sample (a deferred mouse accumulates window, so
         // its next applied sample still measures the true average rate).

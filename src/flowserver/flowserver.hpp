@@ -56,25 +56,21 @@ struct FlowserverConfig {
   // pool of N), then commits replay serially in batch order. Decisions are
   // byte-identical at every worker count by construction.
   std::size_t decision_threads = 1;
-  // State-plane sharding (the k >= 16 scale path): partition the flow table
-  // and the view's believed-flow section by source edge switch
-  // (net::ShardMap::by_edge_switch). A poll, drop or fault then stales only
-  // the shards it touched and the next rebuild reloads exactly those, so
-  // selection cost scales with flows per edge instead of cluster flows.
-  // Decisions are byte-identical to the unsharded layout — sharding changes
-  // which sections a rebuild copies, never what a query returns.
+  // Which shard map partitions the flow table and the view's believed-flow
+  // section: one shard per source edge switch
+  // (net::ShardMap::by_edge_switch, the k >= 16 scale path), or one shard
+  // holding every flow. Both refresh through the same code: a poll, drop or
+  // fault stales the shards it touched and the next refresh reloads exactly
+  // those, so with edge shards selection cost scales with flows per edge
+  // instead of cluster flows. Decisions are byte-identical under either
+  // map — it changes which sections a refresh copies, never what a query
+  // returns.
   bool shard_by_edge = false;
-  // Stats-poll rotation: split each poll_interval into this many staggered
-  // ticks, each sweeping 1/poll_groups of the edge switches. Every edge is
-  // still polled once per interval, but one tick stales only the shards of
-  // the edges it swept (pointless without shard_by_edge; 1 = legacy sweep).
-  std::size_t poll_groups = 1;
   // Adaptive budgeted telemetry (Floware-style, DESIGN.md §14): classify
   // flows as elephants vs mice from per-poll byte deltas, apply elephant
   // samples every cycle, mouse samples every telemetry.mouse_period cycles,
-  // and at most telemetry.samples_budget samples per staggered tick. The
-  // default config keeps the layer inactive and the legacy full-rate sweep
-  // byte-identical.
+  // and at most telemetry.samples_budget samples per tick. The default
+  // config keeps the layer inactive and the full-rate sweep byte-identical.
   TelemetryConfig telemetry;
   // Optional observability hub (not owned): selection audits, freeze
   // suppression, poll-cycle work all land here. Null measures nothing.
@@ -92,10 +88,11 @@ class Flowserver {
   using ReplicaChooser = std::function<net::NodeId(
       net::NodeId client, const std::vector<net::NodeId>& replicas,
       const net::NetworkView& view)>;
-  // External write-placement policy hook (policy::WritePlacement): ranks
-  // candidate hosts for a new replica against the view and returns the
-  // tied-best band; best_write_target() breaks the tie with the seeded Rng.
-  // Null keeps the historical model-based ranking.
+  // External write-placement policy hook (e.g. a
+  // policy::MeasuredWritePlacement's rank): ranks candidate hosts for a new
+  // replica against the view and returns the tied-best band;
+  // best_write_target() breaks the tie with the seeded Rng. Null keeps the
+  // historical model-based ranking.
   using WriteRanker = std::function<std::vector<net::NodeId>(
       net::NodeId writer, const std::vector<net::NodeId>& candidates,
       const net::NetworkView& view)>;
@@ -200,9 +197,10 @@ class Flowserver {
   // Forces the next view() to rebuild regardless of epochs.
   void invalidate_view() { view_built_ = false; }
 
-  // Sharded-refresh telemetry. An unsharded server only ever counts full
-  // rebuilds; a sharded one counts one full rebuild (the first build or a
-  // manual invalidate), then per-shard reloads and link-section refreshes.
+  // View-refresh telemetry, the same under every shard map: one full
+  // rebuild per first build or manual invalidate, then per-shard reloads and
+  // link-section refreshes (a one-shard server reloads its single shard on
+  // every table change).
   std::uint32_t state_shards() const { return table_.shard_count(); }
   std::uint64_t full_view_rebuilds() const { return full_rebuilds_; }
   std::uint64_t shard_reloads() const { return shard_reloads_; }
@@ -226,10 +224,10 @@ class Flowserver {
   std::uint64_t write_hops() const { return write_hops_; }
   std::uint64_t write_truncated() const { return write_truncated_; }
   std::uint64_t polls() const { return polls_; }
-  // Per-flow counter samples APPLIED across all polls (deferred samples are
-  // not counted — they are the saved cost): with the fabric's per-edge index
-  // this totals O(applied samples) per cycle, independent of the number of
-  // edge switches swept.
+  // Per-flow counter samples APPLIED across all polls (deferred samples and
+  // samples of flows the table does not track are not counted — they update
+  // nothing): with the fabric's per-edge index this totals O(applied
+  // samples) per cycle, independent of the number of edge switches swept.
   std::uint64_t stats_samples() const { return stats_samples_; }
   // The adaptive telemetry layer's books: classification counts, deferred
   // samples, promotions/demotions. Inactive (all zeros) by default.
@@ -246,8 +244,9 @@ class Flowserver {
   bool view_stale() const;
   void refresh_view();
   // Re-stamps the view's shard sections at the table's current versions and
-  // refreshes seen_table_version_ — how a drain absorbs its own write-through
-  // commits without forcing shard reloads that would copy identical state.
+  // refreshes seen_table_version_ — how a refresh records what it copied,
+  // and how a drain absorbs its own write-through commits without forcing
+  // shard reloads that would copy identical state.
   void absorb_table_versions();
 
   // Replicas with at least one live path to `client` in the current view,
@@ -337,9 +336,8 @@ class Flowserver {
   std::uint64_t seen_fabric_epoch_ = 0;
   std::uint64_t seen_monitor_samples_ = 0;
 
-  // Sharded-refresh state: per-shard freshness lives in the view's shard
-  // stamps (table shard version at copy time); these only count the work.
-  bool sharded_ = false;
+  // Refresh work counters; per-shard freshness lives in the view's shard
+  // stamps (table shard version at copy time).
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t shard_reloads_ = 0;
   std::uint64_t link_refreshes_ = 0;

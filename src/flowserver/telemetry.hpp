@@ -5,7 +5,7 @@
 // (Hedera's 10%-of-edge-capacity rule, with a hysteresis band so borderline
 // flows don't flap), applies elephant samples every collection cycle, defers
 // mouse samples to a configurable long period, and caps the samples applied
-// in any one staggered tick at a controller-side budget.
+// in any one poll tick at a controller-side budget.
 //
 // Deferring a sample costs nothing at the switch — byte counters are
 // cumulative, so the next applied sample simply measures the rate over the
@@ -28,10 +28,8 @@
 namespace mayflower::flowserver {
 
 struct TelemetryConfig {
-  // Max measurement samples applied per staggered poll tick; 0 = unlimited.
-  // With poll_groups G the per-cycle ceiling is budget x G — the budget is
-  // the per-tick knob precisely so the staggered sweep spreads a cycle's
-  // sample load evenly across its ticks.
+  // Max measurement samples applied per poll tick (one sweep of every edge
+  // switch); 0 = unlimited.
   std::size_t samples_budget = 0;
   // A mouse's samples are applied every this-many collection cycles
   // (phase-staggered by cookie so the mouse sweep is balanced, not bursty).
@@ -60,8 +58,8 @@ class AdaptiveTelemetry {
     return config_.samples_budget > 0 || config_.mouse_period > 1;
   }
 
-  // Opens one staggered poll tick: resets the per-tick budget. `cycle` is
-  // the collection-cycle index ((ticks - 1) / poll_groups).
+  // Opens one poll tick: resets the per-tick budget. `cycle` is the
+  // collection-cycle index (ticks - 1).
   void begin_tick(std::uint64_t cycle);
 
   // Decides one offered measurement sample. `window_rate_bps` is the flow's

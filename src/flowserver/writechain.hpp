@@ -13,8 +13,8 @@
 // The ranking half is the placement primitive extracted from the historical
 // Flowserver::best_write_target: score every candidate host as a home for a
 // new replica, keep the tied-best band, let the caller break ties with its
-// own seeded Rng. policy::WritePlacement implementations reuse it so the
-// model-based ranking has exactly one definition.
+// own seeded Rng. policy::MeasuredWritePlacement reuses its tie band so
+// both rankings break ties the same way.
 #pragma once
 
 #include <vector>

@@ -361,8 +361,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
         flow_server->telemetry().deferred_budget();
     result.telemetry_promotions = flow_server->telemetry().promotions();
     result.telemetry_demotions = flow_server->telemetry().demotions();
-    result.poll_cycles =
-        flow_server->polls() / flow_server->config().poll_groups;
+    result.poll_cycles = flow_server->polls();
     flow_server->stop();
   }
   if (nic_monitor) nic_monitor->stop();

@@ -41,13 +41,6 @@ class LinkIndex {
     return link < per_link_.size() ? per_link_[link] : empty_;
   }
 
-  std::size_t count_on(LinkId link) const { return on_link(link).size(); }
-
-  // Union of keys over `links`, deduplicated, ascending, written into `out`
-  // (cleared first). Callers keep `out` across queries, so a steady stream
-  // of unions allocates nothing once it has grown.
-  void on_links(const std::vector<LinkId>& links, std::vector<Key>& out) const;
-
   void clear();
 
  private:

@@ -29,40 +29,35 @@ void NetworkView::set_shard_map(ShardMap map) {
   MAYFLOWER_ASSERT_MSG(flows_.empty(),
                        "install the shard map before loading flows");
   shard_map_ = std::move(map);
-  if (shard_map_.sharded()) {
-    shard_keys_.assign(shard_map_.shard_count(), {});
-    shard_stamp_.assign(shard_map_.shard_count(), 0);
-  } else {
-    shard_keys_.clear();
-    shard_stamp_.clear();
-  }
+  shard_keys_.assign(shard_count(), {});
+  shard_stamp_.assign(shard_count(), 0);
 }
 
 void NetworkView::unload_shard(std::uint32_t s) {
   MAYFLOWER_ASSERT_MSG(!tentative_, "unload_shard inside a tentative scope");
-  if (!shard_map_.sharded()) {
-    // Single shard: unloading it empties the flow section entirely.
+  MAYFLOWER_ASSERT(s < shard_keys_.size());
+  std::vector<std::uint64_t>& keys = shard_keys_[s];
+  if (keys.size() == flows_.size()) {
+    // The shard holds every believed flow (always so with one shard):
+    // empty the flow section wholesale instead of key by key.
     flows_.clear();
     index_.clear();
-    return;
+  } else {
+    for (const std::uint64_t key : keys) {
+      const auto it = flows_.find(key);
+      MAYFLOWER_ASSERT_MSG(it != flows_.end(), "shard key list out of sync");
+      index_.remove(key, it->second.path.links);
+      flows_.erase(it);
+    }
   }
-  MAYFLOWER_ASSERT(s < shard_keys_.size());
-  for (const std::uint64_t key : shard_keys_[s]) {
-    const auto it = flows_.find(key);
-    MAYFLOWER_ASSERT_MSG(it != flows_.end(), "shard key list out of sync");
-    index_.remove(key, it->second.path.links);
-    flows_.erase(it);
-  }
-  shard_keys_[s].clear();
+  keys.clear();
 }
 
 void NetworkView::track_key_added(std::uint64_t key, const Path& path) {
-  if (!shard_map_.sharded()) return;
   shard_keys_[shard_map_.shard_of_path(path)].push_back(key);
 }
 
 void NetworkView::track_key_removed(std::uint64_t key, const Path& path) {
-  if (!shard_map_.sharded()) return;
   std::vector<std::uint64_t>& keys =
       shard_keys_[shard_map_.shard_of_path(path)];
   // Searched from the back: a rollback removes the shard's newest key.

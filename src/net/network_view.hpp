@@ -67,14 +67,14 @@ class NetworkView {
 
   // Re-initializes ONLY the link sections (capacity, liveness, tx rates,
   // data-plane stats) from the topology, leaving the believed-flow section
-  // untouched. The sharded rebuild path uses this when the fabric epoch or
+  // untouched. The incremental refresh uses this when the fabric epoch or
   // monitor moved but the flow shards did not: liveness/rates are O(links)
-  // to overlay, the flow copy is the cost sharding avoids.
+  // to overlay, the flow copy is the cost a shard reload avoids.
   void refresh_link_state(const Topology& topo);
 
   // Partitions the believed-flow section by `map` (per-shard key lists and
-  // version stamps). Must be installed while the view holds no flows; an
-  // unsharded map (the default) keeps the legacy zero-bookkeeping layout.
+  // version stamps). Must be installed while the view holds no flows; the
+  // default map has one shard holding every flow.
   void set_shard_map(ShardMap map);
   const ShardMap& shard_map() const { return shard_map_; }
   std::uint32_t shard_count() const { return shard_map_.shard_count(); }
@@ -87,11 +87,10 @@ class NetworkView {
   // Per-shard freshness stamp: the table shard version this view's shard
   // section was built from. Written by the view's owner at refresh time.
   std::uint64_t shard_stamp(std::uint32_t s) const {
-    MAYFLOWER_ASSERT(s < shard_stamp_.size() || shard_stamp_.empty());
-    return shard_stamp_.empty() ? 0 : shard_stamp_[s];
+    MAYFLOWER_ASSERT(s < shard_stamp_.size());
+    return shard_stamp_[s];
   }
   void stamp_shard(std::uint32_t s, std::uint64_t version) {
-    if (shard_stamp_.empty()) shard_stamp_.resize(shard_count(), 0);
     MAYFLOWER_ASSERT(s < shard_stamp_.size());
     shard_stamp_[s] = version;
   }
@@ -166,8 +165,7 @@ class NetworkView {
     double prior_bps = 0.0;
   };
 
-  // Shard-key bookkeeping around flow insertion/removal; no-ops unless a
-  // sharded map is installed, so the legacy layout pays nothing.
+  // Shard-key bookkeeping around flow insertion/removal.
   void track_key_added(std::uint64_t key, const Path& path);
   void track_key_removed(std::uint64_t key, const Path& path);
 
@@ -182,14 +180,15 @@ class NetworkView {
   LinkIndex index_;  // link -> keys of believed flows crossing it
   std::map<std::uint64_t, FlowStats> stats_;
 
-  // Sharded layout (empty vectors when the map is unsharded): per-shard key
-  // lists so unload_shard() is O(flows in the shard), plus per-shard
-  // freshness stamps. The flows map and link index above stay GLOBAL — a
-  // sharded view answers append_flows_on_link byte-identically to an
-  // unsharded one; sharding changes only which sections a rebuild touches.
+  // Per-shard key lists so unload_shard() is O(flows in the shard), plus
+  // per-shard freshness stamps; both sized to shard_count(), so the default
+  // one-shard view has one entry each. The flows map and link index above
+  // stay GLOBAL — a view answers append_flows_on_link identically under
+  // every map; the map changes only which sections a refresh touches.
   ShardMap shard_map_;
-  std::vector<std::vector<std::uint64_t>> shard_keys_;
-  std::vector<std::uint64_t> shard_stamp_;
+  std::vector<std::vector<std::uint64_t>> shard_keys_ =
+      std::vector<std::vector<std::uint64_t>>(1);
+  std::vector<std::uint64_t> shard_stamp_ = std::vector<std::uint64_t>(1, 0);
 
   bool tentative_ = false;
   std::vector<Undo> undo_;

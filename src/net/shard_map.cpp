@@ -2,22 +2,28 @@
 
 namespace mayflower::net {
 
-ShardMap ShardMap::by_edge_switch(const Topology& topo) {
-  ShardMap map;
-  map.shard_of_.assign(topo.node_count(), 0);
-
-  // Pass 1: every switch with at least one attached host gets its own shard
-  // (ids 1..E in node order, so the assignment is deterministic).
-  std::uint32_t next = 1;
+std::vector<NodeId> edge_switches(const Topology& topo) {
+  std::vector<NodeId> edges;
   for (NodeId n = 0; n < topo.node_count(); ++n) {
     if (topo.node(n).kind == NodeKind::kHost) continue;
     for (const LinkId l : topo.in_links(n)) {
       if (topo.node(topo.link(l).from).kind == NodeKind::kHost) {
-        map.shard_of_[n] = next++;
+        edges.push_back(n);
         break;
       }
     }
   }
+  return edges;
+}
+
+ShardMap ShardMap::by_edge_switch(const Topology& topo) {
+  ShardMap map;
+  map.shard_of_.assign(topo.node_count(), 0);
+
+  // Pass 1: every edge switch gets its own shard (ids 1..E in node order, so
+  // the assignment is deterministic).
+  std::uint32_t next = 1;
+  for (const NodeId edge : edge_switches(topo)) map.shard_of_[edge] = next++;
   map.shard_count_ = next;
 
   // Pass 2: hosts join their edge switch's shard. A host's edge is the

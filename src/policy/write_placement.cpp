@@ -22,13 +22,6 @@ std::optional<WritePlacementKind> parse_write_placement(const std::string& s) {
   return std::nullopt;
 }
 
-std::vector<net::NodeId> ModelWritePlacement::rank(
-    net::NodeId writer, const std::vector<net::NodeId>& candidates,
-    const net::NetworkView& view) {
-  return flowserver::rank_write_targets_by_model(*model_, *paths_, writer,
-                                                 candidates, view);
-}
-
 units::Bps MeasuredWritePlacement::headroom(net::NodeId writer,
                                             net::NodeId candidate,
                                             const net::NetworkView& view) const {
@@ -49,7 +42,7 @@ units::Bps MeasuredWritePlacement::headroom(net::NodeId writer,
 
 std::vector<net::NodeId> MeasuredWritePlacement::rank(
     net::NodeId writer, const std::vector<net::NodeId>& candidates,
-    const net::NetworkView& view) {
+    const net::NetworkView& view) const {
   MAYFLOWER_ASSERT(!candidates.empty());
   std::vector<units::Bps> scores;
   scores.reserve(candidates.size());

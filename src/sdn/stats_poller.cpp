@@ -28,15 +28,6 @@ void StatsPoller::stop() {
   pending_ = sim::EventId{};
 }
 
-void StatsPoller::set_groups(std::uint32_t n) {
-  MAYFLOWER_ASSERT_MSG(!running_, "set_groups on a running poller");
-  MAYFLOWER_ASSERT(n >= 1);
-  MAYFLOWER_ASSERT_MSG(interval_.nanos() / n > 0,
-                       "interval too fine to split into this many groups");
-  groups_ = n;
-  subticks_in_cycle_ = 0;
-}
-
 void StatsPoller::arm() {
   // Each armed chain carries the epoch it belongs to. A tick callback may
   // call stop() — or stop() then start() — on this very poller; re-arming
@@ -44,21 +35,11 @@ void StatsPoller::arm() {
   // chain (and double-tick after a restart). The epoch check kills the
   // stale chain in both cases.
   const std::uint64_t epoch = epoch_;
-  const sim::SimTime tick_gap =
-      sim::SimTime::from_nanos(interval_.nanos() / groups_);
-  pending_ = events_->schedule_in(tick_gap, [this, epoch] {
+  pending_ = events_->schedule_in(interval_, [this, epoch] {
     if (!running_ || epoch != epoch_) return;
     ++ticks_;
     ticks_metric_.inc();
     on_tick_();
-    // A cycle is complete once the last of its groups_ sub-sweeps has run —
-    // counted after the callback (and regardless of a stop() from within it)
-    // so cycles() never credits a sweep that hasn't happened yet.
-    if (++subticks_in_cycle_ == groups_) {
-      subticks_in_cycle_ = 0;
-      ++cycles_;
-      cycles_metric_.inc();
-    }
     if (!running_ || epoch != epoch_) return;  // stopped from within the tick
     arm();
   });

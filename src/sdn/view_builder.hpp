@@ -36,12 +36,6 @@ class ViewBuilder {
   const net::NetworkView& view();
 
   void invalidate() { built_ = false; }
-  // Full reconstructions (structural: first build, fault epoch moved, or a
-  // manual invalidate).
-  std::uint64_t rebuilds() const { return rebuilds_; }
-  // Monitor-only overlays: the fabric was quiet, so only tx rates were
-  // re-copied onto the cached view.
-  std::uint64_t monitor_refreshes() const { return monitor_refreshes_; }
 
  private:
   bool stale() const;
@@ -55,8 +49,6 @@ class ViewBuilder {
   std::uint64_t seen_fabric_epoch_ = 0;
   std::uint64_t seen_samples_ = 0;
   std::uint64_t epoch_counter_ = 0;
-  std::uint64_t rebuilds_ = 0;
-  std::uint64_t monitor_refreshes_ = 0;
 };
 
 }  // namespace mayflower::sdn

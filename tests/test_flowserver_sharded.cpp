@@ -1,8 +1,7 @@
 // The sharded state plane's contract, end to end through the Flowserver:
 //  * decisions are byte-identical to the legacy single-shard layout;
 //  * churn reloads only the shard it touched;
-//  * a switch crash stales exactly the crashed edge's shard;
-//  * staggered poll groups apply the same samples per interval as one sweep.
+//  * a switch crash stales exactly the crashed edge's shard.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -159,52 +158,6 @@ TEST_F(ShardedFlowserverTest, SwitchCrashStalesExactlyOneShard) {
   EXPECT_NE(view.find(rack1_flow), nullptr);
   EXPECT_FALSE(view.link_up(
       tree_.topo.find_link(tree_.hosts[0], tree_.edge_switches[0])));
-}
-
-TEST_F(ShardedFlowserverTest, PollGroupsApplySameSamplesPerInterval) {
-  // A rotated poll (poll_groups > 1) must apply the same per-flow samples
-  // over one full interval as the legacy single sweep — each edge is still
-  // visited exactly once per interval, just on staggered ticks.
-  sim::EventQueue events_a, events_b;
-  sdn::SdnFabric fabric_a(events_a, tree_.topo);
-  sdn::SdnFabric fabric_b(events_b, tree_.topo);
-  FlowserverConfig cfg_a = sharded_config();
-  FlowserverConfig cfg_b = sharded_config();
-  cfg_b.poll_groups = 4;
-  Flowserver sweep(fabric_a, cfg_a);
-  Flowserver rotated(fabric_b, cfg_b);
-
-  net::PathCache cache(tree_.topo);
-  for (int i = 0; i < 8; ++i) {
-    const net::NodeId src = tree_.hosts[static_cast<std::size_t>(i) * 4];
-    const net::NodeId dst = tree_.hosts[static_cast<std::size_t>(i) * 4 + 1];
-    const net::Path path = cache.get(src, dst)[0];
-    for (sdn::SdnFabric* fabric : {&fabric_a, &fabric_b}) {
-      const sdn::Cookie c = static_cast<sdn::Cookie>(500 + i);
-      fabric->install_path(c, path);
-      fabric->start_flow(c, path, 1e9);
-    }
-    sweep.table().add(static_cast<sdn::Cookie>(500 + i), path, 1e9, 60e6,
-                      sim::SimTime{});
-    rotated.table().add(static_cast<sdn::Cookie>(500 + i), path, 1e9, 60e6,
-                        sim::SimTime{});
-  }
-  sweep.start();
-  rotated.start();
-  // Two full poll intervals: the first poll of a flow only seeds last_poll
-  // bookkeeping; the second yields a measurement.
-  events_a.run_until(sim::SimTime::from_seconds(2.1));
-  events_b.run_until(sim::SimTime::from_seconds(2.1));
-
-  EXPECT_EQ(sweep.stats_samples(), rotated.stats_samples());
-  EXPECT_GT(rotated.stats_samples(), 0u);
-  for (int i = 0; i < 8; ++i) {
-    const auto* a = sweep.table().find(static_cast<sdn::Cookie>(500 + i));
-    const auto* b = rotated.table().find(static_cast<sdn::Cookie>(500 + i));
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_DOUBLE_EQ(a->bw_bps, b->bw_bps) << "flow " << i;
-  }
 }
 
 }  // namespace

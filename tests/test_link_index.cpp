@@ -13,7 +13,6 @@ TEST(LinkIndex, AddMakesKeysVisibleOnEveryLink) {
   EXPECT_EQ(idx.on_link(0), (Keys{7}));
   EXPECT_EQ(idx.on_link(1), Keys{});
   EXPECT_EQ(idx.on_link(2), (Keys{7}));
-  EXPECT_EQ(idx.count_on(0), 1u);
 }
 
 TEST(LinkIndex, KeysStayAscendingRegardlessOfInsertOrder) {
@@ -31,18 +30,6 @@ TEST(LinkIndex, RemoveErasesOnlyTheGivenKey) {
   idx.remove(1, {0, 1});
   EXPECT_EQ(idx.on_link(0), (Keys{2}));
   EXPECT_EQ(idx.on_link(1), Keys{});
-}
-
-TEST(LinkIndex, OnLinksUnionsAndDeduplicates) {
-  LinkIndex idx(3);
-  idx.add(5, {0, 1});  // crosses both query links
-  idx.add(2, {1});
-  idx.add(8, {2});     // not in the query
-  Keys out{99};        // stale contents are replaced, not appended to
-  idx.on_links({0, 1}, out);
-  EXPECT_EQ(out, (Keys{2, 5}));
-  idx.on_links({}, out);
-  EXPECT_EQ(out, Keys{});
 }
 
 TEST(LinkIndex, UnseenLinksAreEmptyAndIndexGrowsOnDemand) {

@@ -295,34 +295,6 @@ TEST(StatsPoller, StopFromWithinTickSticksAndRestartDoesNotDoubleTick) {
   EXPECT_EQ(poller.ticks(), 3u);
 }
 
-// Regression: ticks() (and sdn.poller.ticks) count staggered SUB-ticks, so
-// with groups > 1 they run groups x faster than collection cycles — the old
-// docs claimed cycles and work-per-cycle accounting was off by that factor.
-// cycles() has the cycle semantics regardless of grouping.
-TEST(StatsPoller, CyclesCountSweepsNotSubTicks) {
-  sim::EventQueue events;
-  int ticks = 0;
-  StatsPoller poller(events, sim::SimTime::from_seconds(1.0),
-                     [&] { ++ticks; });
-  poller.set_groups(4);
-  poller.start();
-  // Sub-ticks fire at 0.25, 0.5, ... — by t=2.6, 10 sub-ticks = 2 complete
-  // sweeps of all four groups (the 9th/10th sub-ticks open cycle 3).
-  events.run_until(sim::SimTime::from_seconds(2.6));
-  EXPECT_EQ(poller.ticks(), 10u);
-  EXPECT_EQ(poller.cycles(), 2u);
-  poller.stop();
-}
-
-TEST(StatsPoller, UngroupedCyclesEqualTicks) {
-  sim::EventQueue events;
-  StatsPoller poller(events, sim::SimTime::from_seconds(1.0), [] {});
-  poller.start();
-  events.run_until(sim::SimTime::from_seconds(3.5));
-  EXPECT_EQ(poller.ticks(), 3u);
-  EXPECT_EQ(poller.cycles(), 3u);
-}
-
 TEST_F(FabricTest, LinkRateMonitorIndexedLookupMatchesSampledRates) {
   // Monitor every host uplink; drive one known flow and check the indexed
   // lookup returns the right rate for the busy link and zero elsewhere.

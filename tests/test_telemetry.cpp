@@ -12,7 +12,9 @@
 
 #include "common/rng.hpp"
 #include "flowserver/flowserver.hpp"
+#include "net/paths.hpp"
 #include "net/tree.hpp"
+#include "obs/observability.hpp"
 
 namespace mayflower::flowserver {
 namespace {
@@ -182,6 +184,19 @@ class TelemetryTest : public ::testing::Test {
     return cookies;
   }
 
+  // Starts `count` long transfers from `src` to hosts[first_dst...] straight
+  // on the fabric, as ECMP uploads do: the Flowserver never tracks them.
+  void start_untracked(net::NodeId src, std::size_t first_dst,
+                       std::size_t count) {
+    net::PathCache paths(tree_.topo);
+    for (std::size_t i = 0; i < count; ++i) {
+      const net::Path path = paths.get(src, tree_.hosts[first_dst + i])[0];
+      const sdn::Cookie c = fabric_.new_cookie();
+      fabric_.install_path(c, path);
+      fabric_.start_flow(c, path, 1e10);
+    }
+  }
+
   sim::EventQueue events_;
   net::ThreeTier tree_;
   sdn::SdnFabric fabric_;
@@ -192,8 +207,10 @@ TEST_F(TelemetryTest, SweepNeverAppliesMoreThanBudgetPerTick) {
   cfg.telemetry.samples_budget = 5;
   cfg.telemetry.mouse_period = 1;
   Flowserver server(fabric_, cfg);
-  // 24 long-lived reads of host 0: every poll offers 24 samples.
+  // 24 long-lived reads of host 0: every poll offers 24 samples. Ten
+  // unplanned transfers from the same edge must take no budget slot.
   start_reads(server, tree_.hosts[0], 1, 24, 1e10);
+  start_untracked(tree_.hosts[0], 40, 10);
   server.start();
   std::uint64_t last = server.stats_samples();
   for (int tick = 0; tick < 12; ++tick) {
@@ -203,6 +220,23 @@ TEST_F(TelemetryTest, SweepNeverAppliesMoreThanBudgetPerTick) {
     EXPECT_LE(applied, 5u) << "tick " << tick;
   }
   EXPECT_GT(server.telemetry().deferred_budget(), 0u);
+  server.stop();
+}
+
+// Flows the Flowserver did not plan (ECMP uploads, background traffic)
+// ride the same edge poll as its own. Their samples update no belief, so
+// they are never counted as applied.
+TEST_F(TelemetryTest, UntrackedFlowSamplesAreNotApplied) {
+  obs::Observability hub;
+  FlowserverConfig cfg;
+  cfg.obs = &hub;
+  Flowserver server(fabric_, cfg);
+  start_untracked(tree_.hosts[0], 40, 1);
+  server.start();
+  events_.run_until(sim::SimTime::from_seconds(2.5));
+  ASSERT_EQ(server.polls(), 2u);
+  EXPECT_EQ(server.stats_samples(), 0u);
+  EXPECT_EQ(hub.metrics.counter_value("flowserver.poll.applied"), 0u);
   server.stop();
 }
 
@@ -305,18 +339,6 @@ TEST_F(TelemetryIdentityTest, UnconstrainedBudgetMatchesLegacyByteForByte) {
   for (std::size_t i = 0; i < legacy.size(); ++i) {
     EXPECT_EQ(legacy[i], unconstrained[i]) << "record " << i;
   }
-}
-
-// Same contract under a grouped (staggered) sweep.
-TEST_F(TelemetryIdentityTest, UnconstrainedBudgetMatchesLegacyWithPollGroups) {
-  FlowserverConfig legacy_cfg;
-  legacy_cfg.poll_groups = 4;
-  const std::vector<std::string> legacy = run_script(legacy_cfg);
-  FlowserverConfig adaptive = legacy_cfg;
-  adaptive.telemetry.samples_budget = 1000000000;
-  adaptive.telemetry.mouse_period = 1;
-  const std::vector<std::string> unconstrained = run_script(adaptive);
-  EXPECT_EQ(legacy, unconstrained);
 }
 
 // A constrained run is still deterministic: same seed, same bytes.

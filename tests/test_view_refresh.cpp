@@ -3,10 +3,11 @@
 // A seeded workload runs a Flowserver through random reads, write chains,
 // completions and drops, stats polls (the poller and a link-rate monitor
 // running), and link and switch failures and restores. After every step,
-// server.view() — refreshed incrementally (shard by shard when the state
-// plane is sharded) and written through by the decision pipeline's commits
-// — must equal a fresh full rebuild: a copy of the whole table, the
-// fabric's liveness and the monitor's rates.
+// server.view() — refreshed incrementally, shard by shard (one shard for
+// the unsharded layout, one per edge switch for the sharded one), and
+// written through by the decision pipeline's commits — must equal a fresh
+// full rebuild: a copy of the whole table, the fabric's liveness and the
+// monitor's rates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,6 @@ namespace {
 
 struct Layout {
   bool sharded = false;
-  std::size_t poll_groups = 1;
   // Requests per drain, decided on as many workers (1 = batch-of-one).
   std::size_t batch = 1;
 };
@@ -124,7 +124,6 @@ class ViewWorkload {
     FlowserverConfig cfg;
     cfg.seed = seed;
     cfg.shard_by_edge = layout.sharded;
-    cfg.poll_groups = layout.poll_groups;
     cfg.batch_size = layout.batch;
     cfg.decision_threads = layout.batch;
     return cfg;
@@ -241,30 +240,28 @@ constexpr int kSteps = 400;
 void expect_view_tracks_rebuild(const net::Topology& topo,
                                 const std::vector<net::NodeId>& hosts,
                                 Layout layout, std::uint64_t seed) {
-  SCOPED_TRACE(strfmt("sharded %d, poll groups %zu, batch %zu, seed %llu",
-                      layout.sharded ? 1 : 0, layout.poll_groups,
-                      layout.batch, static_cast<unsigned long long>(seed)));
+  SCOPED_TRACE(strfmt("sharded %d, batch %zu, seed %llu",
+                      layout.sharded ? 1 : 0, layout.batch,
+                      static_cast<unsigned long long>(seed)));
   ViewWorkload workload(topo, hosts, layout, seed);
   ASSERT_EQ(workload.difference(), "") << "before any step";
   for (int i = 0; i < kSteps; ++i) {
     workload.step();
     ASSERT_EQ(workload.difference(), "") << "after step " << i;
   }
-  // The run exercised what it claims to: believed flows, polls and, when
-  // sharded, per-shard reloads and link-section refreshes.
+  // The run exercised what it claims to: believed flows, polls, per-shard
+  // reloads and link-section refreshes.
   const Flowserver& server = workload.server();
   EXPECT_GT(workload.most_flows(), 4u);
   EXPECT_GT(server.polls(), 10u);
-  if (layout.sharded) {
-    EXPECT_GT(server.shard_reloads(), 0u);
-    EXPECT_GT(server.link_refreshes(), 0u);
-  }
+  EXPECT_GT(server.shard_reloads(), 0u);
+  EXPECT_GT(server.link_refreshes(), 0u);
 }
 
 TEST(ViewRefresh, MatchesAFullRebuildOnThePaperTree) {
   const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
-  for (const Layout layout : {Layout{false, 1}, Layout{false, 4},
-                              Layout{true, 1}, Layout{true, 4}}) {
+  for (const Layout layout : {Layout{.sharded = false},
+                              Layout{.sharded = true}}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       expect_view_tracks_rebuild(tree.topo, tree.hosts, layout, seed);
       if (HasFatalFailure()) return;
@@ -274,7 +271,8 @@ TEST(ViewRefresh, MatchesAFullRebuildOnThePaperTree) {
 
 TEST(ViewRefresh, MatchesAFullRebuildOnAFatTree) {
   const net::FatTree tree = net::build_fat_tree(net::FatTreeConfig{.k = 8});
-  for (const Layout layout : {Layout{false, 1}, Layout{true, 4}}) {
+  for (const Layout layout : {Layout{.sharded = false},
+                              Layout{.sharded = true}}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       expect_view_tracks_rebuild(tree.topo, tree.hosts, layout, seed);
       if (HasFatalFailure()) return;
@@ -285,8 +283,7 @@ TEST(ViewRefresh, MatchesAFullRebuildOnAFatTree) {
 TEST(ViewRefresh, MatchesAFullRebuildUnderBatchedDecisions) {
   const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
   expect_view_tracks_rebuild(tree.topo, tree.hosts,
-                             Layout{.sharded = true, .poll_groups = 4,
-                                    .batch = 8},
+                             Layout{.sharded = true, .batch = 8},
                              /*seed=*/1);
 }
 

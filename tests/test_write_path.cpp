@@ -250,12 +250,15 @@ TEST(WritePlacement, ModelSkipsPathsTheWriterCannotUse) {
 
   net::PathCache paths(tree.topo);
   flowserver::BandwidthModel model;
-  policy::ModelWritePlacement by_model(model, paths);
   policy::MeasuredWritePlacement measured(paths);
   const std::vector<net::NodeId> want{healthy};
   EXPECT_EQ(measured.rank(writer, {cut, healthy}, view), want);
-  EXPECT_EQ(by_model.rank(writer, {cut, healthy}, view), want);
-  EXPECT_EQ(by_model.rank(writer, {healthy, cut}, view), want);
+  EXPECT_EQ(flowserver::rank_write_targets_by_model(model, paths, writer,
+                                                    {cut, healthy}, view),
+            want);
+  EXPECT_EQ(flowserver::rank_write_targets_by_model(model, paths, writer,
+                                                    {healthy, cut}, view),
+            want);
 }
 
 // --- cluster end-to-end ------------------------------------------------------

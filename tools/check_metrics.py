@@ -21,8 +21,6 @@ file it also diffs for determinism):
   * those runs also export the flowserver.poll.* family complete (five
     counters + two gauges) and coherent: budget deferrals and class
     transitions imply applied samples;
-  * sdn.poller.ticks and sdn.poller.cycles are exported together and
-    cycles <= ticks (a collection cycle is groups() staggered sub-ticks);
   * when a run carries a metadata-plane export (the optional per-run
     "meta_obs" object written for --meta-ops > 0), it passes the same
     structural checks as the main obs block and the meta.* family is
@@ -127,7 +125,6 @@ REGISTERED_METRICS = {
     "sdn.fabric.switch_wipes": "counter",
     "sdn.fabric.edge_polls": "counter",
     "sdn.poller.ticks": "counter",
-    "sdn.poller.cycles": "counter",
     # fault injection
     "fault.injected.<kind>": "counter",
 }
@@ -254,7 +251,6 @@ def check_obs(obs, where):
     check_shard_family(obs, where)
     check_meta_family(obs, where)
     check_poll_family(obs, where)
-    check_poller_cycles(obs, where)
     check_write_family(obs, where)
 
 
@@ -330,21 +326,6 @@ def check_poll_family(obs, where):
                    counters["flowserver.poll.demotions"])
     if transitions > 0 and counters["flowserver.poll.applied"] == 0:
         fail(f"{where}: class transitions without any applied samples")
-
-
-def check_poller_cycles(obs, where):
-    """sdn.poller.cycles rides along with sdn.poller.ticks and can never
-    exceed it (a cycle is groups() sub-ticks)."""
-    counters = obs["counters"]
-    has_ticks = "sdn.poller.ticks" in counters
-    has_cycles = "sdn.poller.cycles" in counters
-    if has_ticks != has_cycles:
-        fail(f"{where}: sdn.poller.ticks and sdn.poller.cycles must be "
-             f"exported together")
-        return
-    if has_cycles and counters["sdn.poller.cycles"] > \
-            counters["sdn.poller.ticks"]:
-        fail(f"{where}: sdn.poller.cycles exceeds sdn.poller.ticks")
 
 
 WRITE_COUNTERS = (

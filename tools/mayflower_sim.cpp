@@ -56,7 +56,7 @@ void usage() {
       "[--batch-size=N]\n"
       "                     [--decision-threads=N>=1] "
       "[--topology=three_tier|fat_tree]\n"
-      "                     [--fat-k=N] [--shard-state] [--poll-groups=N]\n"
+      "                     [--fat-k=N] [--shard-state]\n"
       "                     [--poll-budget=N] [--mouse-period=N]\n"
       "                     [--csv=FILE] [--metrics-out=FILE]\n"
       "                     [--meta-shards=N] [--meta-async] "
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
                        "warmup", "files", "block-mb", "seeds", "poll-sec",
                        "no-multiread", "no-freeze", "batch-size",
                        "decision-threads", "topology", "fat-k", "shard-state",
-                       "poll-groups", "poll-budget", "mouse-period",
+                       "poll-budget", "mouse-period",
                        "csv", "metrics-out",
                        "meta-shards", "meta-async", "meta-partition",
                        "meta-ops", "meta-service-us", "write-placement",
@@ -141,12 +141,6 @@ int main(int argc, char** argv) {
   // Sharded state plane: partition the Flowserver's table and view by edge
   // switch. Decisions are byte-identical with or without the flag.
   if (flags.get_bool("shard-state")) cfg.flowserver.shard_by_edge = true;
-  const long long poll_groups = flags.get_int("poll-groups", 1);
-  if (poll_groups < 1) {
-    std::fprintf(stderr, "--poll-groups must be >= 1\n");
-    return 2;
-  }
-  cfg.flowserver.poll_groups = static_cast<std::size_t>(poll_groups);
   // Adaptive budgeted telemetry (DESIGN.md §14). --poll-budget=0 means no
   // per-tick cap; --mouse-period=1 keeps mice at full-rate cadence. Both at
   // their defaults leave the adaptive layer off entirely.
