@@ -178,21 +178,29 @@ diff /tmp/mayflower_sim_run1.txt /tmp/mayflower_sim_meta0.txt
 diff /tmp/mayflower_metrics_run1.json /tmp/mayflower_metrics_meta0.json
 echo "identical"
 
-echo "=== metadata plane leaves the data path untouched (shards 1 vs 4) ==="
+echo "=== metadata plane leaves the data path untouched (shards 0, 1, 4) ==="
 # Running a metadata workload alongside the main experiment must not move a
 # single flow or decision: only the "meta " report lines and the per-run
-# meta_obs export may differ between shard counts.
-for shards in 1 4; do
+# meta_obs export may differ between shard counts. Shards 0 is the single
+# classic nameserver, which exports fs.nameserver.* and no shard map.
+for shards in 0 1 4; do
   ./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
       --meta-shards="${shards}" --meta-ops=2000 --meta-async \
       --metrics-out=/tmp/mayflower_metrics_meta_s"${shards}".json \
       >/tmp/mayflower_sim_meta_s"${shards}".txt
   python3 tools/check_metrics.py /tmp/mayflower_metrics_meta_s"${shards}".json
 done
-diff <(grep -v "^meta \|^wrote metrics" /tmp/mayflower_sim_meta_s1.txt) \
-     <(grep -v "^meta \|^wrote metrics" /tmp/mayflower_sim_meta_s4.txt)
-python3 tools/check_metrics.py --same-obs /tmp/mayflower_metrics_meta_s1.json \
-    /tmp/mayflower_metrics_meta_s4.json
+for shards in 0 4; do
+  diff <(grep -v "^meta \|^wrote metrics" /tmp/mayflower_sim_meta_s1.txt) \
+       <(grep -v "^meta \|^wrote metrics" /tmp/mayflower_sim_meta_s"${shards}".txt)
+  python3 tools/check_metrics.py --same-obs /tmp/mayflower_metrics_meta_s1.json \
+      /tmp/mayflower_metrics_meta_s"${shards}".json
+done
+# The classic nameserver with synchronous creates exports no meta.* name.
+./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
+    --meta-shards=0 --meta-ops=300 \
+    --metrics-out=/tmp/mayflower_metrics_meta_classic.json >/dev/null
+python3 tools/check_metrics.py /tmp/mayflower_metrics_meta_classic.json
 echo "identical"
 
 echo "=== write flags alone change nothing (byte identity, write-jobs=0) ==="

@@ -29,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "net/fair_share.hpp"
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
 
@@ -62,7 +63,7 @@ class BandwidthModel {
                                const net::NetworkView::Flow* report,
                                double* report_share) const;
 
-  double zero_hop_bps_ = 12e9;
+  double zero_hop_bps_ = net::kZeroHopBps;
 };
 
 // Both estimates for many paths over one const view, each link's work done

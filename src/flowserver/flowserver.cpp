@@ -25,7 +25,6 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
                        "decision_threads must be >= 1");
   table_.set_freeze_enabled(config.freeze_enabled);
   selector_.set_impact_aware(config.impact_aware);
-  selector_.model().set_zero_hop_bps(config.zero_hop_bps);
   if (config_.obs != nullptr) {
     table_.set_obs(config_.obs);
     poller_.set_metrics(&config_.obs->metrics);
@@ -253,7 +252,7 @@ void Flowserver::enqueue(Request req) {
     return;
   }
   if (arm_window) {
-    fabric_->events().schedule_in(config_.batch_window, [this, gen] {
+    fabric_->events().schedule_in(kBatchWindow, [this, gen] {
       // A size-triggered drain may have already flushed the batch this
       // event was armed for; in that case the generation moved on.
       if (!drain_generation_is(gen)) return;
@@ -525,10 +524,10 @@ void Flowserver::collect_stats() {
          fabric_->poll_edge_flow_stats(edge)) {
       if (!rec.active) {
         // Final counter of a finished flow: the drop request usually beat us
-        // here; dropping again is harmless. Final counters bypass the
-        // telemetry budget — they arrive as flow-removed notifications, not
-        // polled samples, and dropping state must never be deferred.
-        ++stats_samples_;
+        // here; dropping again is harmless. Final counters are flow-removed
+        // notifications, not polled samples: they bypass the telemetry
+        // budget (dropping state must never be deferred) and are never
+        // counted as applied.
         table_.drop(rec.cookie);
         telemetry_.forget(rec.cookie);
         continue;

@@ -39,18 +39,20 @@
 
 namespace mayflower::flowserver {
 
+// How long a partial admission batch waits after its first request before it
+// drains anyway.
+inline constexpr sim::SimTime kBatchWindow = sim::SimTime::from_millis(5.0);
+
 struct FlowserverConfig {
   sim::SimTime poll_interval = sim::SimTime::from_seconds(1.0);
   bool multiread_enabled = true;
   bool freeze_enabled = true;   // ablation: disable the update-freeze state
   bool impact_aware = true;     // ablation: drop Eq. 2's existing-flow term
-  double zero_hop_bps = 12e9;   // modelled rate for host-local reads
   std::uint64_t seed = 0x5eedULL;  // tie-breaking randomness (placement)
   // Admission batching: a drain fires as soon as `batch_size` requests are
-  // queued, or `batch_window` after the first one, whichever comes first.
+  // queued, or kBatchWindow after the first one, whichever comes first.
   // batch_size 1 keeps every entry point synchronous (batch-of-one).
   std::size_t batch_size = 1;
-  sim::SimTime batch_window = sim::SimTime::from_millis(5.0);
   // Decision workers (>= 1): every request in a batch is evaluated against
   // the batch-start view (1 = inline on the control thread, N = a worker
   // pool of N), then commits replay serially in batch order. Decisions are
@@ -130,7 +132,7 @@ class Flowserver {
   };
 
   // Queues one request. The batch drains immediately once
-  // config.batch_size requests are queued, else config.batch_window after
+  // config.batch_size requests are queued, else kBatchWindow after
   // the first enqueue.
   void enqueue(Request req) EXCLUDES(queue_mu_);
 
@@ -224,10 +226,12 @@ class Flowserver {
   std::uint64_t write_hops() const { return write_hops_; }
   std::uint64_t write_truncated() const { return write_truncated_; }
   std::uint64_t polls() const { return polls_; }
-  // Per-flow counter samples APPLIED across all polls (deferred samples and
-  // samples of flows the table does not track are not counted — they update
-  // nothing): with the fabric's per-edge index this totals O(applied
-  // samples) per cycle, independent of the number of edge switches swept.
+  // Per-flow counter samples APPLIED across all polls (deferred samples,
+  // samples of flows the table does not track and finished flows' final
+  // counters are not counted — they update nothing), so it equals
+  // flowserver.poll.applied and the flowserver.poll.samples_per_tick sum.
+  // With the fabric's per-edge index this totals O(applied samples) per
+  // cycle, independent of the number of edge switches swept.
   std::uint64_t stats_samples() const { return stats_samples_; }
   // The adaptive telemetry layer's books: classification counts, deferred
   // samples, promotions/demotions. Inactive (all zeros) by default.
@@ -348,7 +352,7 @@ class Flowserver {
   // called while it is held.
   mutable common::Mutex queue_mu_;
   std::deque<Request> queue_ GUARDED_BY(queue_mu_);
-  // A batch_window drain event is pending.
+  // A kBatchWindow drain event is pending.
   bool drain_armed_ GUARDED_BY(queue_mu_) = false;
   // Invalidates armed events once drained.
   std::uint64_t drain_gen_ GUARDED_BY(queue_mu_) = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
 #include "fs/planner.hpp"
 
 namespace mayflower::fs {
@@ -73,45 +72,6 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
       reply(Status::kOk, resp.encode());
       return;
     }
-    case Method::kSelectReplicasBatch: {
-      Reader r(request);
-      const SelectReplicasBatchReq req = SelectReplicasBatchReq::decode(r);
-      if (!r.ok() || req.reads.empty()) {
-        reply(Status::kBadRequest, {});
-        return;
-      }
-      for (const SelectReplicasReq& one : req.reads) {
-        if (!valid_read(topo, one)) {
-          reply(Status::kBadRequest, {});
-          return;
-        }
-      }
-      requests_ += req.reads.size();
-      // Enqueue every read, then drain: the whole batch is decided against
-      // one view snapshot, with one bulk path install per drained batch.
-      // Admission callbacks run inside enqueue/drain (never later), so the
-      // response is complete before the reply goes out.
-      SelectReplicasBatchResp resp;
-      resp.plans.resize(req.reads.size());
-      std::size_t delivered = 0;
-      for (std::size_t i = 0; i < req.reads.size(); ++i) {
-        const SelectReplicasReq& one = req.reads[i];
-        server_->enqueue(
-            {.client = one.client,
-             .replicas = one.replicas,
-             .bytes = one.bytes,
-             .done = [&resp, &delivered,
-                      i](std::vector<ReadAssignment> plan) {
-               resp.plans[i].assignments = std::move(plan);
-               ++delivered;
-             }});
-      }
-      server_->drain();  // flush the final partial batch
-      MAYFLOWER_ASSERT_MSG(delivered == req.reads.size(),
-                           "batched admission left requests undecided");
-      reply(Status::kOk, resp.encode());
-      return;
-    }
     case Method::kPlanWrite: {
       Reader r(request);
       const PlanWriteReq req = PlanWriteReq::decode(r);
@@ -163,34 +123,6 @@ void RpcPlanner::plan(net::NodeId client,
           return;
         }
         done(Status::kOk, std::move(resp.assignments));
-      });
-}
-
-void RpcPlanner::plan_batch(net::NodeId client,
-                            const std::vector<SelectReplicasReq>& reads,
-                            BatchPlanFn done) {
-  SelectReplicasBatchReq req;
-  req.reads = reads;
-  transport_->call(
-      client, controller_, Method::kSelectReplicasBatch, req.encode(),
-      [n = reads.size(), done = std::move(done)](Status status,
-                                                 Bytes payload) {
-        if (status != Status::kOk) {
-          done(status, {});
-          return;
-        }
-        Reader r(payload);
-        SelectReplicasBatchResp resp = SelectReplicasBatchResp::decode(r);
-        if (!r.ok() || resp.plans.size() != n) {
-          done(Status::kBadRequest, {});
-          return;
-        }
-        std::vector<std::vector<ReadAssignment>> plans;
-        plans.reserve(resp.plans.size());
-        for (SelectReplicasResp& one : resp.plans) {
-          plans.push_back(std::move(one.assignments));
-        }
-        done(Status::kOk, std::move(plans));
       });
 }
 

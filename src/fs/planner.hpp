@@ -66,21 +66,11 @@ class LocalSchemePlanner final : public ReadPlanner {
 // (kPlanWrite) talk to the same controller.
 class RpcPlanner final : public ReadPlanner {
  public:
-  using BatchPlanFn = std::function<void(
-      Status, std::vector<std::vector<ReadAssignment>>)>;
-
   RpcPlanner(Transport& transport, net::NodeId controller)
       : transport_(&transport), controller_(controller) {}
 
   void plan(net::NodeId client, const std::vector<net::NodeId>& replicas,
             double bytes, PlanFn done) override;
-
-  // Ships `reads` as ONE kSelectReplicasBatch RPC: the Flowserver admits
-  // the whole batch against a single view snapshot and plans[i] answers
-  // reads[i] (empty = that read is unavailable right now).
-  void plan_batch(net::NodeId client,
-                  const std::vector<SelectReplicasReq>& reads,
-                  BatchPlanFn done);
 
   // Plans the replication chain `chain` (writer first, then primary and
   // secondaries in relay order; consecutive hosts distinct) moving `bytes`.

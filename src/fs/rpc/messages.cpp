@@ -52,7 +52,6 @@ const char* to_string(Method method) {
     case Method::kReplicateTo: return "ReplicateTo";
     case Method::kInstallReplica: return "InstallReplica";
     case Method::kUpdateReplicas: return "UpdateReplicas";
-    case Method::kSelectReplicasBatch: return "SelectReplicasBatch";
     case Method::kGetShardMap: return "GetShardMap";
     case Method::kPlanWrite: return "PlanWrite";
   }
@@ -316,32 +315,20 @@ DropReplicaReq DropReplicaReq::decode(Reader& r) {
   return req;
 }
 
-namespace {
-
-void encode_select_req(Writer& w, const SelectReplicasReq& req) {
-  w.u32(req.client);
-  encode_u32_list(w, req.replicas);
-  w.f64(req.bytes);
+Bytes SelectReplicasReq::encode() const {
+  Writer w;
+  w.u32(client);
+  encode_u32_list(w, replicas);
+  w.f64(bytes);
+  return w.take();
 }
 
-SelectReplicasReq decode_select_req(Reader& r) {
+SelectReplicasReq SelectReplicasReq::decode(Reader& r) {
   SelectReplicasReq req;
   req.client = r.u32();
   req.replicas = decode_u32_list(r);
   req.bytes = r.f64();
   return req;
-}
-
-}  // namespace
-
-Bytes SelectReplicasReq::encode() const {
-  Writer w;
-  encode_select_req(w, *this);
-  return w.take();
-}
-
-SelectReplicasReq SelectReplicasReq::decode(Reader& r) {
-  return decode_select_req(r);
 }
 
 Bytes SelectReplicasResp::encode() const {
@@ -353,37 +340,6 @@ Bytes SelectReplicasResp::encode() const {
 SelectReplicasResp SelectReplicasResp::decode(Reader& r) {
   SelectReplicasResp resp;
   resp.assignments = decode_assignment_list(r);
-  return resp;
-}
-
-Bytes SelectReplicasBatchReq::encode() const {
-  Writer w;
-  w.list(reads, [](Writer& writer, const SelectReplicasReq& one) {
-    encode_select_req(writer, one);
-  });
-  return w.take();
-}
-
-SelectReplicasBatchReq SelectReplicasBatchReq::decode(Reader& r) {
-  SelectReplicasBatchReq req;
-  req.reads = r.list<SelectReplicasReq>(
-      [](Reader& reader) { return decode_select_req(reader); });
-  return req;
-}
-
-Bytes SelectReplicasBatchResp::encode() const {
-  Writer w;
-  w.list(plans, [](Writer& writer, const SelectReplicasResp& one) {
-    encode_assignment_list(writer, one.assignments);
-  });
-  return w.take();
-}
-
-SelectReplicasBatchResp SelectReplicasBatchResp::decode(Reader& r) {
-  SelectReplicasBatchResp resp;
-  resp.plans = r.list<SelectReplicasResp>([](Reader& reader) {
-    return SelectReplicasResp{decode_assignment_list(reader)};
-  });
   return resp;
 }
 

@@ -36,7 +36,6 @@ enum class Method : std::uint16_t {
   kReplicateTo = 15,     // nameserver -> surviving dataserver (recovery)
   kInstallReplica = 16,  // surviving -> replacement dataserver (data + meta)
   kUpdateReplicas = 17,  // nameserver -> dataserver (replica-list refresh)
-  kSelectReplicasBatch = 18,  // client -> Flowserver service (batched)
   kGetShardMap = 19,          // client/router -> metadata coordinator
   kPlanWrite = 20,            // client -> Flowserver service (write chain)
 };
@@ -198,23 +197,6 @@ struct FlowDroppedReq {
   std::uint64_t cookie = 0;
   Bytes encode() const;
   static FlowDroppedReq decode(Reader& r);
-};
-
-// Batched admission (§5 co-design): many outstanding reads travel as ONE
-// request and the Flowserver decides them as one batch against a single
-// network snapshot, amortizing the view build and the trace/metrics flush.
-struct SelectReplicasBatchReq {
-  std::vector<SelectReplicasReq> reads;
-  Bytes encode() const;
-  static SelectReplicasBatchReq decode(Reader& r);
-};
-
-struct SelectReplicasBatchResp {
-  // plans[i] answers reads[i]; an empty assignment list means that read had
-  // no reachable replica (per-read kUnavailable inside a kOk batch).
-  std::vector<SelectReplicasResp> plans;
-  Bytes encode() const;
-  static SelectReplicasBatchResp decode(Reader& r);
 };
 
 // Client -> Flowserver: route one replication chain. `chain` is the host

@@ -22,6 +22,11 @@ namespace mayflower::net {
 
 inline constexpr double kInfiniteDemand = std::numeric_limits<double>::infinity();
 
+// Rate of a zero-hop transfer (client and replica on the same host), a
+// local read through the page cache. The data plane grants it and the
+// Flowserver's bandwidth model assumes it, so both default to this value.
+inline constexpr double kZeroHopBps = 12e9;
+
 // Relative tolerance the solver uses to decide a link is saturated or a
 // demand is met. Exposed so incremental re-solvers (FlowSim's dirty-set
 // recompute) apply the exact same criterion when checking whether an

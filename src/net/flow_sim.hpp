@@ -71,7 +71,7 @@ class FlowSim {
   struct Config {
     // Rate granted to zero-hop flows (client and server on the same host);
     // stands in for a local read through the page cache.
-    double zero_hop_bps = 12e9;
+    double zero_hop_bps = kZeroHopBps;
     // When false, every change re-runs the global progressive-filling solve
     // (the pre-index behavior; kept as ground truth for benchmarks/tests).
     bool incremental = true;

@@ -363,7 +363,6 @@ TEST_F(FlowserverTest, BatchDrainsWhenSizeThresholdReached) {
 TEST_F(FlowserverTest, BatchWindowFlushesAPartialBatch) {
   FlowserverConfig cfg = default_config();
   cfg.batch_size = 16;
-  cfg.batch_window = sim::SimTime::from_millis(5.0);
   Flowserver server(fabric_, cfg);
   std::size_t delivered = 0;
   server.enqueue({.client = tree_.hosts[0],
@@ -374,7 +373,7 @@ TEST_F(FlowserverTest, BatchWindowFlushesAPartialBatch) {
                     ++delivered;
                   }});
   EXPECT_EQ(server.queued(), 1u);
-  events_.run_until(sim::SimTime::from_millis(10.0));
+  events_.run_until(kBatchWindow + kBatchWindow);
   EXPECT_EQ(server.queued(), 0u);
   EXPECT_EQ(delivered, 1u);
 }

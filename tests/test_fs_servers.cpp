@@ -433,106 +433,6 @@ TEST_F(ServerTest, NameserverListAndStatRpcs) {
   std::filesystem::remove_all(kv_dir);
 }
 
-// --- batched Flowserver RPC -------------------------------------------------
-
-TEST_F(ServerTest, SelectReplicasBatchPlansEveryReadInOneRpc) {
-  flowserver::Flowserver server(fabric_, {});
-  const net::NodeId controller = tree_.hosts[47];
-  FlowserverService service(transport_, controller, server);
-  RpcPlanner planner(transport_, controller);
-
-  std::vector<SelectReplicasReq> reads;
-  for (std::size_t i = 0; i < 3; ++i) {
-    SelectReplicasReq one;
-    one.client = tree_.hosts[i];
-    one.replicas = {tree_.hosts[16 + 4 * i]};
-    one.bytes = 64e6;
-    reads.push_back(one);
-  }
-  bool done = false;
-  planner.plan_batch(
-      tree_.hosts[0], reads,
-      [&](Status s, std::vector<std::vector<policy::ReadAssignment>> plans) {
-        ASSERT_EQ(s, Status::kOk);
-        ASSERT_EQ(plans.size(), 3u);
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-          ASSERT_FALSE(plans[i].empty());
-          // plans[i] answers reads[i]: the right replica, a path ending at
-          // the right client, and an installed cookie.
-          for (const auto& a : plans[i]) {
-            EXPECT_EQ(a.replica, reads[i].replicas[0]);
-            EXPECT_EQ(a.path.nodes.back(), reads[i].client);
-            fabric_.start_flow(a.cookie, a.path, a.bytes, nullptr);
-          }
-        }
-        done = true;
-      });
-  events_.run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(service.requests_served(), 3u);
-}
-
-TEST_F(ServerTest, SelectReplicasBatchMarksUnreachableReadsEmpty) {
-  flowserver::Flowserver server(fabric_, {});
-  const net::NodeId controller = tree_.hosts[47];
-  FlowserverService service(transport_, controller, server);
-  RpcPlanner planner(transport_, controller);
-
-  // Cut off the first read's only replica; the second must still plan.
-  const net::NodeId dead = tree_.hosts[16];
-  fabric_.fail_link(tree_.host_uplink(dead));
-  fabric_.fail_link(tree_.host_downlink(dead));
-
-  std::vector<SelectReplicasReq> reads(2);
-  reads[0].client = tree_.hosts[0];
-  reads[0].replicas = {dead};
-  reads[0].bytes = 1e6;
-  reads[1].client = tree_.hosts[1];
-  reads[1].replicas = {tree_.hosts[32]};
-  reads[1].bytes = 1e6;
-
-  bool done = false;
-  planner.plan_batch(
-      tree_.hosts[0], reads,
-      [&](Status s, std::vector<std::vector<policy::ReadAssignment>> plans) {
-        ASSERT_EQ(s, Status::kOk);  // the batch succeeds as a whole
-        ASSERT_EQ(plans.size(), 2u);
-        EXPECT_TRUE(plans[0].empty());  // per-read kUnavailable
-        ASSERT_FALSE(plans[1].empty());
-        EXPECT_EQ(plans[1][0].replica, tree_.hosts[32]);
-        done = true;
-      });
-  events_.run();
-  EXPECT_TRUE(done);
-}
-
-TEST_F(ServerTest, SelectReplicasBatchRejectsMalformedReads) {
-  flowserver::Flowserver server(fabric_, {});
-  const net::NodeId controller = tree_.hosts[47];
-  FlowserverService service(transport_, controller, server);
-  RpcPlanner planner(transport_, controller);
-
-  // An empty batch and a batch containing a zero-byte read both bounce.
-  for (const bool with_bad_read : {false, true}) {
-    std::vector<SelectReplicasReq> reads;
-    if (with_bad_read) {
-      SelectReplicasReq bad;
-      bad.client = tree_.hosts[0];
-      bad.replicas = {tree_.hosts[16]};
-      bad.bytes = 0.0;
-      reads.push_back(bad);
-    }
-    Status seen = Status::kOk;
-    planner.plan_batch(
-        tree_.hosts[0], reads,
-        [&](Status s, std::vector<std::vector<policy::ReadAssignment>>) {
-          seen = s;
-        });
-    events_.run();
-    EXPECT_EQ(seen, Status::kBadRequest);
-  }
-}
-
 TEST_F(ServerTest, PlanRpcsRejectMalformedRequests) {
   flowserver::Flowserver server(fabric_, {});
   const net::NodeId controller = tree_.hosts[47];
@@ -553,24 +453,13 @@ TEST_F(ServerTest, PlanRpcsRejectMalformedRequests) {
   planner.plan(client, {replica}, inf, record);
   planner.plan(beyond, {replica}, 1e6, record);
   planner.plan(client, {replica, beyond}, 1e6, record);
-  // kSelectReplicasBatch: one bad read after a good one spoils the batch.
-  SelectReplicasReq good;
-  good.client = client;
-  good.replicas = {replica};
-  good.bytes = 1e6;
-  SelectReplicasReq nan_read = good;
-  nan_read.bytes = nan;
-  SelectReplicasReq far_read = good;
-  far_read.replicas = {beyond};
-  planner.plan_batch(client, {good, nan_read}, record);
-  planner.plan_batch(client, {good, far_read}, record);
   // kPlanWrite: a NaN or infinite size, an out-of-range chain host.
   planner.plan_write(client, {client, replica}, nan, record);
   planner.plan_write(client, {client, replica}, inf, record);
   planner.plan_write(client, {client, beyond}, 1e6, record);
   events_.run();
 
-  ASSERT_EQ(seen.size(), 9u);
+  ASSERT_EQ(seen.size(), 7u);
   for (const Status s : seen) EXPECT_EQ(s, Status::kBadRequest);
   EXPECT_EQ(server.table().size(), 0u);
 }

@@ -240,6 +240,42 @@ TEST_F(TelemetryTest, UntrackedFlowSamplesAreNotApplied) {
   server.stop();
 }
 
+// A flow that finishes between polls reaches the next sweep as a final
+// counter: a flow-removed notification that drops state, not a polled
+// sample. It is never counted as applied, so stats_samples(),
+// flowserver.poll.applied and the samples_per_tick histogram agree, and
+// the budget bounds stats_samples() per tick however many flows finish.
+TEST_F(TelemetryTest, FinalCountersAreNotAppliedSamples) {
+  obs::Observability hub;
+  FlowserverConfig cfg;
+  cfg.telemetry.samples_budget = 3;
+  cfg.telemetry.mouse_period = 1;
+  cfg.obs = &hub;
+  Flowserver server(fabric_, cfg);
+  // Six long reads of host 28 offer six samples a tick, past the budget.
+  start_reads(server, tree_.hosts[28], 30, 6, 1e10);
+  server.start();
+  std::uint64_t last = 0;
+  for (int tick = 0; tick < 8; ++tick) {
+    // Twelve short reads of host 0 finish well before the next poll, which
+    // collects their twelve final counters.
+    start_reads(server, tree_.hosts[0], 1, 12, 1e6);
+    events_.run_until(sim::SimTime::from_seconds(1.0 * (tick + 1) + 0.5));
+    EXPECT_LE(server.stats_samples() - last, 3u) << "tick " << tick;
+    last = server.stats_samples();
+  }
+  EXPECT_EQ(server.table().size(), 6u);
+  EXPECT_GT(server.telemetry().deferred_budget(), 0u);
+  EXPECT_GT(server.stats_samples(), 0u);
+  EXPECT_EQ(hub.metrics.counter_value("flowserver.poll.applied"),
+            server.stats_samples());
+  const obs::HistogramData* per_tick =
+      hub.metrics.find_histogram("flowserver.poll.samples_per_tick");
+  ASSERT_NE(per_tick, nullptr);
+  EXPECT_EQ(per_tick->sum, static_cast<double>(server.stats_samples()));
+  server.stop();
+}
+
 TEST_F(TelemetryTest, MouseStalenessStaysWithinItsPeriod) {
   FlowserverConfig cfg;
   cfg.telemetry.mouse_period = 4;

@@ -1,44 +1,38 @@
 #!/usr/bin/env python3
 """Validate a mayflower_sim --metrics-out JSON document, or compare two.
 
-Checks structural invariants the exporter promises (ci.sh runs this on the
-file it also diffs for determinism):
+Every metric name src/ can register is listed once, in the metrics catalog
+src/obs/metrics_catalog.json: its name pattern, kind and meaning, plus a
+family for names that register together. tools/lint_invariants.py
+--check=metrics holds the registration sites in src/ and the names this
+script tests to the same catalog, through load and pattern_regex below.
+
+A document passes when:
 
   * schema_version == 2, scheme is a non-empty string, runs is a list;
   * every run has an integer seed and an obs object with counters, gauges,
     histograms, flows, decisions and estimator_error;
+  * every exported name matches a catalog pattern of its kind;
   * histogram edges are strictly ascending, buckets == edges + 1, the
     bucket counts tile `count`, and min <= max when count > 0;
   * flow records carry the full trace schema with sane values
     (moved_bytes >= 0, end >= start for completed flows);
   * estimator_error and belief_error percentiles are ordered
     (p50 <= p90 <= p99 <= max);
-  * every run with flowserver.* metrics (every run with a Flowserver: the
-    families are registered together at construction) exports the
-    flowserver.shard.* family complete and coherent: the shard-count gauge
-    is >= 1, and per-shard reloads imply at least one prior full view
-    build;
-  * those runs also export the flowserver.poll.* family complete (five
-    counters + two gauges) and coherent: budget deferrals and class
-    transitions imply applied samples;
-  * when a run carries a metadata-plane export (the optional per-run
-    "meta_obs" object written for --meta-ops > 0), it passes the same
-    structural checks as the main obs block and the meta.* family is
-    complete: meta.shard.count gauge >= 1, one meta.shard.<i>.ops counter
-    per shard, the router counters, the lookup-latency histogram, and the
-    async-commit trio all-or-nothing;
-  * when the write-path planner exports its counters (every run with a
-    Flowserver: the family is registered with the others at construction),
-    the flowserver.write.* family is complete (three counters + the
-    bottleneck histogram, all-or-nothing) and coherent: every chain has at
-    least one hop and exactly one bottleneck observation;
-  * when a run carries a write-phase export (the optional per-run
-    "write_obs" object written for --write-jobs > 0), it passes the same
-    structural checks as the main obs block;
-  * every exported counter/gauge/histogram name matches a pattern of its
-    kind in REGISTERED_METRICS below — the same registry that
-    tools/lint_invariants.py --check=metrics reconciles against the
-    registration sites in src/ and the inventory tables in DESIGN.md.
+  * catalog families are all-or-nothing: a block that exports any name of a
+    family exports all of them (every run with a Flowserver exports the 19
+    flowserver.* names, a sharded metadata plane the five meta.* names, an
+    async committer the three meta.async.* names);
+  * a complete family is coherent: the Flowserver's shard count is >= 1,
+    shard reloads imply a full view build, budget deferrals and class
+    transitions imply applied samples, the samples_per_tick histogram sums
+    to the applied samples, every write chain has at least one hop and one
+    bottleneck observation; the metadata plane's shard count is an integer
+    >= 1 with one meta.shard.<i>.ops counter per shard;
+  * the optional per-run blocks, "meta_obs" (--meta-ops > 0) and
+    "write_obs" (--write-jobs > 0), pass the same checks as the main obs
+    block, and a metadata export carries a <scope>.ops counter from the
+    single nameserver or a metadata shard.
 
 Exit status 0 on success, 1 on any violation (all violations are listed).
 
@@ -51,102 +45,45 @@ metric names that start with an ignored prefix.
 """
 import argparse
 import json
+import os
 import re
 import sys
 
-# ---------------------------------------------------------------------------
-# The registry of every metric name src/ can register, one pattern per
-# family. tools/lint_invariants.py --check=metrics holds this registry to
-# account both ways: every registration in src/ must match a pattern here,
-# every pattern here must be registered by some code, and DESIGN.md's
-# metrics inventory must list exactly these patterns. At runtime (below),
-# every name in an exported metrics JSON must match a pattern of its kind.
-#
-# Wildcards: <i> a decimal index, <method> an rpc::Method name (CamelCase),
-# <kind> a FaultKind name (lowercase, hyphenated), <scope> one of
-# METRIC_SCOPES (the nameserver metric_scope values).
-METRIC_SCOPES = ("fs.nameserver", "meta.shard.<i>")
-
-REGISTERED_METRICS = {
-    # fluid network simulator
-    "net.flowsim.incremental_solves": "counter",
-    "net.flowsim.full_solves": "counter",
-    "net.flowsim.handoff_solves": "counter",
-    # harness + filesystem clients/servers
-    "harness.read_retries": "counter",
-    "fs.client.lookups": "counter",
-    "fs.client.cache_hits": "counter",
-    "fs.client.read_retries": "counter",
-    "fs.client.retry_backoff_sec": "histogram",
-    "fs.ds.relay_failed": "counter",
-    "fs.ds.chain_appends": "counter",
-    "<scope>.ops": "counter",
-    "<scope>.probes_sent": "counter",
-    "<scope>.rereplications": "counter",
-    "<scope>.rpc.<method>": "counter",
-    # flowserver (selection, telemetry, sharded state, write path)
-    "flowserver.selections": "counter",
-    "flowserver.split_reads": "counter",
-    "flowserver.table.freeze_suppressed": "counter",
-    "flowserver.poll.applied": "counter",
-    "flowserver.poll.deferred_mouse": "counter",
-    "flowserver.poll.deferred_budget": "counter",
-    "flowserver.poll.promotions": "counter",
-    "flowserver.poll.demotions": "counter",
-    "flowserver.poll.elephants": "gauge",
-    "flowserver.poll.mice": "gauge",
-    "flowserver.poll.samples_per_tick": "histogram",
-    "flowserver.shard.count": "gauge",
-    "flowserver.shard.full_rebuilds": "counter",
-    "flowserver.shard.reloads": "counter",
-    "flowserver.shard.link_refreshes": "counter",
-    "flowserver.write.chains": "counter",
-    "flowserver.write.hops": "counter",
-    "flowserver.write.truncated": "counter",
-    "flowserver.write.bottleneck_bps": "histogram",
-    # metadata plane (DESIGN.md §13)
-    "meta.shard.count": "gauge",
-    "meta.plane.failovers": "counter",
-    "meta.router.map_fetches": "counter",
-    "meta.router.wrong_shard_retries": "counter",
-    "meta.lookup_latency_sec": "histogram",
-    "meta.async.inflight": "gauge",
-    "meta.async.committed": "counter",
-    "meta.async.failed": "counter",
-    # SDN fabric + stats poller
-    "sdn.fabric.path_installs": "counter",
-    "sdn.fabric.path_removes": "counter",
-    "sdn.fabric.flows_started": "counter",
-    "sdn.fabric.flows_completed": "counter",
-    "sdn.fabric.flows_failed": "counter",
-    "sdn.fabric.reroutes": "counter",
-    "sdn.fabric.link_downs": "counter",
-    "sdn.fabric.link_restores": "counter",
-    "sdn.fabric.switch_wipes": "counter",
-    "sdn.fabric.edge_polls": "counter",
-    "sdn.poller.ticks": "counter",
-    # fault injection
-    "fault.injected.<kind>": "counter",
-}
-
-_WILDCARDS = {"<i>": r"\d+", "<method>": r"[A-Za-z]+", "<kind>": r"[a-z-]+"}
+CATALOG_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "../src/obs/metrics_catalog.json")
+SECTIONS = {"counter": "counters", "gauge": "gauges",
+            "histogram": "histograms"}
 
 
-def _pattern_regexes():
-    by_kind = {}
-    for pattern, kind in REGISTERED_METRICS.items():
-        expansions = ([pattern.replace("<scope>", s) for s in METRIC_SCOPES]
-                      if "<scope>" in pattern else [pattern])
-        for expanded in expansions:
-            rx = re.escape(expanded)
-            for token, sub in _WILDCARDS.items():
-                rx = rx.replace(re.escape(token), sub)
-            by_kind.setdefault(kind, []).append(rx)
-    return {kind: re.compile(r"^(?:%s)$" % "|".join(rxs))
-            for kind, rxs in by_kind.items()}
+def load(path):
+    """A metrics document, or the catalog: {"wildcards": {token: regex},
+    "scopes": [...], "metrics": [{"name", "kind", "meaning"[, "family"]},
+    ...]}. None (reported on stderr) when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        print(f"cannot parse {path}: {e}", file=sys.stderr)
+        return None
 
 
-_KNOWN = _pattern_regexes()
+def expand_scope(pattern, catalog):
+    """'<scope>.ops' -> one pattern per catalog scope; others unchanged."""
+    if "<scope>" not in pattern:
+        return [pattern]
+    return [pattern.replace("<scope>", s) for s in catalog["scopes"]]
+
+
+def pattern_regex(pattern, catalog):
+    """A full-match regex for a catalog name pattern, wildcards expanded."""
+    out = []
+    for expanded in expand_scope(pattern, catalog):
+        rx = re.escape(expanded)
+        for token, sub in catalog["wildcards"].items():
+            rx = rx.replace(re.escape(token), sub)
+        out.append(rx)
+    return re.compile(r"^(?:%s)$" % "|".join(out))
+
 
 FLOW_FIELDS = {
     "cookie", "planned_bw_bps", "planned_bytes", "start_sec", "end_sec",
@@ -198,25 +135,25 @@ def check_flow(i, flow, where):
         fail(f"{where}: flow[{i}] completed before it started")
 
 
-def check_known_names(obs, where):
-    """Every exported name must match a REGISTERED_METRICS pattern of the
-    right kind — a rename or an unregistered addition fails here (and in
-    lint_invariants --check=metrics at the registration site)."""
-    for kind, key in (("counter", "counters"), ("gauge", "gauges"),
-                      ("histogram", "histograms")):
-        rx = _KNOWN.get(kind)
-        for name in obs[key]:
-            if rx is None or not rx.match(name):
-                fail(f"{where}: {kind} {name!r} matches no "
-                     f"REGISTERED_METRICS pattern of its kind")
+def check_known_names(obs, where, catalog):
+    """Every exported name matches a catalog pattern of its kind: a rename
+    or an unlisted addition fails here (and in lint_invariants
+    --check=metrics at the registration site)."""
+    for kind, section in SECTIONS.items():
+        rxs = [pattern_regex(m["name"], catalog)
+               for m in catalog["metrics"] if m["kind"] == kind]
+        for name in obs[section]:
+            if not any(rx.match(name) for rx in rxs):
+                fail(f"{where}: {kind} {name!r} matches no catalog pattern "
+                     f"of its kind")
 
 
-def check_obs(obs, where):
-    for key in ("counters", "gauges", "histograms"):
+def check_obs(obs, where, catalog):
+    for key in SECTIONS.values():
         if not isinstance(obs.get(key), dict):
             fail(f"{where}: missing or non-object {key!r}")
             return
-    check_known_names(obs, where)
+    check_known_names(obs, where, catalog)
     for name, value in obs["counters"].items():
         if not isinstance(value, int) or value < 0:
             fail(f"{where}: counter {name!r} is not a non-negative integer")
@@ -248,113 +185,60 @@ def check_obs(obs, where):
     err = obs.get("estimator_error")
     if isinstance(err, dict) and err.get("count", 0) > 0 and not flows:
         fail(f"{where}: estimator errors without any finished flows")
-    check_shard_family(obs, where)
-    check_meta_family(obs, where)
-    check_poll_family(obs, where)
-    check_write_family(obs, where)
+    complete = check_families(obs, where, catalog)
+    if "flowserver" in complete:
+        check_flowserver(obs, where)
+    if "meta" in complete:
+        check_meta(obs, where)
 
 
-SHARD_COUNTERS = (
-    "flowserver.shard.full_rebuilds",
-    "flowserver.shard.reloads",
-    "flowserver.shard.link_refreshes",
-)
+def check_families(obs, where, catalog):
+    """A block that exports any name of a catalog family exports all of
+    them. Returns the families it exports complete."""
+    members = {}
+    for m in catalog["metrics"]:
+        if "family" in m:
+            members.setdefault(m["family"], []).append(
+                (m["name"], SECTIONS[m["kind"]]))
+    complete = set()
+    for family, names in members.items():
+        missing = [n for n, section in names if n not in obs[section]]
+        if not missing:
+            complete.add(family)
+        elif len(missing) < len(names):
+            fail(f"{where}: partial {family} family export, missing "
+                 f"{missing}")
+    return complete
 
 
-def has_flowserver(obs):
-    """Whether the run had a Flowserver (it registers flowserver.*)."""
-    return any(k.startswith("flowserver.")
-               for key in ("counters", "gauges", "histograms")
-               for k in obs[key])
-
-
-def check_shard_family(obs, where):
-    """flowserver.shard.* is complete and internally coherent."""
-    if not has_flowserver(obs):
-        return  # no Flowserver in this run: nothing due
+def check_flowserver(obs, where):
+    """The Flowserver's families (view refresh, stats poll, write chains)
+    are internally coherent."""
     counters = obs["counters"]
-    gauges = obs["gauges"]
-    missing = [c for c in SHARD_COUNTERS if c not in counters]
-    if missing:
-        fail(f"{where}: partial flowserver.shard.* export, missing "
-             f"{missing}")
-    if "flowserver.shard.count" not in gauges:
-        fail(f"{where}: flowserver.* metrics without a "
-             f"'flowserver.shard.count' gauge")
-        return
-    shard_count = gauges["flowserver.shard.count"]
+    histograms = obs["histograms"]
+    shard_count = obs["gauges"]["flowserver.shard.count"]
     if shard_count < 1:
         fail(f"{where}: shard count is {shard_count}, expected >= 1")
-    if counters.get("flowserver.shard.reloads", 0) > 0 and \
-            counters.get("flowserver.shard.full_rebuilds", 0) < 1:
+    if counters["flowserver.shard.reloads"] > 0 and \
+            counters["flowserver.shard.full_rebuilds"] < 1:
         fail(f"{where}: shard reloads without any prior full view build")
-
-
-POLL_COUNTERS = (
-    "flowserver.poll.applied",
-    "flowserver.poll.deferred_mouse",
-    "flowserver.poll.deferred_budget",
-    "flowserver.poll.promotions",
-    "flowserver.poll.demotions",
-)
-POLL_GAUGES = (
-    "flowserver.poll.elephants",
-    "flowserver.poll.mice",
-)
-
-
-def check_poll_family(obs, where):
-    """flowserver.poll.* (stats-poll telemetry, DESIGN.md §14) is complete
-    and internally coherent."""
-    if not has_flowserver(obs):
-        return  # no Flowserver in this run: nothing due
-    counters = obs["counters"]
-    gauges = obs["gauges"]
-    missing = [c for c in POLL_COUNTERS if c not in counters]
-    missing += [g for g in POLL_GAUGES if g not in gauges]
-    if missing:
-        fail(f"{where}: partial flowserver.poll.* export, missing {missing}")
-        return
+    applied = counters["flowserver.poll.applied"]
     # A budget deferral means the per-tick cap was hit, which requires the
     # tick to have applied at least that many samples first.
-    if counters["flowserver.poll.deferred_budget"] > 0 and \
-            counters["flowserver.poll.applied"] == 0:
+    if counters["flowserver.poll.deferred_budget"] > 0 and applied == 0:
         fail(f"{where}: budget deferrals without any applied samples")
     # Class counts move only through applied samples: a demotion (and any
     # later promotion) implies at least one applied classification.
     transitions = (counters["flowserver.poll.promotions"] +
                    counters["flowserver.poll.demotions"])
-    if transitions > 0 and counters["flowserver.poll.applied"] == 0:
+    if transitions > 0 and applied == 0:
         fail(f"{where}: class transitions without any applied samples")
-
-
-WRITE_COUNTERS = (
-    "flowserver.write.chains",
-    "flowserver.write.hops",
-    "flowserver.write.truncated",
-)
-WRITE_HISTOGRAM = "flowserver.write.bottleneck_bps"
-
-
-def check_write_family(obs, where):
-    """flowserver.write.* (write-chain planning, DESIGN.md §15) is
-    all-or-nothing and internally coherent."""
-    counters = obs["counters"]
-    histograms = obs["histograms"]
-    present = [c for c in WRITE_COUNTERS if c in counters]
-    has_hist = WRITE_HISTOGRAM in histograms
-    if not present and not has_hist:
-        return  # no Flowserver in this run: nothing due
-    missing = [c for c in WRITE_COUNTERS if c not in counters]
-    if missing:
-        fail(f"{where}: partial flowserver.write.* export, missing "
-             f"{missing}")
-    if not has_hist:
-        fail(f"{where}: flowserver.write.* counters without a "
-             f"{WRITE_HISTOGRAM!r} histogram")
-        return
-    if missing:
-        return
+    # Every tick observes the samples it applied; a finished flow's final
+    # counter is neither applied nor observed.
+    per_tick = histograms["flowserver.poll.samples_per_tick"].get("sum", 0)
+    if per_tick != applied:
+        fail(f"{where}: samples_per_tick sums to {per_tick:g} but "
+             f"{applied} samples were applied")
     chains = counters["flowserver.write.chains"]
     hops = counters["flowserver.write.hops"]
     if hops < chains:
@@ -362,67 +246,23 @@ def check_write_family(obs, where):
              f"(every chain has at least one hop)")
     # The planner records exactly one joint-bottleneck observation per
     # successfully planned chain.
-    hist_count = histograms[WRITE_HISTOGRAM].get("count", 0)
-    if hist_count != chains:
-        fail(f"{where}: {hist_count} bottleneck observations for "
+    observed = histograms["flowserver.write.bottleneck_bps"].get("count", 0)
+    if observed != chains:
+        fail(f"{where}: {observed} bottleneck observations for "
              f"{chains} planned chains")
 
 
-META_ROUTER_COUNTERS = (
-    "meta.router.map_fetches",
-    "meta.router.wrong_shard_retries",
-)
-META_ASYNC_KEYS = (
-    "meta.async.inflight",       # gauge
-    "meta.async.committed",      # counter
-    "meta.async.failed",         # counter
-)
-
-
-def check_meta_family(obs, where):
-    """meta.* is all-or-nothing and internally coherent."""
-    counters = obs["counters"]
-    gauges = obs["gauges"]
-    histograms = obs["histograms"]
-    any_meta = any(k.startswith("meta.")
-                   for k in (*counters, *gauges, *histograms))
-    if not any_meta:
-        return  # run without a metadata plane: nothing due
-    if "meta.shard.count" not in gauges:
-        fail(f"{where}: meta.* metrics without a 'meta.shard.count' gauge")
-        return
-    shard_count = gauges["meta.shard.count"]
+def check_meta(obs, where):
+    """The sharded metadata plane exports one ops counter per shard."""
+    shard_count = obs["gauges"]["meta.shard.count"]
     if not isinstance(shard_count, int) or shard_count < 1:
         fail(f"{where}: meta.shard.count must be an integer >= 1, got "
              f"{shard_count!r}")
         return
     for i in range(shard_count):
-        if f"meta.shard.{i}.ops" not in counters:
+        if f"meta.shard.{i}.ops" not in obs["counters"]:
             fail(f"{where}: missing 'meta.shard.{i}.ops' counter "
                  f"(shard count says {shard_count})")
-    missing = [c for c in META_ROUTER_COUNTERS if c not in counters]
-    if missing:
-        fail(f"{where}: partial meta.router.* export, missing {missing}")
-    if "meta.plane.failovers" not in counters:
-        fail(f"{where}: missing 'meta.plane.failovers' counter")
-    if "meta.lookup_latency_sec" not in histograms:
-        fail(f"{where}: missing 'meta.lookup_latency_sec' histogram")
-    # Async-commit metrics only exist when --meta-async is on, but then the
-    # whole trio must be there together.
-    async_present = [k for k in META_ASYNC_KEYS
-                     if k in counters or k in gauges]
-    if async_present and len(async_present) != len(META_ASYNC_KEYS):
-        absent = [k for k in META_ASYNC_KEYS if k not in async_present]
-        fail(f"{where}: partial meta.async.* export, missing {absent}")
-
-
-def load(path):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot parse {path}: {e}", file=sys.stderr)
-        return None
 
 
 def without_ignored(obs, ignore):
@@ -479,8 +319,10 @@ def main():
     if args.metrics_json is None or args.ignore:
         parser.error("expected METRICS_JSON (--ignore needs --same-obs)")
     doc = load(args.metrics_json)
-    if doc is None:
+    catalog = load(CATALOG_PATH)
+    if doc is None or catalog is None:
         return 1
+    scope_ops = pattern_regex("<scope>.ops", catalog)
 
     if doc.get("schema_version") != 2:
         fail("schema_version != 2")
@@ -499,25 +341,25 @@ def main():
         if not isinstance(obs, dict):
             fail(f"{where}: missing 'obs' object")
             continue
-        check_obs(obs, where)
+        check_obs(obs, where, catalog)
         meta_obs = run.get("meta_obs")
         if meta_obs is not None:
             mwhere = f"{where}.meta_obs"
             if not isinstance(meta_obs, dict):
                 fail(f"{mwhere}: not an object")
                 continue
-            check_obs(meta_obs, mwhere)
-            if not any(k.startswith("meta.")
+            check_obs(meta_obs, mwhere, catalog)
+            if not any(scope_ops.match(k)
                        for k in meta_obs.get("counters", {})):
-                fail(f"{mwhere}: metadata export without any meta.* "
-                     f"counters")
+                fail(f"{mwhere}: metadata export without a <scope>.ops "
+                     f"counter")
         write_obs = run.get("write_obs")
         if write_obs is not None:
             wwhere = f"{where}.write_obs"
             if not isinstance(write_obs, dict):
                 fail(f"{wwhere}: not an object")
                 continue
-            check_obs(write_obs, wwhere)
+            check_obs(write_obs, wwhere, catalog)
 
     if errors:
         for e in errors:

@@ -1,5 +1,5 @@
-// Fixture: every registration is known to the registry with the right
-// kind, including one dynamic (concatenated) site.
+// Fixture: every registration is in the catalog with the right kind,
+// including one dynamic (concatenated) site.
 namespace fixture {
 
 void register_all(Registry& registry, int shard) {

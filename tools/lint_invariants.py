@@ -29,13 +29,11 @@ banned identifier does not trip the gate):
             round-trip test (tools/gen_rpc_roundtrip.py, driven by the same
             RPC_METHODS table) covers it.
 
-  metrics   Every metric name registered in src/ matches a pattern in
-            tools/check_metrics.py REGISTERED_METRICS, every pattern is
-            registered by some code, every metric-name string check_metrics
-            validates is a registered pattern, and the DESIGN.md metrics
-            inventory (between metrics-inventory markers) lists exactly the
-            registered patterns. Metric names must carry canonical unit
-            suffixes.
+  metrics   Every metric name registered in src/ matches an entry of its
+            kind in the metrics catalog (src/obs/metrics_catalog.json),
+            every catalog entry is registered by some code, and every
+            metric-name string tools/check_metrics.py tests is in the
+            catalog. Metric names must carry canonical unit suffixes.
 
   flagdoc   Every CLI flag mayflower_sim.cpp validates is documented in the
             README flag table (between flag-table markers) and vice versa.
@@ -65,6 +63,9 @@ import ast
 import os
 import re
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from check_metrics import expand_scope, load, pattern_regex  # noqa: E402
 
 BOUNDARY_FILES = [
     "src/policy/replica_policy.cpp", "src/policy/replica_policy.hpp",
@@ -154,22 +155,17 @@ RPC_METHODS = {
     "kReplicateTo": ("ReplicateToReq", None, ("dataserver",)),
     "kInstallReplica": ("InstallReplicaReq", None, ("dataserver",)),
     "kUpdateReplicas": ("UpdateReplicasReq", None, ("dataserver",)),
-    "kSelectReplicasBatch": ("SelectReplicasBatchReq",
-                             "SelectReplicasBatchResp",
-                             ("flowserver_service",)),
     "kGetShardMap": (None, "ShardMapResp", ("meta",)),
     "kPlanWrite": ("PlanWriteReq", "SelectReplicasResp",
                    ("flowserver_service",)),
 }
 
 # ---------------------------------------------------------------------------
-# metrics: where the registry of exported metric names lives, and where the
-# human-readable inventory lives. src/obs/metrics.* defines the registry API
-# itself and is excluded from registration extraction.
-METRICS_REGISTRY_PY = "tools/check_metrics.py"
-METRICS_DESIGN_MD = "DESIGN.md"
-METRICS_DESIGN_BEGIN = "<!-- metrics-inventory:begin -->"
-METRICS_DESIGN_END = "<!-- metrics-inventory:end -->"
+# metrics: the catalog of metric names src/ can register, and the validator
+# whose name checks must stay inside it. src/obs/metrics.* defines the
+# registry API itself and is excluded from registration extraction.
+METRICS_CATALOG = "src/obs/metrics_catalog.json"
+METRICS_VALIDATOR = "tools/check_metrics.py"
 
 # ---------------------------------------------------------------------------
 # flagdoc: the CLI whose flags must match the README flag table.
@@ -530,32 +526,6 @@ def check_rpc(root, findings, cfg=None):
 
 METRIC_CALL_RE = re.compile(r"[.>](counter|gauge|histogram)\s*\(")
 METRIC_NAME_SHAPE = re.compile(r"^[a-z<][a-z0-9_.<>-]*$")
-METRIC_WILDCARDS = {
-    "<i>": r"\d+",
-    "<method>": r"[A-Za-z]+",
-    "<kind>": r"[a-z-]+",
-}
-
-
-def metric_scopes(registry):
-    return tuple(registry.get("__scopes__", ()))
-
-
-def expand_scope(pattern, scopes):
-    """'<scope>.ops' -> one concrete-ish pattern per scope value."""
-    if "<scope>" not in pattern:
-        return [pattern]
-    return [pattern.replace("<scope>", s) for s in scopes]
-
-
-def pattern_regex(pattern, scopes):
-    out = []
-    for expanded in expand_scope(pattern, scopes):
-        rx = re.escape(expanded)
-        for token, sub in METRIC_WILDCARDS.items():
-            rx = rx.replace(re.escape(token), sub)
-        out.append(rx)
-    return re.compile(r"^(?:%s)$" % "|".join(out))
 
 
 def extract_metric_registrations(paths):
@@ -610,39 +580,6 @@ def extract_metric_registrations(paths):
     return exact, dynamic
 
 
-def load_metric_registry(path, findings):
-    """Reads REGISTERED_METRICS (pattern -> kind) and METRIC_SCOPES out of a
-    check_metrics-style module without importing it."""
-    with open(path, encoding="utf-8") as f:
-        tree = ast.parse(f.read(), filename=path)
-    registry = {}
-    scopes = ()
-    for node in tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if target.id == "REGISTERED_METRICS":
-            try:
-                registry = ast.literal_eval(node.value)
-            except ValueError:
-                findings.append((path, node.lineno, "metrics",
-                                 "REGISTERED_METRICS is not a literal dict"))
-        elif target.id == "METRIC_SCOPES":
-            try:
-                scopes = tuple(ast.literal_eval(node.value))
-            except ValueError:
-                findings.append((path, node.lineno, "metrics",
-                                 "METRIC_SCOPES is not a literal tuple"))
-    if not registry:
-        findings.append((path, 0, "metrics",
-                         "no REGISTERED_METRICS dict found"))
-    registry = dict(registry)
-    registry["__scopes__"] = scopes
-    return registry
-
-
 def metric_strings_in_module(path):
     """Every metric-shaped string constant in the module (f-string parts
     included), with line numbers — the names check_metrics.py validates."""
@@ -664,36 +601,36 @@ def check_metrics_contract(root, findings, cfg=None):
                          ("src/obs/metrics.hpp", "src/obs/metrics.cpp"))]
         cfg = {
             "src_files": src_files,
-            "registry": os.path.join(root, METRICS_REGISTRY_PY),
-            "design": os.path.join(root, METRICS_DESIGN_MD),
+            "catalog": os.path.join(root, METRICS_CATALOG),
+            "validator": os.path.join(root, METRICS_VALIDATOR),
         }
-    reg_path = cfg["registry"]
-    if not os.path.exists(reg_path):
-        findings.append((reg_path, 0, "metrics", "registry module missing"))
+    cat_path = cfg["catalog"]
+    catalog = load(cat_path)
+    if catalog is None:
+        findings.append((cat_path, 0, "metrics",
+                         "metrics catalog missing or not JSON"))
         return
-    registry = load_metric_registry(reg_path, findings)
-    scopes = metric_scopes(registry)
-    patterns = {p: k for p, k in registry.items() if p != "__scopes__"}
-    compiled = {p: pattern_regex(p, scopes) for p in patterns}
-    expanded = {p: expand_scope(p, scopes) for p in patterns}
+    patterns = {m["name"]: m["kind"] for m in catalog["metrics"]}
+    compiled = {p: pattern_regex(p, catalog) for p in patterns}
+    expanded = {p: expand_scope(p, catalog) for p in patterns}
 
     exact, dynamic = extract_metric_registrations(cfg["src_files"])
 
-    # 1. Every registration must be known to the registry, with the right
-    #    kind, and carry a canonical unit suffix.
+    # 1. Every registration must be in the catalog, with the right kind,
+    #    and carry a canonical unit suffix.
     covered = set()
     for path, lineno, kind, name in exact:
         hits = [p for p, rx in compiled.items() if rx.fullmatch(name)]
         if not hits:
             findings.append((path, lineno, "metrics",
-                             "metric '%s' registered here but unknown to "
-                             "REGISTERED_METRICS in check_metrics.py" % name))
+                             "metric '%s' registered here but not in the "
+                             "metrics catalog" % name))
         for p in hits:
             covered.add(p)
             if patterns[p] != kind:
                 findings.append((path, lineno, "metrics",
-                                 "metric '%s' registered as %s but "
-                                 "REGISTERED_METRICS says %s" %
+                                 "metric '%s' registered as %s but the "
+                                 "catalog says %s" %
                                  (name, kind, patterns[p])))
         leaf = name.rsplit(".", 1)[-1]
         for suffix in UNIT_BANNED_SUFFIXES:
@@ -709,8 +646,7 @@ def check_metrics_contract(root, findings, cfg=None):
         if not hits:
             findings.append((path, lineno, "metrics",
                              "dynamic metric registration (fragments %s) "
-                             "matches no REGISTERED_METRICS pattern" %
-                             fragments))
+                             "matches no catalog pattern" % fragments))
         for p in hits:
             covered.add(p)
             if patterns[p] != kind:
@@ -719,58 +655,29 @@ def check_metrics_contract(root, findings, cfg=None):
                                  "'%s' declared as %s" %
                                  (kind, p, patterns[p])))
 
-    # 2. No dead families: every registry pattern must be registered by some
+    # 2. No dead entries: every catalog pattern must be registered by some
     #    code the analyzer saw.
     for p in sorted(patterns):
         if p not in covered:
-            findings.append((reg_path, 0, "metrics",
-                             "REGISTERED_METRICS pattern '%s' is registered "
-                             "by nothing in src/ (dead family)" % p))
+            findings.append((cat_path, 0, "metrics",
+                             "catalog pattern '%s' is registered by nothing "
+                             "in src/ (dead entry)" % p))
 
-    # 3. Every metric-name string check_metrics validates must belong to a
-    #    registered pattern (full match, or a fragment of one — prefix
-    #    checks like "meta." appear in the code as partial strings).
+    # 3. Every metric-name string the validator tests must belong to a
+    #    catalog pattern (full match, or a fragment of one: f-strings such
+    #    as "meta.shard.{i}.ops" appear in the code as partial strings).
+    validator = cfg["validator"]
     all_expanded = [e for exp in expanded.values() for e in exp]
-    for lineno, s in metric_strings_in_module(reg_path):
+    for lineno, s in metric_strings_in_module(validator):
         if s in patterns:
             continue
         if any(rx.fullmatch(s) for rx in compiled.values()):
             continue
         if any(s in e for e in all_expanded):
             continue
-        findings.append((reg_path, lineno, "metrics",
-                         "check_metrics.py validates '%s' which no "
-                         "REGISTERED_METRICS pattern registers" % s))
-
-    # 4. The DESIGN.md inventory lists exactly the registered patterns.
-    design = cfg["design"]
-    if not os.path.exists(design):
-        findings.append((design, 0, "metrics", "design document missing"))
-        return
-    with open(design, encoding="utf-8") as f:
-        text = f.read()
-    begin = text.find(METRICS_DESIGN_BEGIN)
-    end = text.find(METRICS_DESIGN_END)
-    if begin < 0 or end < 0 or end < begin:
-        findings.append((design, 0, "metrics",
-                         "no metrics inventory section (%s ... %s)" %
-                         (METRICS_DESIGN_BEGIN, METRICS_DESIGN_END)))
-        return
-    section = text[begin:end]
-    listed = set()
-    for m in re.finditer(r"`([^`]+)`", section):
-        if METRIC_NAME_SHAPE.fullmatch(m.group(1)) and "." in m.group(1):
-            listed.add(m.group(1))
-    for p in sorted(patterns):
-        if p not in listed:
-            findings.append((design, 0, "metrics",
-                             "metric pattern '%s' missing from the DESIGN.md "
-                             "metrics inventory" % p))
-    for name in sorted(listed):
-        if name not in patterns:
-            findings.append((design, 0, "metrics",
-                             "DESIGN.md metrics inventory lists '%s' which "
-                             "is not a registered pattern" % name))
+        findings.append((validator, lineno, "metrics",
+                         "the validator tests '%s', which no catalog "
+                         "pattern covers" % s))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,8 +962,8 @@ def fixture_rpc_cfg(dirpath):
 def fixture_metrics_cfg(dirpath):
     return {
         "src_files": [os.path.join(dirpath, "registrations.cpp")],
-        "registry": os.path.join(dirpath, "registry.py"),
-        "design": os.path.join(dirpath, "design.md"),
+        "catalog": os.path.join(dirpath, "catalog.json"),
+        "validator": os.path.join(dirpath, "validator.py"),
     }
 
 
