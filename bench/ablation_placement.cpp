@@ -19,69 +19,16 @@ using namespace mayflower;
 
 namespace {
 
-constexpr std::uint64_t kBlockBytes = 256'000'000;
-
 harness::RunResult run_write_experiment(bool collaborative, bool chain,
                                         double lambda, std::uint64_t seed) {
   fs::ClusterConfig cfg;
-  cfg.scheme = fs::FsScheme::kMayflower;
   if (collaborative) cfg.write_placement = policy::WritePlacementKind::kModel;
   cfg.write_pipeline = chain;
-  cfg.nameserver.chunk_size = kBlockBytes;
-  cfg.seed = seed;
-  fs::Cluster cluster(cfg);
-  const net::ThreeTier& tree = cluster.tree();
-
-  constexpr std::size_t kJobs = 250;
-  constexpr std::size_t kWarmup = 30;
-  Rng rng(splitmix64(seed ^ 0x77e11ULL));
-  harness::RunResult result;
+  harness::RunResult result = bench::run_write_tenant(
+      cfg, lambda, seed, /*jobs=*/250, /*warmup=*/30);
   result.scheme = chain           ? "placement+chain"
                   : collaborative ? "placement"
                                   : "static";
-
-  std::size_t done = 0;
-  std::vector<double> durations(kJobs, -1.0);
-  const double system_rate = lambda * static_cast<double>(tree.hosts.size());
-  double arrival = 0.0;
-  for (std::size_t j = 0; j < kJobs; ++j) {
-    arrival += rng.exponential(system_rate);
-    const net::NodeId writer_host =
-        tree.hosts[rng.next_below(tree.hosts.size())];
-    cluster.events().schedule_at(
-        sim::SimTime::from_seconds(arrival),
-        [&cluster, &durations, &done, j, writer_host] {
-          const double start = cluster.events().now().seconds();
-          const std::string name = strfmt("out-%04zu", j);
-          fs::Client& writer = cluster.client_at(writer_host);
-          writer.create(name, [&cluster, &writer, &durations, &done, j, name,
-                               start](fs::Status s, const fs::FileInfo&) {
-            MAYFLOWER_ASSERT(s == fs::Status::kOk);
-            writer.append(
-                name, fs::ExtentList(fs::Extent::pattern(j, kBlockBytes)),
-                [&cluster, &durations, &done, j, start](
-                    fs::Status as, const fs::AppendResp&) {
-                  MAYFLOWER_ASSERT(as == fs::Status::kOk);
-                  durations[j] = cluster.events().now().seconds() - start;
-                  ++done;
-                });
-          });
-        });
-  }
-  const auto cap = sim::SimTime::from_seconds(30000.0);
-  while (done < kJobs && !cluster.events().empty() &&
-         cluster.events().now() < cap) {
-    cluster.events().step();
-  }
-  for (std::size_t j = kWarmup; j < kJobs; ++j) {
-    if (durations[j] >= 0.0) {
-      result.completions.push_back(durations[j]);
-    } else {
-      ++result.incomplete;
-      result.completions.push_back(cluster.events().now().seconds());
-    }
-  }
-  result.summary = summarize(result.completions);
   return result;
 }
 

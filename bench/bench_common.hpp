@@ -7,8 +7,14 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "common/assert.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
+#include "fs/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 
@@ -63,6 +69,70 @@ inline harness::RunResult run_pooled(harness::ExperimentConfig config,
 inline const std::vector<std::uint64_t>& default_seeds() {
   static const std::vector<std::uint64_t> seeds{1, 2, 3};
   return seeds;
+}
+
+// The write-path benches' tenant: on a Mayflower cluster built from `cfg`
+// (after `setup`, e.g. background load), `jobs` Poisson arrivals at
+// `lambda` per host each create "out-<j>" from a random host and append one
+// 256 MB block. Completion times from job `warmup` on; jobs still running
+// at the 30000 s cap are censored there.
+inline harness::RunResult run_write_tenant(
+    fs::ClusterConfig cfg, double lambda, std::uint64_t seed,
+    std::size_t jobs, std::size_t warmup,
+    const std::function<void(fs::Cluster&)>& setup = {}) {
+  constexpr std::uint64_t kBlockBytes = 256'000'000;
+  cfg.scheme = fs::FsScheme::kMayflower;
+  cfg.nameserver.chunk_size = kBlockBytes;
+  cfg.seed = seed;
+  fs::Cluster cluster(cfg);
+  const net::ThreeTier& tree = cluster.tree();
+  if (setup) setup(cluster);
+
+  Rng rng(splitmix64(seed ^ 0x77e11ULL));
+  std::size_t done = 0;
+  std::vector<double> durations(jobs, -1.0);
+  const double system_rate = lambda * static_cast<double>(tree.hosts.size());
+  double arrival = 0.0;
+  for (std::size_t j = 0; j < jobs; ++j) {
+    arrival += rng.exponential(system_rate);
+    const net::NodeId writer_host =
+        tree.hosts[rng.next_below(tree.hosts.size())];
+    cluster.events().schedule_at(
+        sim::SimTime::from_seconds(arrival),
+        [&cluster, &durations, &done, j, writer_host] {
+          const double start = cluster.events().now().seconds();
+          const std::string name = strfmt("out-%04zu", j);
+          fs::Client& writer = cluster.client_at(writer_host);
+          writer.create(name, [&cluster, &writer, &durations, &done, j, name,
+                               start](fs::Status s, const fs::FileInfo&) {
+            MAYFLOWER_ASSERT(s == fs::Status::kOk);
+            writer.append(
+                name, fs::ExtentList(fs::Extent::pattern(j, kBlockBytes)),
+                [&cluster, &durations, &done, j, start](
+                    fs::Status as, const fs::AppendResp&) {
+                  MAYFLOWER_ASSERT(as == fs::Status::kOk);
+                  durations[j] = cluster.events().now().seconds() - start;
+                  ++done;
+                });
+          });
+        });
+  }
+  const auto cap = sim::SimTime::from_seconds(30000.0);
+  while (done < jobs && !cluster.events().empty() &&
+         cluster.events().now() < cap) {
+    cluster.events().step();
+  }
+  harness::RunResult result;
+  for (std::size_t j = warmup; j < jobs; ++j) {
+    if (durations[j] >= 0.0) {
+      result.completions.push_back(durations[j]);
+    } else {
+      ++result.incomplete;
+      result.completions.push_back(cluster.events().now().seconds());
+    }
+  }
+  result.summary = summarize(result.completions);
+  return result;
 }
 
 inline void print_banner(const char* artifact, const char* description) {

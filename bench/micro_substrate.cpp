@@ -62,11 +62,7 @@ void BM_FileInfoRoundTrip(benchmark::State& state) {
   info.chunk_size = 256'000'000;
   info.replicas = {7, 21, 42};
   for (auto _ : state) {
-    Writer w;
-    info.encode(w);
-    const Bytes b = w.take();
-    Reader r(b);
-    benchmark::DoNotOptimize(FileInfo::decode(r));
+    benchmark::DoNotOptimize(decode<FileInfo>(encode(info)));
   }
 }
 BENCHMARK(BM_FileInfoRoundTrip);
@@ -77,9 +73,7 @@ void BM_ReadRespRoundTrip(benchmark::State& state) {
   resp.data.append(Extent::pattern(1, 256'000'000));
   resp.file_size = 256'000'000;
   for (auto _ : state) {
-    const Bytes b = resp.encode();
-    Reader r(b);
-    benchmark::DoNotOptimize(ReadResp::decode(r));
+    benchmark::DoNotOptimize(decode<ReadResp>(encode(resp)));
   }
 }
 BENCHMARK(BM_ReadRespRoundTrip);

@@ -14,6 +14,7 @@ class Rng;
 class Uuid {
  public:
   Uuid() = default;  // nil UUID
+  explicit Uuid(const std::array<std::uint8_t, 16>& bytes) : bytes_(bytes) {}
 
   static Uuid generate(Rng& rng);
 

@@ -6,6 +6,8 @@
 // carry it without reaching the Flowserver itself.
 #pragma once
 
+#include <tuple>
+
 #include "net/paths.hpp"
 #include "sdn/switch.hpp"
 
@@ -17,6 +19,12 @@ struct ReadAssignment {
   net::Path path;
   double bytes = 0.0;
   double est_bw_bps = 0.0;
+
+  // Wire field order (fs/rpc/serializer.hpp); the path travels inline.
+  static auto fields(auto& m) {
+    return std::tie(m.cookie, m.replica, m.path.nodes, m.path.links, m.bytes,
+                    m.est_bw_bps);
+  }
 };
 
 }  // namespace mayflower::flowserver

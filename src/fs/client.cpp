@@ -79,21 +79,20 @@ void Client::with_meta(const std::string& name, bool allow_cache,
   // other invalidation) racing this lookup bumps it, and the stale response
   // must then not repopulate the cache.
   const std::uint64_t gen = cache_gen(name);
-  ns_call(name, Method::kLookupFile, NameReq{name}.encode(),
+  ns_call(name, Method::kLookupFile, encode(NameReq{name}),
           [this, name, gen, fn = std::move(fn)](Status status,
                                                 Bytes payload) {
             if (status != Status::kOk) {
               fn(status, FileInfo{});
               return;
             }
-            Reader r(payload);
-            const FileInfoResp resp = FileInfoResp::decode(r);
-            if (!r.ok()) {
+            const auto resp = decode<FileInfoResp>(payload);
+            if (!resp) {
               fn(Status::kBadRequest, FileInfo{});
               return;
             }
-            if (gen == cache_gen(name)) cache_put(resp.info);
-            fn(Status::kOk, resp.info);
+            if (gen == cache_gen(name)) cache_put(resp->info);
+            fn(Status::kOk, resp->info);
           });
 }
 
@@ -103,27 +102,26 @@ void Client::create(const std::string& name, CreateFn done) {
   req.replication = config_.replication;
   req.client = node_;
   const std::uint64_t gen = cache_gen(name);
-  ns_call(name, Method::kCreateFile, req.encode(),
+  ns_call(name, Method::kCreateFile, encode(req),
           [this, name, gen, done = std::move(done)](Status status,
                                                     Bytes payload) {
             if (status != Status::kOk) {
               done(status, FileInfo{});
               return;
             }
-            Reader r(payload);
-            const FileInfoResp resp = FileInfoResp::decode(r);
-            if (!r.ok()) {
+            const auto resp = decode<FileInfoResp>(payload);
+            if (!resp) {
               done(Status::kBadRequest, FileInfo{});
               return;
             }
-            if (gen == cache_gen(name)) cache_put(resp.info);
-            done(Status::kOk, resp.info);
+            if (gen == cache_gen(name)) cache_put(resp->info);
+            done(Status::kOk, resp->info);
           });
 }
 
 void Client::remove(const std::string& name, SimpleFn done) {
   invalidate_cache(name);
-  ns_call(name, Method::kDeleteFile, NameReq{name}.encode(),
+  ns_call(name, Method::kDeleteFile, encode(NameReq{name}),
           [done = std::move(done)](Status status, Bytes) { done(status); });
 }
 
@@ -142,13 +140,12 @@ void Client::list(ListFn done) {
                        done(status, {});
                        return;
                      }
-                     Reader r(payload);
-                     ListFilesResp resp = ListFilesResp::decode(r);
-                     if (!r.ok()) {
+                     auto resp = decode<ListFilesResp>(payload);
+                     if (!resp) {
                        done(Status::kBadRequest, {});
                        return;
                      }
-                     done(Status::kOk, std::move(resp.names));
+                     done(Status::kOk, std::move(resp->names));
                    });
 }
 
@@ -177,7 +174,7 @@ void Client::send_append_rpc(const FileInfo& info, ExtentList data,
   req.file = info.uuid;
   req.data = data;
   req.chain = std::move(chain);
-  Bytes wire = req.encode();
+  Bytes wire = encode(req);
   transport_->call(
       node_, info.primary(), Method::kAppend, std::move(wire),
       [this, info, data = std::move(data), relay = std::move(req.chain),
@@ -191,20 +188,19 @@ void Client::send_append_rpc(const FileInfo& info, ExtentList data,
                        std::move(done));
           return;
         }
-        Reader r(payload);
-        const AppendResp resp = AppendResp::decode(r);
-        if (!r.ok()) {
+        const auto resp = decode<AppendResp>(payload);
+        if (!resp) {
           done(Status::kBadRequest, AppendResp{});
           return;
         }
         // The primary started a prefix of the chain; the hops it cut (its
         // replica view disagreed with the plan, or a hop failed its checks)
         // will never run.
-        release_relay(relay, resp.hops_started);
+        release_relay(relay, resp->hops_started);
         // Keep the cached size fresh.
         const auto it = cache_.find(info.name);
-        if (it != cache_.end()) it->second.info.size = resp.new_size;
-        done(Status::kOk, resp);
+        if (it != cache_.end()) it->second.info.size = resp->new_size;
+        done(Status::kOk, *resp);
       });
 }
 
@@ -365,7 +361,7 @@ void Client::read_file_from(const std::string& name, std::uint64_t offset,
           probe.file = info.uuid;
           probe.offset = offset;
           transport_->call(
-              node_, info.primary(), Method::kReadFile, probe.encode(),
+              node_, info.primary(), Method::kReadFile, encode(probe),
               [this, name, offset, retried, rounds, acc, info,
                done = std::move(done)](Status pstatus,
                                        Bytes payload) mutable {
@@ -382,15 +378,14 @@ void Client::read_file_from(const std::string& name, std::uint64_t offset,
                   done(pstatus, ReadResult{});
                   return;
                 }
-                Reader r(payload);
-                const ReadResp resp = ReadResp::decode(r);
-                if (!r.ok()) {
+                const auto resp = decode<ReadResp>(payload);
+                if (!resp) {
                   done(Status::kBadRequest, ReadResult{});
                   return;
                 }
-                if (resp.file_size > offset && rounds < kMaxRounds) {
+                if (resp->file_size > offset && rounds < kMaxRounds) {
                   FileInfo fresh = info;
-                  fresh.size = resp.file_size;
+                  fresh.size = resp->file_size;
                   const auto it = cache_.find(name);
                   if (it != cache_.end() &&
                       it->second.info.uuid == fresh.uuid) {
@@ -660,7 +655,7 @@ void Client::execute_plan(
     };
 
     transport_->call(
-        node_, a.replica, Method::kReadFile, req.encode(),
+        node_, a.replica, Method::kReadFile, encode(req),
         [this, a, info, replicas, sub_len, req_offset = req.offset,
          on_part_done, retry_elsewhere](Status status, Bytes payload) mutable {
           if (status == Status::kUnavailable && replicas.size() > 1) {
@@ -685,20 +680,19 @@ void Client::execute_plan(
             (*on_part_done)(status, ExtentList{}, 0);
             return;
           }
-          Reader r(payload);
-          ReadResp resp = ReadResp::decode(r);
-          if (!r.ok()) {
+          auto resp = decode<ReadResp>(payload);
+          if (!resp) {
             planner_->flow_complete(node_, a.cookie);
             fabric_->remove_path(a.cookie);
             (*on_part_done)(Status::kBadRequest, ExtentList{}, 0);
             return;
           }
-          const double bulk_bytes = static_cast<double>(resp.data.size());
+          const double bulk_bytes = static_cast<double>(resp->data.size());
           if (bulk_bytes <= 0.0) {
             planner_->flow_complete(node_, a.cookie);
             fabric_->remove_path(a.cookie);
-            (*on_part_done)(Status::kOk, std::move(resp.data),
-                            resp.file_size);
+            (*on_part_done)(Status::kOk, std::move(resp->data),
+                            resp->file_size);
             return;
           }
           // The payload leaves the dataserver as a fabric flow along the
@@ -707,7 +701,7 @@ void Client::execute_plan(
           // since planning) re-reads this subrange from the survivors.
           fabric_->start_flow(
               a.cookie, a.path, bulk_bytes,
-              [this, resp = std::move(resp), on_part_done](
+              [this, resp = std::move(*resp), on_part_done](
                   sdn::Cookie cookie, sim::SimTime) mutable {
                 planner_->flow_complete(node_, cookie);
                 (*on_part_done)(Status::kOk, std::move(resp.data),

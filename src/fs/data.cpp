@@ -93,30 +93,29 @@ bool Extent::content_equals(const Extent& other) const {
   return checksum() == other.checksum();
 }
 
-void Extent::encode(Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(kind_));
-  if (kind_ == Kind::kInline) {
-    w.str(inline_bytes_);
+void encode_into(Writer& w, const Extent& e) {
+  w.u8(static_cast<std::uint8_t>(e.kind_));
+  if (e.kind_ == Extent::Kind::kInline) {
+    w.str(e.inline_bytes_);
   } else {
-    w.u64(seed_);
-    w.u64(offset_);
-    w.u64(size_);
+    w.u64(e.seed_);
+    w.u64(e.offset_);
+    w.u64(e.size_);
   }
 }
 
-Extent Extent::decode(Reader& r) {
-  Extent e;
+void decode_into(Reader& r, Extent& e) {
   const auto kind = r.u8();
-  if (kind == static_cast<std::uint8_t>(Kind::kInline)) {
-    e.kind_ = Kind::kInline;
-    e.inline_bytes_ = r.str();
-  } else if (kind == static_cast<std::uint8_t>(Kind::kPattern)) {
-    e.kind_ = Kind::kPattern;
-    e.seed_ = r.u64();
-    e.offset_ = r.u64();
-    e.size_ = r.u64();
+  if (kind == static_cast<std::uint8_t>(Extent::Kind::kInline)) {
+    e = Extent::from_bytes(r.str());
+  } else if (kind == static_cast<std::uint8_t>(Extent::Kind::kPattern)) {
+    const std::uint64_t seed = r.u64();
+    const std::uint64_t offset = r.u64();
+    const std::uint64_t size = r.u64();
+    e = Extent::pattern(seed, size, offset);
+  } else {
+    r.fail();
   }
-  return e;
 }
 
 void ExtentList::append(Extent e) {
@@ -183,18 +182,6 @@ std::string ExtentList::materialize(std::uint64_t limit) const {
 
 bool ExtentList::content_equals(const ExtentList& other) const {
   return size_ == other.size_ && checksum() == other.checksum();
-}
-
-void ExtentList::encode(Writer& w) const {
-  w.list(extents_, [](Writer& writer, const Extent& e) { e.encode(writer); });
-}
-
-ExtentList ExtentList::decode(Reader& r) {
-  ExtentList out;
-  const auto extents =
-      r.list<Extent>([](Reader& reader) { return Extent::decode(reader); });
-  for (const Extent& e : extents) out.append(e);
-  return out;
 }
 
 }  // namespace mayflower::fs

@@ -45,8 +45,10 @@ class Extent {
 
   bool content_equals(const Extent& other) const;
 
-  void encode(Writer& w) const;
-  static Extent decode(Reader& r);
+  // Hand codec (the layout depends on the kind byte); any other kind fails
+  // the decode.
+  friend void encode_into(Writer& w, const Extent& e);
+  friend void decode_into(Reader& r, Extent& e);
 
  private:
   Kind kind_ = Kind::kInline;
@@ -77,8 +79,16 @@ class ExtentList {
   std::string materialize(std::uint64_t limit = 64u << 20) const;
   bool content_equals(const ExtentList& other) const;
 
-  void encode(Writer& w) const;
-  static ExtentList decode(Reader& r);
+  // On the wire: the extent list. Decoding appends each extent, so the
+  // total size is recomputed, never trusted.
+  friend void encode_into(Writer& w, const ExtentList& list) {
+    encode_into(w, list.extents_);
+  }
+  friend void decode_into(Reader& r, ExtentList& list) {
+    std::vector<Extent> extents;
+    decode_into(r, extents);
+    for (Extent& e : extents) list.append(std::move(e));
+  }
 
  private:
   std::vector<Extent> extents_;

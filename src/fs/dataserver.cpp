@@ -73,26 +73,24 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
                         const Bytes& request, ResponseFn reply) {
   switch (method) {
     case Method::kCreateReplica: {
-      Reader r(request);
-      CreateReplicaReq req = CreateReplicaReq::decode(r);
-      if (!r.ok() || req.info.uuid.is_nil()) {
+      auto req = decode<CreateReplicaReq>(request);
+      if (!req || req->info.uuid.is_nil()) {
         reply(Status::kBadRequest, {});
         return;
       }
-      Stored& file = files_[req.info.uuid];
-      file.info = std::move(req.info);
+      Stored& file = files_[req->info.uuid];
+      file.info = std::move(req->info);
       persist_meta(file);
       reply(Status::kOk, {});
       return;
     }
     case Method::kDropReplica: {
-      Reader r(request);
-      const DropReplicaReq req = DropReplicaReq::decode(r);
-      if (!r.ok()) {
+      const auto req = decode<DropReplicaReq>(request);
+      if (!req) {
         reply(Status::kBadRequest, {});
         return;
       }
-      const auto it = files_.find(req.file);
+      const auto it = files_.find(req->file);
       if (it != files_.end()) {
         // Fail queued appends before erasing: the transport owes every
         // request exactly one reply, and dropping the queue would strand
@@ -102,7 +100,7 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
         }
         files_.erase(it);
       }
-      remove_dir(req.file);
+      remove_dir(req->file);
       reply(Status::kOk, {});
       return;
     }
@@ -120,7 +118,7 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
       for (const auto& [uuid, file] : files_) {
         resp.files.push_back(file.info);
       }
-      reply(Status::kOk, resp.encode());
+      reply(Status::kOk, encode(resp));
       return;
     }
     case Method::kPing:
@@ -129,33 +127,31 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
       reply(Status::kOk, {});
       return;
     case Method::kUpdateReplicas: {
-      Reader r(request);
-      UpdateReplicasReq req = UpdateReplicasReq::decode(r);
-      if (!r.ok() || req.replicas.empty()) {
+      auto req = decode<UpdateReplicasReq>(request);
+      if (!req || req->replicas.empty()) {
         reply(Status::kBadRequest, {});
         return;
       }
-      const auto it = files_.find(req.file);
+      const auto it = files_.find(req->file);
       if (it == files_.end()) {
         reply(Status::kNotFound, {});
         return;
       }
-      it->second.info.replicas = std::move(req.replicas);
+      it->second.info.replicas = std::move(req->replicas);
       persist_meta(it->second);
       reply(Status::kOk, {});
       return;
     }
     case Method::kInstallReplica: {
-      Reader r(request);
-      InstallReplicaReq req = InstallReplicaReq::decode(r);
-      if (!r.ok() || req.info.uuid.is_nil() ||
-          req.data.size() != req.info.size) {
+      auto req = decode<InstallReplicaReq>(request);
+      if (!req || req->info.uuid.is_nil() ||
+          req->data.size() != req->info.size) {
         reply(Status::kBadRequest, {});
         return;
       }
-      Stored& file = files_[req.info.uuid];
-      file.info = std::move(req.info);
-      file.data = std::move(req.data);
+      Stored& file = files_[req->info.uuid];
+      file.info = std::move(req->info);
+      file.data = std::move(req->data);
       persist_meta(file);
       persist_chunks(file, 0, file.info.size);
       reply(Status::kOk, {});
@@ -179,13 +175,12 @@ void Dataserver::apply_append(Stored& file, std::uint64_t offset,
 }
 
 void Dataserver::handle_append(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  AppendReq req = AppendReq::decode(r);
-  if (!r.ok() || req.data.empty()) {
+  auto req = decode<AppendReq>(request);
+  if (!req || req->data.empty()) {
     reply(Status::kBadRequest, {});
     return;
   }
-  const auto it = files_.find(req.file);
+  const auto it = files_.find(req->file);
   if (it == files_.end()) {
     reply(Status::kNotFound, {});
     return;
@@ -197,8 +192,8 @@ void Dataserver::handle_append(const Bytes& request, ResponseFn reply) {
   }
   // "The dataserver only services one append request at a time for each
   // file" (§3.3.2): queue and pump.
-  file.queue.push_back(PendingAppend{std::move(req.data), std::move(req.chain),
-                                     std::move(reply)});
+  file.queue.push_back(PendingAppend{std::move(req->data),
+                                     std::move(req->chain), std::move(reply)});
   pump_appends(file);
 }
 
@@ -219,7 +214,7 @@ void Dataserver::pump_appends(Stored& file) {
     ReportSizeReq report;
     report.file = file.info.uuid;
     report.size = file.info.size;
-    transport_->call(node_, size_sink, Method::kReportSize, report.encode(),
+    transport_->call(node_, size_sink, Method::kReportSize, encode(report),
                      nullptr);
   }
 
@@ -243,7 +238,7 @@ void Dataserver::pump_appends(Stored& file) {
     resp.offset = offset;
     resp.new_size = fit->second.info.size;
     resp.hops_started = hops_started;
-    reply(Status::kOk, resp.encode());
+    reply(Status::kOk, encode(resp));
     fit->second.append_in_progress = false;
     pump_appends(fit->second);
   };
@@ -260,7 +255,7 @@ void Dataserver::pump_appends(Stored& file) {
   // settles.
   const double relay_bytes = static_cast<double>(pending.data.size());
   auto wire = std::make_shared<const Bytes>(
-      AppendRelayReq{uuid, offset, std::move(pending.data)}.encode());
+      encode(AppendRelayReq{uuid, offset, std::move(pending.data)}));
 
   if (!pending.chain.empty()) {
     relay_pipelined(uuid, offset, std::move(wire), relay_bytes,
@@ -453,40 +448,38 @@ void Dataserver::chain_settle(const std::shared_ptr<ChainRelay>& st,
 }
 
 void Dataserver::handle_append_relay(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  AppendRelayReq req = AppendRelayReq::decode(r);
-  if (!r.ok()) {
+  const auto req = decode<AppendRelayReq>(request);
+  if (!req) {
     reply(Status::kBadRequest, {});
     return;
   }
-  const auto it = files_.find(req.file);
+  const auto it = files_.find(req->file);
   if (it == files_.end()) {
     reply(Status::kNotFound, {});
     return;
   }
   Stored& file = it->second;
-  if (req.offset + req.data.size() <= file.info.size) {
+  if (req->offset + req->data.size() <= file.info.size) {
     reply(Status::kOk, {});  // duplicate delivery: idempotent
     return;
   }
-  if (req.offset != file.info.size) {
+  if (req->offset != file.info.size) {
     // Gap: the primary serializes appends and the transport preserves
     // order, so this indicates corruption.
     reply(Status::kBadRequest, {});
     return;
   }
-  apply_append(file, req.offset, req.data);
+  apply_append(file, req->offset, req->data);
   reply(Status::kOk, {});
 }
 
 void Dataserver::handle_replicate_to(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  ReplicateToReq req = ReplicateToReq::decode(r);
-  if (!r.ok() || req.target == net::kInvalidNode || req.replicas.empty()) {
+  const auto req = decode<ReplicateToReq>(request);
+  if (!req || req->target == net::kInvalidNode || req->replicas.empty()) {
     reply(Status::kBadRequest, {});
     return;
   }
-  const auto it = files_.find(req.file);
+  const auto it = files_.find(req->file);
   if (it == files_.end()) {
     reply(Status::kNotFound, {});
     return;
@@ -494,16 +487,16 @@ void Dataserver::handle_replicate_to(const Bytes& request, ResponseFn reply) {
   Stored& file = it->second;
   // Adopt the post-recovery replica list up front: even if the copy fails,
   // the dead server must not stay listed here.
-  file.info.replicas = req.replicas;
+  file.info.replicas = req->replicas;
   persist_meta(file);
 
   InstallReplicaReq install;
   install.info = file.info;
   install.data = file.data;
-  const net::NodeId target = req.target;
+  const net::NodeId target = req->target;
   auto send_install = [this, target, install = std::move(install),
                        reply]() mutable {
-    transport_->call(node_, target, Method::kInstallReplica, install.encode(),
+    transport_->call(node_, target, Method::kInstallReplica, encode(install),
                      [reply](Status status, Bytes) { reply(status, {}); });
   };
 
@@ -534,13 +527,12 @@ void Dataserver::handle_replicate_to(const Bytes& request, ResponseFn reply) {
 }
 
 void Dataserver::handle_read(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  const ReadReq req = ReadReq::decode(r);
-  if (!r.ok()) {
+  const auto req = decode<ReadReq>(request);
+  if (!req) {
     reply(Status::kBadRequest, {});
     return;
   }
-  const auto it = files_.find(req.file);
+  const auto it = files_.find(req->file);
   if (it == files_.end()) {
     reply(Status::kNotFound, {});
     return;
@@ -549,10 +541,10 @@ void Dataserver::handle_read(const Bytes& request, ResponseFn reply) {
   ++reads_served_;
   ReadResp resp;
   resp.file_size = file.info.size;
-  if (req.offset < file.info.size) {
-    resp.data = file.data.slice(req.offset, req.length);
+  if (req->offset < file.info.size) {
+    resp.data = file.data.slice(req->offset, req->length);
   }
-  reply(Status::kOk, resp.encode());
+  reply(Status::kOk, encode(resp));
 }
 
 // --- persistence -----------------------------------------------------------
@@ -565,10 +557,9 @@ void Dataserver::persist_meta(const Stored& file) {
   if (config_.disk_root.empty()) return;
   const auto dir = dir_of(file.info.uuid);
   std::filesystem::create_directories(dir);
-  Writer w;
-  file.info.encode(w);
+  const Bytes meta = encode(file.info);
   std::ofstream out(dir / "meta", std::ios::binary | std::ios::trunc);
-  out.write(w.bytes().data(), static_cast<std::streamsize>(w.bytes().size()));
+  out.write(meta.data(), static_cast<std::streamsize>(meta.size()));
 }
 
 void Dataserver::persist_chunks(const Stored& file, std::uint64_t offset,
@@ -580,13 +571,11 @@ void Dataserver::persist_chunks(const Stored& file, std::uint64_t offset,
   const std::uint64_t first = offset / chunk;
   const std::uint64_t last = (offset + length - 1) / chunk;
   for (std::uint64_t c = first; c <= last; ++c) {
-    Writer w;
-    file.data.slice(c * chunk, chunk).encode(w);
+    const Bytes bytes = encode(file.data.slice(c * chunk, chunk));
     // Chunks are numbered files starting at 1 (§3.3.2).
     std::ofstream out(dir / strfmt("%llu", static_cast<unsigned long long>(c + 1)),
                       std::ios::binary | std::ios::trunc);
-    out.write(w.bytes().data(),
-              static_cast<std::streamsize>(w.bytes().size()));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 }
 
@@ -608,15 +597,14 @@ void Dataserver::load_from_disk() {
     if (!meta_in) continue;
     const Bytes meta_bytes((std::istreambuf_iterator<char>(meta_in)),
                            std::istreambuf_iterator<char>());
-    Reader r(meta_bytes);
-    FileInfo info = FileInfo::decode(r);
-    if (!r.ok() || info.uuid != uuid) continue;
+    const auto info = decode<FileInfo>(meta_bytes);
+    if (!info || info->uuid != uuid) continue;
 
     Stored file;
-    file.info = info;
-    const std::uint64_t chunk = info.chunk_size;
+    file.info = *info;
+    const std::uint64_t chunk = info->chunk_size;
     const std::uint64_t n_chunks =
-        info.size == 0 ? 0 : (info.size - 1) / chunk + 1;
+        info->size == 0 ? 0 : (info->size - 1) / chunk + 1;
     bool intact = true;
     for (std::uint64_t c = 0; c < n_chunks && intact; ++c) {
       std::ifstream in(entry.path() /
@@ -628,17 +616,16 @@ void Dataserver::load_from_disk() {
       }
       const Bytes bytes((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-      Reader cr(bytes);
-      ExtentList extents = ExtentList::decode(cr);
-      if (!cr.ok()) {
+      const auto extents = decode<ExtentList>(bytes);
+      if (!extents) {
         intact = false;
         break;
       }
-      file.data.append(extents);
+      file.data.append(*extents);
     }
-    if (!intact || file.data.size() != info.size) {
+    if (!intact || file.data.size() != info->size) {
       MAYFLOWER_LOG_WARN("dataserver %u: dropping damaged replica of %s",
-                         node_, info.name.c_str());
+                         node_, info->name.c_str());
       continue;
     }
     files_.emplace(uuid, std::move(file));

@@ -54,46 +54,47 @@ void FlowserverService::handle(net::NodeId /*from*/, Method method,
   const net::Topology& topo = server_->fabric().topology();
   switch (method) {
     case Method::kSelectReplicas: {
-      Reader r(request);
-      const SelectReplicasReq req = SelectReplicasReq::decode(r);
-      if (!r.ok() || !valid_read(topo, req)) {
+      const auto req = decode<SelectReplicasReq>(request);
+      if (!req || !valid_read(topo, *req)) {
         reply(Status::kBadRequest, {});
         return;
       }
       ++requests_;
       SelectReplicasResp resp{
-          server_->select_for_read(req.client, req.replicas, req.bytes)};
+          server_->select_for_read(req->client, req->replicas, req->bytes)};
       if (resp.assignments.empty()) {
         // Failures cut off every listed replica; the client backs off and
         // refetches its metadata (the mapping may have moved meanwhile).
         reply(Status::kUnavailable, {});
         return;
       }
-      reply(Status::kOk, resp.encode());
+      reply(Status::kOk, encode(resp));
       return;
     }
     case Method::kPlanWrite: {
-      Reader r(request);
-      const PlanWriteReq req = PlanWriteReq::decode(r);
-      if (!r.ok() || !valid_chain(topo, req)) {
+      const auto req = decode<PlanWriteReq>(request);
+      if (!req || !valid_chain(topo, *req)) {
         reply(Status::kBadRequest, {});
         return;
       }
       ++requests_;
-      SelectReplicasResp resp{server_->plan_write(req.chain, req.bytes)};
+      SelectReplicasResp resp{server_->plan_write(req->chain, req->bytes)};
       if (resp.assignments.empty()) {
         // Even the first hop is unreachable; the client degrades to the
         // unplanned upload path and retries planning on its next append.
         reply(Status::kUnavailable, {});
         return;
       }
-      reply(Status::kOk, resp.encode());
+      reply(Status::kOk, encode(resp));
       return;
     }
     case Method::kFlowDropped: {
-      Reader r(request);
-      const FlowDroppedReq req = FlowDroppedReq::decode(r);
-      if (r.ok()) server_->flow_dropped(req.cookie);
+      const auto req = decode<FlowDroppedReq>(request);
+      if (!req) {
+        reply(Status::kBadRequest, {});
+        return;
+      }
+      server_->flow_dropped(req->cookie);
       reply(Status::kOk, {});
       return;
     }
@@ -110,19 +111,18 @@ void RpcPlanner::plan(net::NodeId client,
   req.replicas = replicas;
   req.bytes = bytes;
   transport_->call(
-      client, controller_, Method::kSelectReplicas, req.encode(),
+      client, controller_, Method::kSelectReplicas, encode(req),
       [done = std::move(done)](Status status, Bytes payload) {
         if (status != Status::kOk) {
           done(status, {});
           return;
         }
-        Reader r(payload);
-        SelectReplicasResp resp = SelectReplicasResp::decode(r);
-        if (!r.ok()) {
+        auto resp = decode<SelectReplicasResp>(payload);
+        if (!resp) {
           done(Status::kBadRequest, {});
           return;
         }
-        done(Status::kOk, std::move(resp.assignments));
+        done(Status::kOk, std::move(resp->assignments));
       });
 }
 
@@ -133,25 +133,24 @@ void RpcPlanner::plan_write(net::NodeId client,
   req.chain = chain;
   req.bytes = bytes;
   transport_->call(
-      client, controller_, Method::kPlanWrite, req.encode(),
+      client, controller_, Method::kPlanWrite, encode(req),
       [done = std::move(done)](Status status, Bytes payload) {
         if (status != Status::kOk) {
           done(status, {});
           return;
         }
-        Reader r(payload);
-        SelectReplicasResp resp = SelectReplicasResp::decode(r);
-        if (!r.ok()) {
+        auto resp = decode<SelectReplicasResp>(payload);
+        if (!resp) {
           done(Status::kBadRequest, {});
           return;
         }
-        done(Status::kOk, std::move(resp.assignments));
+        done(Status::kOk, std::move(resp->assignments));
       });
 }
 
 void RpcPlanner::flow_complete(net::NodeId client, sdn::Cookie cookie) {
   transport_->call(client, controller_, Method::kFlowDropped,
-                   FlowDroppedReq{cookie}.encode(), nullptr);
+                   encode(FlowDroppedReq{cookie}), nullptr);
 }
 
 }  // namespace mayflower::fs

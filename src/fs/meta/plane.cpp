@@ -43,7 +43,7 @@ MetaPlane::MetaPlane(Transport& transport, sim::EventQueue& events,
                                         ResponseFn reply) {
     switch (method) {
       case Method::kGetShardMap:
-        reply(Status::kOk, ShardMapResp{map_}.encode());
+        reply(Status::kOk, encode(ShardMapResp{map_}));
         return;
       case Method::kPing:
         reply(Status::kOk, {});

@@ -51,10 +51,9 @@ void MetaRouter::with_map(std::function<void(Status)> fn) {
         if (!*alive) return;
         fetch_inflight_ = false;
         if (status == Status::kOk) {
-          Reader r(payload);
-          const ShardMapResp resp = ShardMapResp::decode(r);
-          if (r.ok() && !resp.map.owners.empty()) {
-            map_ = resp.map;
+          const auto resp = decode<ShardMapResp>(payload);
+          if (resp && !resp->map.owners.empty()) {
+            map_ = resp->map;
           } else {
             status = Status::kBadRequest;
           }
@@ -152,10 +151,9 @@ void MetaRouter::list(const std::string& prefix, ListFn done) {
           [alive, st, prefix, shared_done](Status status, Bytes payload) {
             if (!*alive) return;
             if (status == Status::kOk) {
-              Reader r(payload);
-              ListFilesResp resp = ListFilesResp::decode(r);
-              if (r.ok()) {
-                for (std::string& name : resp.names) {
+              auto resp = decode<ListFilesResp>(payload);
+              if (resp) {
+                for (std::string& name : resp->names) {
                   if (prefix.empty() || name.rfind(prefix, 0) == 0) {
                     st->names.push_back(std::move(name));
                   }

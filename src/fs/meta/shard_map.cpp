@@ -12,6 +12,20 @@ const char* to_string(Partition mode) {
   return "?";
 }
 
+void encode_into(Writer& w, Partition mode) {
+  w.u32(static_cast<std::uint32_t>(mode));
+}
+
+void decode_into(Reader& r, Partition& mode) {
+  const std::uint32_t v = r.u32();
+  if (v != static_cast<std::uint32_t>(Partition::kHash) &&
+      v != static_cast<std::uint32_t>(Partition::kSubtree)) {
+    r.fail();
+    return;
+  }
+  mode = static_cast<Partition>(v);
+}
+
 std::uint64_t stable_hash(std::string_view s) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   for (const char c : s) {
@@ -30,21 +44,6 @@ std::string_view subtree_key(Partition mode, std::string_view path) {
 std::size_t ShardMap::shard_of_path(std::string_view path) const {
   MAYFLOWER_ASSERT(!owners.empty());
   return stable_hash(subtree_key(mode, path)) % owners.size();
-}
-
-void ShardMap::encode(Writer& w) const {
-  w.u32(static_cast<std::uint32_t>(mode));
-  w.u64(epoch);
-  w.list(owners, [](Writer& writer, net::NodeId n) { writer.u32(n); });
-}
-
-ShardMap ShardMap::decode(Reader& r) {
-  ShardMap map;
-  map.mode = static_cast<Partition>(r.u32());
-  map.epoch = r.u64();
-  map.owners = r.list<net::NodeId>(
-      [](Reader& reader) { return static_cast<net::NodeId>(reader.u32()); });
-  return map;
 }
 
 }  // namespace mayflower::fs::meta

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "fs/rpc/serializer.hpp"
@@ -31,6 +32,11 @@ enum class Partition : std::uint8_t {
 };
 
 const char* to_string(Partition mode);
+
+// On the wire a partition mode is a u32; any value but the two modes fails
+// the decode.
+void encode_into(Writer& w, Partition mode);
+void decode_into(Reader& r, Partition& mode);
 
 // Deterministic 64-bit FNV-1a. The partition function is part of the wire
 // contract between routers and shards, so it must be identical across
@@ -54,12 +60,10 @@ struct ShardMap {
     return owners[shard_of_path(path)];
   }
 
-  void encode(Writer& w) const;
-  static ShardMap decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.mode, m.epoch, m.owners); }
 };
 
 // The kGetShardMap response payload (ShardMapResp) lives with every other
-// wire message in fs/rpc/messages.hpp, where the rpc-exhaustive contract
-// check can see it.
+// wire message in fs/rpc/messages.hpp.
 
 }  // namespace mayflower::fs::meta

@@ -65,25 +65,19 @@ void Nameserver::attach() {
 std::optional<FileInfo> Nameserver::lookup(const std::string& name) const {
   const auto raw = kv_.get(file_key(name));
   if (!raw.has_value()) return std::nullopt;
-  Reader r(*raw);
-  FileInfo info = FileInfo::decode(r);
-  if (!r.ok()) return std::nullopt;
-  return info;
+  return decode<FileInfo>(*raw);
 }
 
 void Nameserver::persist(const FileInfo& info) {
-  Writer w;
-  info.encode(w);
-  kv_.put(file_key(info.name), w.take());
+  kv_.put(file_key(info.name), encode(info));
   uuid_to_name_[info.uuid] = info.name;
 }
 
 void Nameserver::rebuild_uuid_index() {
   uuid_to_name_.clear();
   for (const auto& [key, value] : kv_.scan_prefix("f/")) {
-    Reader r(value);
-    const FileInfo info = FileInfo::decode(r);
-    if (r.ok()) uuid_to_name_[info.uuid] = info.name;
+    const auto info = decode<FileInfo>(value);
+    if (info) uuid_to_name_[info->uuid] = info->name;
   }
 }
 
@@ -153,23 +147,22 @@ void Nameserver::dispatch(Method method, const Bytes& request,
       handle_delete(request, std::move(reply));
       return;
     case Method::kLookupFile: {
-      Reader r(request);
-      const NameReq req = NameReq::decode(r);
-      if (!r.ok()) {
+      const auto req = decode<NameReq>(request);
+      if (!req) {
         reply(Status::kBadRequest, {});
         return;
       }
-      if (!owns_path(req.name)) {
+      if (!owns_path(req->name)) {
         ++wrong_shard_refusals_;
         reply(Status::kWrongShard, {});
         return;
       }
-      const auto info = lookup(req.name);
+      const auto info = lookup(req->name);
       if (!info.has_value()) {
         reply(Status::kNotFound, {});
         return;
       }
-      reply(Status::kOk, FileInfoResp{*info}.encode());
+      reply(Status::kOk, encode(FileInfoResp{*info}));
       return;
     }
     case Method::kReportSize:
@@ -182,7 +175,7 @@ void Nameserver::dispatch(Method method, const Bytes& request,
       for (const auto& [key, value] : kv_.scan_prefix("f/")) {
         resp.names.push_back(key.substr(2));
       }
-      reply(Status::kOk, resp.encode());
+      reply(Status::kOk, encode(resp));
       return;
     }
     default:
@@ -198,7 +191,7 @@ void Nameserver::provision_replicas(const FileInfo& info,
       std::make_shared<std::function<void(bool)>>(std::move(done));
   for (const net::NodeId ds : info.replicas) {
     transport_->call(node_, ds, Method::kCreateReplica,
-                     CreateReplicaReq{info}.encode(),
+                     encode(CreateReplicaReq{info}),
                      [pending, failed, shared_done](Status status, Bytes) {
                        if (status != Status::kOk) *failed = true;
                        if (--*pending > 0) return;
@@ -208,33 +201,32 @@ void Nameserver::provision_replicas(const FileInfo& info,
 }
 
 void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  const CreateFileReq req = CreateFileReq::decode(r);
-  if (!r.ok() || req.name.empty() || req.replication == 0) {
+  const auto req = decode<CreateFileReq>(request);
+  if (!req || req->name.empty() || req->replication == 0) {
     reply(Status::kBadRequest, {});
     return;
   }
-  if (!owns_path(req.name)) {
+  if (!owns_path(req->name)) {
     ++wrong_shard_refusals_;
     reply(Status::kWrongShard, {});
     return;
   }
-  if (kv_.contains(file_key(req.name))) {
+  if (kv_.contains(file_key(req->name))) {
     reply(Status::kAlreadyExists, {});
     return;
   }
 
   FileInfo info;
   info.uuid = Uuid::generate(rng_);
-  info.name = req.name;
+  info.name = req->name;
   info.size = 0;
   info.chunk_size = config_.chunk_size;
-  if (config_.placement_advisor && req.client != net::kInvalidNode) {
+  if (config_.placement_advisor && req->client != net::kInvalidNode) {
     info.replicas = meta::place_collaboratively(
-        *tree_, req.replication, req.client, config_.placement_advisor);
+        *tree_, req->replication, req->client, config_.placement_advisor);
   } else {
     info.replicas =
-        workload::Catalog::place_replicas(*tree_, req.replication, rng_);
+        workload::Catalog::place_replicas(*tree_, req->replication, rng_);
   }
   persist(info);
 
@@ -245,7 +237,7 @@ void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
     // failure the provisional mapping is reconciled away (loudly), so a
     // client holding the handle sees kNotFound on its next touch and
     // recreates.
-    reply(Status::kOk, FileInfoResp{info}.encode());
+    reply(Status::kOk, encode(FileInfoResp{info}));
     committer_->launch(
         "create " + info.name,
         [this, info](std::function<void(bool)> done) {
@@ -259,7 +251,7 @@ void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
           if (cur.has_value() && cur->uuid == info.uuid) return;
           for (const net::NodeId ds : info.replicas) {
             transport_->call(node_, ds, Method::kDropReplica,
-                             DropReplicaReq{info.uuid}.encode(), nullptr);
+                             encode(DropReplicaReq{info.uuid}), nullptr);
           }
         },
         [this, info] {
@@ -269,7 +261,7 @@ void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
           uuid_to_name_.erase(info.uuid);
           for (const net::NodeId ds : info.replicas) {
             transport_->call(node_, ds, Method::kDropReplica,
-                             DropReplicaReq{info.uuid}.encode(), nullptr);
+                             encode(DropReplicaReq{info.uuid}), nullptr);
           }
         });
     return;
@@ -286,52 +278,50 @@ void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
       (*shared_reply)(Status::kUnavailable, {});
       return;
     }
-    (*shared_reply)(Status::kOk, FileInfoResp{info}.encode());
+    (*shared_reply)(Status::kOk, encode(FileInfoResp{info}));
   });
 }
 
 void Nameserver::handle_report_size(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  const ReportSizeReq req = ReportSizeReq::decode(r);
-  if (!r.ok()) {
+  const auto req = decode<ReportSizeReq>(request);
+  if (!req) {
     reply(Status::kBadRequest, {});
     return;
   }
-  const auto it = uuid_to_name_.find(req.file);
+  const auto it = uuid_to_name_.find(req->file);
   if (it == uuid_to_name_.end()) {
     reply(Status::kNotFound, {});
     return;
   }
   auto info = lookup(it->second);
-  if (info.has_value() && req.size > info->size) {
-    info->size = req.size;
+  if (info.has_value() && req->size > info->size) {
+    info->size = req->size;
     persist(*info);
   }
   reply(Status::kOk, {});
 }
 
 void Nameserver::handle_delete(const Bytes& request, ResponseFn reply) {
-  Reader r(request);
-  const NameReq req = NameReq::decode(r);
-  if (!r.ok()) {
+  const auto req = decode<NameReq>(request);
+  if (!req) {
     reply(Status::kBadRequest, {});
     return;
   }
-  if (!owns_path(req.name)) {
+  if (!owns_path(req->name)) {
     ++wrong_shard_refusals_;
     reply(Status::kWrongShard, {});
     return;
   }
-  const auto info = lookup(req.name);
+  const auto info = lookup(req->name);
   if (!info.has_value()) {
     reply(Status::kNotFound, {});
     return;
   }
-  kv_.erase(file_key(req.name));
+  kv_.erase(file_key(req->name));
   uuid_to_name_.erase(info->uuid);
   for (const net::NodeId ds : info->replicas) {
     transport_->call(node_, ds, Method::kDropReplica,
-                     DropReplicaReq{info->uuid}.encode(), nullptr);
+                     encode(DropReplicaReq{info->uuid}), nullptr);
   }
   reply(Status::kOk, {});
 }
@@ -384,13 +374,11 @@ void Nameserver::repair_sweep() {
   // Snapshot the degraded set first: repairs mutate the KV asynchronously.
   std::vector<FileInfo> degraded;
   for (const auto& [key, value] : kv_.scan_prefix("f/")) {
-    Reader r(value);
-    FileInfo info = FileInfo::decode(r);
-    if (!r.ok()) continue;
-    if (rerepl_inflight_.count(info.uuid) != 0) continue;
-    for (const net::NodeId rep : info.replicas) {
+    auto info = decode<FileInfo>(value);
+    if (!info || rerepl_inflight_.count(info->uuid) != 0) continue;
+    for (const net::NodeId rep : info->replicas) {
       if (!dataserver_alive(rep)) {
-        degraded.push_back(std::move(info));
+        degraded.push_back(std::move(*info));
         break;
       }
     }
@@ -451,7 +439,7 @@ void Nameserver::rereplicate_file(const FileInfo& info) {
       persist(*cur);
       for (const net::NodeId s : survivors) {
         transport_->call(node_, s, Method::kUpdateReplicas,
-                         UpdateReplicasReq{info.uuid, survivors}.encode(),
+                         encode(UpdateReplicasReq{info.uuid, survivors}),
                          nullptr);
       }
     }
@@ -471,7 +459,7 @@ void Nameserver::rereplicate_file(const FileInfo& info) {
     req.target = new_list[i];
     req.replicas = new_list;
     transport_->call(
-        node_, source, Method::kReplicateTo, req.encode(),
+        node_, source, Method::kReplicateTo, encode(req),
         [this, uuid = info.uuid, name = info.name, new_list, survivors,
          pending, failed](Status status, Bytes) {
           if (status != Status::kOk) *failed = true;
@@ -488,7 +476,7 @@ void Nameserver::rereplicate_file(const FileInfo& info) {
           // were installed with it; the other survivors still need it.
           for (std::size_t j = 1; j < survivors.size(); ++j) {
             transport_->call(node_, survivors[j], Method::kUpdateReplicas,
-                             UpdateReplicasReq{uuid, new_list}.encode(),
+                             encode(UpdateReplicasReq{uuid, new_list}),
                              nullptr);
           }
         });
@@ -522,10 +510,9 @@ void Nameserver::adopt_from_dataservers(
         [this, pending, shared_done, shared_filter](Status status,
                                                     Bytes payload) {
           if (status == Status::kOk) {
-            Reader r(payload);
-            const ScanFilesResp resp = ScanFilesResp::decode(r);
-            if (r.ok()) {
-              for (const FileInfo& info : resp.files) {
+            const auto resp = decode<ScanFilesResp>(payload);
+            if (resp) {
+              for (const FileInfo& info : resp->files) {
                 if (!(*shared_filter)(info.name)) continue;
                 // A dataserver's local size may lag the primary's (relay in
                 // flight at crash time): keep the largest observed size.

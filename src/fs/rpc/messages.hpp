@@ -1,12 +1,16 @@
 // RPC message schema for the Mayflower filesystem (client <-> nameserver,
-// client <-> dataserver, dataserver <-> dataserver).
+// client <-> dataserver, dataserver <-> dataserver, client <-> Flowserver
+// service).
 //
-// Every message round-trips through the binary serializer; decode failures
-// surface as Status::kBadRequest at the server.
+// The wire contract, stated once: each message lists its fields in wire
+// order (`fields`, walked by encode()/decode<T>() in serializer.hpp), and
+// MAYFLOWER_RPC_METHODS lists every method. A request that does not decode
+// is answered with Status::kBadRequest.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/uuid.hpp"
@@ -18,26 +22,36 @@
 
 namespace mayflower::fs {
 
+// One row per method: X(method, wire id, request, response, owners), where
+// NoBody marks a side without a payload and `owners` names the server
+// families whose handler answers the method (tools/lint_invariants.py
+// --check=rpc holds their dispatch switches to it). kPing is the liveness
+// probe every server family but the Flowserver service answers.
+#define MAYFLOWER_RPC_METHODS(X)                                              \
+  X(kCreateFile, 1, CreateFileReq, FileInfoResp, "nameserver")                \
+  X(kDeleteFile, 2, NameReq, NoBody, "nameserver")                            \
+  X(kLookupFile, 3, NameReq, FileInfoResp, "nameserver")                      \
+  X(kListFiles, 4, NoBody, ListFilesResp, "nameserver")                       \
+  X(kAppend, 5, AppendReq, AppendResp, "dataserver")                          \
+  X(kAppendRelay, 6, AppendRelayReq, NoBody, "dataserver")                    \
+  X(kReadFile, 7, ReadReq, ReadResp, "dataserver")                            \
+  X(kScanFiles, 8, NoBody, ScanFilesResp, "dataserver")                       \
+  X(kCreateReplica, 9, CreateReplicaReq, NoBody, "dataserver")                \
+  X(kDropReplica, 10, DropReplicaReq, NoBody, "dataserver")                   \
+  X(kReportSize, 11, ReportSizeReq, NoBody, "nameserver")                     \
+  X(kSelectReplicas, 12, SelectReplicasReq, SelectReplicasResp, "flowserver") \
+  X(kFlowDropped, 13, FlowDroppedReq, NoBody, "flowserver")                   \
+  X(kPing, 14, NoBody, NoBody, "nameserver dataserver meta")                  \
+  X(kReplicateTo, 15, ReplicateToReq, NoBody, "dataserver")                   \
+  X(kInstallReplica, 16, InstallReplicaReq, NoBody, "dataserver")             \
+  X(kUpdateReplicas, 17, UpdateReplicasReq, NoBody, "dataserver")             \
+  X(kGetShardMap, 19, NoBody, ShardMapResp, "meta")                           \
+  X(kPlanWrite, 20, PlanWriteReq, SelectReplicasResp, "flowserver")
+
 enum class Method : std::uint16_t {
-  kCreateFile = 1,
-  kDeleteFile = 2,
-  kLookupFile = 3,
-  kListFiles = 4,
-  kAppend = 5,        // client -> primary dataserver
-  kAppendRelay = 6,   // primary -> secondary dataserver
-  kReadFile = 7,      // client -> any dataserver
-  kScanFiles = 8,     // nameserver -> dataserver (recovery)
-  kCreateReplica = 9, // nameserver -> dataserver
-  kDropReplica = 10,  // nameserver -> dataserver
-  kReportSize = 11,   // primary dataserver -> nameserver (async, advisory)
-  kSelectReplicas = 12,  // client -> Flowserver service (controller)
-  kFlowDropped = 13,     // client -> Flowserver service (fire-and-forget)
-  kPing = 14,            // nameserver -> dataserver (liveness probe)
-  kReplicateTo = 15,     // nameserver -> surviving dataserver (recovery)
-  kInstallReplica = 16,  // surviving -> replacement dataserver (data + meta)
-  kUpdateReplicas = 17,  // nameserver -> dataserver (replica-list refresh)
-  kGetShardMap = 19,          // client/router -> metadata coordinator
-  kPlanWrite = 20,            // client -> Flowserver service (write chain)
+#define MAYFLOWER_RPC_ENUMERATOR(method, id, req, resp, owners) method = id,
+  MAYFLOWER_RPC_METHODS(MAYFLOWER_RPC_ENUMERATOR)
+#undef MAYFLOWER_RPC_ENUMERATOR
 };
 
 const char* to_string(Method method);
@@ -59,6 +73,11 @@ const char* to_string(Status status);
 
 // ---------------------------------------------------------------------------
 
+// The side of a method that carries no payload.
+struct NoBody {
+  static auto fields(auto&) { return std::tie(); }
+};
+
 struct FileInfo {
   Uuid uuid;
   std::string name;
@@ -73,8 +92,9 @@ struct FileInfo {
   // Byte offset where the last chunk begins.
   std::uint64_t last_chunk_offset() const;
 
-  void encode(Writer& w) const;
-  static FileInfo decode(Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.uuid, m.name, m.size, m.chunk_size, m.replicas);
+  }
 };
 
 struct CreateFileReq {
@@ -83,26 +103,24 @@ struct CreateFileReq {
   // The creating client's host: lets the nameserver place the primary near
   // the writer when collaborative placement is enabled.
   net::NodeId client = net::kInvalidNode;
-  Bytes encode() const;
-  static CreateFileReq decode(Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.replication, m.client);
+  }
 };
 
 struct FileInfoResp {  // CreateFile / Lookup response
   FileInfo info;
-  Bytes encode() const;
-  static FileInfoResp decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.info); }
 };
 
 struct NameReq {  // DeleteFile / Lookup request
   std::string name;
-  Bytes encode() const;
-  static NameReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.name); }
 };
 
 struct ListFilesResp {
   std::vector<std::string> names;
-  Bytes encode() const;
-  static ListFilesResp decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.names); }
 };
 
 // Plans travel in the Flowserver's own plan unit: one planned flow per
@@ -117,8 +135,7 @@ struct AppendReq {
   // primary pipelines the relay without its own planning round trip. Empty:
   // legacy fan-out relay.
   std::vector<ReadAssignment> chain;
-  Bytes encode() const;
-  static AppendReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file, m.data, m.chain); }
 };
 
 struct AppendResp {
@@ -127,24 +144,25 @@ struct AppendResp {
   // How many of the request's relay hops the primary started: a prefix of
   // `chain`. The client hands the rest back to the Flowserver.
   std::uint32_t hops_started = 0;
-  Bytes encode() const;
-  static AppendResp decode(Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.offset, m.new_size, m.hops_started);
+  }
 };
 
+// Primary -> secondary dataserver: one append, in the primary's order.
 struct AppendRelayReq {
   Uuid file;
   std::uint64_t offset = 0;
   ExtentList data;
-  Bytes encode() const;
-  static AppendRelayReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file, m.offset, m.data); }
 };
 
+// Client -> any replica's dataserver.
 struct ReadReq {
   Uuid file;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  Bytes encode() const;
-  static ReadReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file, m.offset, m.length); }
 };
 
 struct ReadResp {
@@ -152,26 +170,24 @@ struct ReadResp {
   // Current file size, piggybacked on every read so clients discover
   // appends without asking the nameserver (§3.3).
   std::uint64_t file_size = 0;
-  Bytes encode() const;
-  static ReadResp decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.data, m.file_size); }
 };
 
 struct ScanFilesResp {
   std::vector<FileInfo> files;  // this dataserver's local view
-  Bytes encode() const;
-  static ScanFilesResp decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.files); }
 };
 
+// Nameserver -> dataserver (create, re-replication).
 struct CreateReplicaReq {
   FileInfo info;
-  Bytes encode() const;
-  static CreateReplicaReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.info); }
 };
 
+// Nameserver -> dataserver (delete).
 struct DropReplicaReq {
   Uuid file;
-  Bytes encode() const;
-  static DropReplicaReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file); }
 };
 
 // Client -> Flowserver (§5): "accepts a list of source/destination IP
@@ -183,20 +199,20 @@ struct SelectReplicasReq {
   net::NodeId client = net::kInvalidNode;
   std::vector<net::NodeId> replicas;
   double bytes = 0.0;
-  Bytes encode() const;
-  static SelectReplicasReq decode(Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.client, m.replicas, m.bytes);
+  }
 };
 
 struct SelectReplicasResp {
   std::vector<ReadAssignment> assignments;
-  Bytes encode() const;
-  static SelectReplicasResp decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.assignments); }
 };
 
+// Client -> Flowserver service, fire-and-forget: a planned flow ended.
 struct FlowDroppedReq {
   std::uint64_t cookie = 0;
-  Bytes encode() const;
-  static FlowDroppedReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.cookie); }
 };
 
 // Client -> Flowserver: route one replication chain. `chain` is the host
@@ -208,8 +224,7 @@ struct FlowDroppedReq {
 struct PlanWriteReq {
   std::vector<net::NodeId> chain;
   double bytes = 0.0;
-  Bytes encode() const;
-  static PlanWriteReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.chain, m.bytes); }
 };
 
 // Nameserver -> surviving dataserver: "copy your replica of `file` to
@@ -220,8 +235,7 @@ struct ReplicateToReq {
   Uuid file;
   net::NodeId target = net::kInvalidNode;
   std::vector<net::NodeId> replicas;  // post-recovery list, primary first
-  Bytes encode() const;
-  static ReplicateToReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file, m.target, m.replicas); }
 };
 
 // Surviving -> replacement dataserver: full metadata + chunk data of one
@@ -229,8 +243,7 @@ struct ReplicateToReq {
 struct InstallReplicaReq {
   FileInfo info;
   ExtentList data;
-  Bytes encode() const;
-  static InstallReplicaReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.info, m.data); }
 };
 
 // Nameserver -> dataserver: replace only the replica list of a file already
@@ -239,8 +252,7 @@ struct InstallReplicaReq {
 struct UpdateReplicasReq {
   Uuid file;
   std::vector<net::NodeId> replicas;
-  Bytes encode() const;
-  static UpdateReplicasReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file, m.replicas); }
 };
 
 // Advisory: keeps the nameserver's size view fresh so lookups answer "the
@@ -249,8 +261,7 @@ struct UpdateReplicasReq {
 struct ReportSizeReq {
   Uuid file;
   std::uint64_t size = 0;
-  Bytes encode() const;
-  static ReportSizeReq decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.file, m.size); }
 };
 
 // kGetShardMap response payload: the metadata coordinator's current shard
@@ -258,8 +269,7 @@ struct ReportSizeReq {
 // stale cache after a kWrongShard reply.
 struct ShardMapResp {
   meta::ShardMap map;
-  Bytes encode() const;
-  static ShardMapResp decode(Reader& r);
+  static auto fields(auto& m) { return std::tie(m.map); }
 };
 
 }  // namespace mayflower::fs

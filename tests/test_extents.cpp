@@ -61,15 +61,17 @@ TEST(Extent, ContentEqualsAcrossKinds) {
 TEST(Extent, EncodeDecodeRoundTrip) {
   for (const Extent& e :
        {Extent::from_bytes("binary\x00payload"), Extent::pattern(5, 123, 45)}) {
-    Writer w;
-    e.encode(w);
-    const Bytes bytes = w.bytes();
-    Reader r(bytes);
-    const Extent back = Extent::decode(r);
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(e.content_equals(back));
-    EXPECT_EQ(e.kind(), back.kind());
+    const auto back = decode<Extent>(encode(e));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(e.content_equals(*back));
+    EXPECT_EQ(e.kind(), back->kind());
   }
+}
+
+TEST(Extent, UnknownKindFailsToDecode) {
+  Writer w;
+  w.u8(3);  // neither kInline (1) nor kPattern (2)
+  EXPECT_FALSE(decode<Extent>(w.bytes()).has_value());
 }
 
 TEST(ExtentList, AppendAndSize) {
@@ -119,13 +121,9 @@ TEST(ExtentList, EncodeDecodeRoundTrip) {
   ExtentList list;
   list.append(Extent::from_bytes("xyz"));
   list.append(Extent::pattern(3, 50, 10));
-  Writer w;
-  list.encode(w);
-  const Bytes bytes = w.bytes();
-  Reader r(bytes);
-  const ExtentList back = ExtentList::decode(r);
-  EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(list.content_equals(back));
+  const auto back = decode<ExtentList>(encode(list));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(list.content_equals(*back));
 }
 
 TEST(ExtentList, SliceOfSliceComposes) {

@@ -833,13 +833,12 @@ TEST(Cluster, CrashedDataserverTriggersRereplication) {
   req.offset = 0;
   req.length = 5000;
   cluster.transport().call(
-      cluster.tree().hosts[0], replacement, Method::kReadFile, req.encode(),
+      cluster.tree().hosts[0], replacement, Method::kReadFile, encode(req),
       [&](Status s, Bytes payload) {
         EXPECT_EQ(s, Status::kOk);
-        Reader r(payload);
-        const ReadResp resp = ReadResp::decode(r);
-        ASSERT_TRUE(r.ok());
-        EXPECT_EQ(resp.data.size(), 5000u);
+        const auto resp = decode<ReadResp>(payload);
+        ASSERT_TRUE(resp.has_value());
+        EXPECT_EQ(resp->data.size(), 5000u);
         read_ok = true;
         probe_done = true;
       });

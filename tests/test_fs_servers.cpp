@@ -36,7 +36,7 @@ class ServerTest : public ::testing::Test {
     for (const net::NodeId rep : info.replicas) {
       bool acked = false;
       transport_.call(0, rep, Method::kCreateReplica,
-                      CreateReplicaReq{info}.encode(),
+                      encode(CreateReplicaReq{info}),
                       [&](Status s, Bytes) {
                         EXPECT_EQ(s, Status::kOk);
                         acked = true;
@@ -54,11 +54,10 @@ class ServerTest : public ::testing::Test {
     req.chain = std::move(chain);
     AppendResp out;
     bool done = false;
-    transport_.call(1, info.primary(), Method::kAppend, req.encode(),
+    transport_.call(1, info.primary(), Method::kAppend, encode(req),
                     [&](Status s, Bytes payload) {
                       EXPECT_EQ(s, Status::kOk);
-                      Reader r(payload);
-                      out = AppendResp::decode(r);
+                      out = decode<AppendResp>(payload).value();
                       done = true;
                     });
     events_.run();
@@ -189,7 +188,7 @@ TEST_F(ServerTest, AppendToNonPrimaryRejected) {
   req.file = info.uuid;
   req.data = ExtentList(Extent::pattern(1, 10));
   Status seen = Status::kOk;
-  transport_.call(1, tree_.hosts[20], Method::kAppend, req.encode(),
+  transport_.call(1, tree_.hosts[20], Method::kAppend, encode(req),
                   [&](Status s, Bytes) { seen = s; });
   events_.run();
   EXPECT_EQ(seen, Status::kNotPrimary);
@@ -200,7 +199,7 @@ TEST_F(ServerTest, DuplicateRelayIsIdempotent) {
   const FileInfo info = make_info("f", 1000, {tree_.hosts[0], tree_.hosts[20]});
   bool acked = false;
   transport_.call(0, tree_.hosts[20], Method::kCreateReplica,
-                  CreateReplicaReq{info}.encode(),
+                  encode(CreateReplicaReq{info}),
                   [&](Status, Bytes) { acked = true; });
   events_.run();
   ASSERT_TRUE(acked);
@@ -211,7 +210,7 @@ TEST_F(ServerTest, DuplicateRelayIsIdempotent) {
   relay.data = ExtentList(Extent::pattern(1, 100));
   for (int i = 0; i < 2; ++i) {
     Status seen = Status::kBadRequest;
-    transport_.call(0, tree_.hosts[20], Method::kAppendRelay, relay.encode(),
+    transport_.call(0, tree_.hosts[20], Method::kAppendRelay, encode(relay),
                     [&](Status s, Bytes) { seen = s; });
     events_.run();
     EXPECT_EQ(seen, Status::kOk) << "delivery " << i;
@@ -223,7 +222,7 @@ TEST_F(ServerTest, RelayWithGapRejected) {
   Dataserver secondary(transport_, fabric_, tree_.hosts[20], {}, 2);
   const FileInfo info = make_info("f", 1000, {tree_.hosts[0], tree_.hosts[20]});
   transport_.call(0, tree_.hosts[20], Method::kCreateReplica,
-                  CreateReplicaReq{info}.encode(), nullptr);
+                  encode(CreateReplicaReq{info}), nullptr);
   events_.run();
 
   AppendRelayReq relay;
@@ -231,7 +230,7 @@ TEST_F(ServerTest, RelayWithGapRejected) {
   relay.offset = 500;  // hole: nothing before it
   relay.data = ExtentList(Extent::pattern(1, 100));
   Status seen = Status::kOk;
-  transport_.call(0, tree_.hosts[20], Method::kAppendRelay, relay.encode(),
+  transport_.call(0, tree_.hosts[20], Method::kAppendRelay, encode(relay),
                   [&](Status s, Bytes) { seen = s; });
   events_.run();
   EXPECT_EQ(seen, Status::kBadRequest);
@@ -249,11 +248,11 @@ TEST_F(ServerTest, QueuedAppendsServiceOneAtATime) {
     AppendReq req;
     req.file = info.uuid;
     req.data = ExtentList(Extent::pattern(static_cast<std::uint64_t>(i), 200));
-    transport_.call(1, info.primary(), Method::kAppend, req.encode(),
+    transport_.call(1, info.primary(), Method::kAppend, encode(req),
                     [&](Status s, Bytes payload) {
                       ASSERT_EQ(s, Status::kOk);
-                      Reader r(payload);
-                      offsets.push_back(AppendResp::decode(r).offset);
+                      offsets.push_back(
+                          decode<AppendResp>(payload).value().offset);
                     });
   }
   events_.run();
@@ -274,11 +273,10 @@ TEST_F(ServerTest, ReadReturnsSliceAndFileSize) {
   req.offset = 500;
   req.length = 300;
   bool done = false;
-  transport_.call(1, tree_.hosts[0], Method::kReadFile, req.encode(),
+  transport_.call(1, tree_.hosts[0], Method::kReadFile, encode(req),
                   [&](Status s, Bytes payload) {
                     ASSERT_EQ(s, Status::kOk);
-                    Reader r(payload);
-                    const ReadResp resp = ReadResp::decode(r);
+                    const ReadResp resp = decode<ReadResp>(payload).value();
                     EXPECT_EQ(resp.file_size, 2000u);
                     EXPECT_EQ(resp.data.size(), 300u);
                     EXPECT_TRUE(resp.data.content_equals(
@@ -338,8 +336,8 @@ TEST_F(ServerTest, ScanFilesListsLocalReplicas) {
   transport_.call(9, tree_.hosts[0], Method::kScanFiles, Bytes{},
                   [&](Status s, Bytes payload) {
                     ASSERT_EQ(s, Status::kOk);
-                    Reader r(payload);
-                    const ScanFilesResp resp = ScanFilesResp::decode(r);
+                    const ScanFilesResp resp =
+                        decode<ScanFilesResp>(payload).value();
                     EXPECT_EQ(resp.files.size(), 3u);
                     done = true;
                   });
@@ -372,7 +370,7 @@ TEST_F(ServerTest, NameserverGracefulRestartKeepsMappings) {
     req.name = "durable";
     req.replication = 1;
     bool done = false;
-    transport_.call(tree_.hosts[2], ns, Method::kCreateFile, req.encode(),
+    transport_.call(tree_.hosts[2], ns, Method::kCreateFile, encode(req),
                     [&](Status s, Bytes) {
                       EXPECT_EQ(s, Status::kOk);
                       done = true;
@@ -412,7 +410,7 @@ TEST_F(ServerTest, NameserverListAndStatRpcs) {
     req.name = name;
     req.replication = 1;
     transport_.call(tree_.hosts[2], tree_.hosts[1], Method::kCreateFile,
-                    req.encode(), nullptr);
+                    encode(req), nullptr);
   }
   events_.run();
 
@@ -420,8 +418,8 @@ TEST_F(ServerTest, NameserverListAndStatRpcs) {
   transport_.call(tree_.hosts[2], tree_.hosts[1], Method::kListFiles, Bytes{},
                   [&](Status s, Bytes payload) {
                     ASSERT_EQ(s, Status::kOk);
-                    Reader r(payload);
-                    const ListFilesResp resp = ListFilesResp::decode(r);
+                    const ListFilesResp resp =
+                        decode<ListFilesResp>(payload).value();
                     ASSERT_EQ(resp.names.size(), 3u);
                     // Key order: lexicographic.
                     EXPECT_EQ(resp.names[0], "a-file");
@@ -462,6 +460,33 @@ TEST_F(ServerTest, PlanRpcsRejectMalformedRequests) {
   ASSERT_EQ(seen.size(), 7u);
   for (const Status s : seen) EXPECT_EQ(s, Status::kBadRequest);
   EXPECT_EQ(server.table().size(), 0u);
+}
+
+TEST_F(ServerTest, TruncatedFlowDroppedIsABadRequest) {
+  flowserver::Flowserver server(fabric_, {});
+  const net::NodeId controller = tree_.hosts[47];
+  FlowserverService service(transport_, controller, server);
+  RpcPlanner planner(transport_, controller);
+  std::vector<ReadAssignment> plan;
+  planner.plan(tree_.hosts[0], {tree_.hosts[16]}, 1e6,
+               [&plan](Status s, std::vector<ReadAssignment> p) {
+                 EXPECT_EQ(s, Status::kOk);
+                 plan = std::move(p);
+               });
+  events_.run();
+  ASSERT_FALSE(plan.empty());
+  const std::size_t believed = server.table().size();
+  ASSERT_GT(believed, 0u);
+
+  Bytes truncated = encode(FlowDroppedReq{plan.front().cookie});
+  truncated.pop_back();
+  std::vector<Status> seen;
+  transport_.call(tree_.hosts[0], controller, Method::kFlowDropped,
+                  truncated, [&seen](Status s, Bytes) { seen.push_back(s); });
+  events_.run();
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], Status::kBadRequest);
+  EXPECT_EQ(server.table().size(), believed);
 }
 
 }  // namespace

@@ -80,15 +80,20 @@ TEST(ShardMapMeta, EncodeDecodeRoundTrips) {
   map.mode = Partition::kSubtree;
   map.epoch = 42;
   map.owners = {5, 9, 13};
+  const auto back = decode<ShardMap>(encode(map));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->mode, Partition::kSubtree);
+  EXPECT_EQ(back->epoch, 42u);
+  EXPECT_EQ(back->owners, map.owners);
+}
+
+TEST(ShardMapMeta, UnknownPartitionFailsToDecode) {
   Writer w;
-  map.encode(w);
-  Bytes bytes = w.take();
-  Reader r(bytes);
-  const ShardMap back = ShardMap::decode(r);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(back.mode, Partition::kSubtree);
-  EXPECT_EQ(back.epoch, 42u);
-  EXPECT_EQ(back.owners, map.owners);
+  w.u32(2);  // neither kHash (0) nor kSubtree (1)
+  w.u64(1);
+  w.varint(1);
+  w.u32(5);
+  EXPECT_FALSE(decode<ShardMap>(w.bytes()).has_value());
 }
 
 // --- async commit engine ------------------------------------------------

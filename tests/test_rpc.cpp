@@ -69,9 +69,21 @@ TEST(Serializer, CorruptListCountDoesNotOverAllocate) {
   w.varint(0xffffffffffULL);  // absurd element count, no elements
   const Bytes bytes = w.bytes();
   Reader r(bytes);
-  const auto items = r.list<std::uint32_t>([](Reader& rr) { return rr.u32(); });
+  std::vector<std::uint32_t> items;
+  decode_into(r, items);
   EXPECT_FALSE(r.ok());
   EXPECT_LT(items.size(), 4097u);
+}
+
+TEST(Serializer, WrappedStringLengthFails) {
+  // A length of 2^64 - 1: pos + length wraps to just before the cursor.
+  Writer w;
+  w.varint(~0ULL);
+  w.str("tail");
+  const Bytes bytes = w.bytes();
+  Reader r(bytes);
+  r.str();
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Messages, FileInfoRoundTrip) {
@@ -82,12 +94,7 @@ TEST(Messages, FileInfoRoundTrip) {
   info.size = 1234567890123ULL;
   info.chunk_size = 256'000'000;
   info.replicas = {7, 21, 42};
-  Writer w;
-  info.encode(w);
-  const Bytes bytes = w.bytes();
-  Reader r(bytes);
-  const FileInfo back = FileInfo::decode(r);
-  EXPECT_TRUE(r.ok());
+  const FileInfo back = decode<FileInfo>(encode(info)).value();
   EXPECT_EQ(back.uuid, info.uuid);
   EXPECT_EQ(back.name, info.name);
   EXPECT_EQ(back.size, info.size);
@@ -114,9 +121,8 @@ TEST(Messages, RequestResponsePairsRoundTrip) {
   Rng rng(2);
   const Uuid uuid = Uuid::generate(rng);
   {
-    const Bytes b = CreateFileReq{"x", 3}.encode();
-    Reader r(b);
-    const auto back = CreateFileReq::decode(r);
+    const auto back =
+        decode<CreateFileReq>(encode(CreateFileReq{"x", 3})).value();
     EXPECT_EQ(back.name, "x");
     EXPECT_EQ(back.replication, 3u);
   }
@@ -124,9 +130,7 @@ TEST(Messages, RequestResponsePairsRoundTrip) {
     AppendReq req;
     req.file = uuid;
     req.data.append(Extent::pattern(5, 1000));
-    const Bytes b = req.encode();
-    Reader r(b);
-    const auto back = AppendReq::decode(r);
+    const auto back = decode<AppendReq>(encode(req)).value();
     EXPECT_EQ(back.file, uuid);
     EXPECT_EQ(back.data.size(), 1000u);
   }
@@ -135,9 +139,7 @@ TEST(Messages, RequestResponsePairsRoundTrip) {
     req.file = uuid;
     req.offset = 128;
     req.length = 256;
-    const Bytes b = req.encode();
-    Reader r(b);
-    const auto back = ReadReq::decode(r);
+    const auto back = decode<ReadReq>(encode(req)).value();
     EXPECT_EQ(back.offset, 128u);
     EXPECT_EQ(back.length, 256u);
   }
@@ -145,12 +147,31 @@ TEST(Messages, RequestResponsePairsRoundTrip) {
     ReadResp resp;
     resp.data.append(Extent::from_bytes("abc"));
     resp.file_size = 999;
-    const Bytes b = resp.encode();
-    Reader r(b);
-    const auto back = ReadResp::decode(r);
+    const auto back = decode<ReadResp>(encode(resp)).value();
     EXPECT_EQ(back.file_size, 999u);
     EXPECT_EQ(back.data.materialize(), "abc");
   }
+}
+
+TEST(Messages, WrappedNameLengthFailsAListFilesResp) {
+  // A count of 1000 names whose first length wraps the cursor back onto
+  // itself: each "name" would re-read the same varint.
+  Writer w;
+  w.varint(1000);
+  w.varint(~0ULL - 9);  // read up to byte 12, and 12 + length wraps to 2
+  const Bytes bytes = w.bytes();
+  ASSERT_EQ(bytes.size(), 12u);
+  Reader r(bytes);
+  ListFilesResp resp;
+  decode_into(r, resp);
+  EXPECT_FALSE(r.ok());
+  EXPECT_LT(resp.names.size(), 1000u);
+}
+
+TEST(Messages, UuidFieldOfTheWrongLengthFails) {
+  Writer w;
+  w.str(std::string(15, 'u'));
+  EXPECT_FALSE(decode<DropReplicaReq>(w.bytes()).has_value());
 }
 
 TEST(SimTransport, DeliversWithRoundTripLatency) {

@@ -671,7 +671,7 @@ TEST(ClusterWritePath, StalePlanHandsTheSkippedHopBack) {
   update.replicas = {created.replicas[0], created.replicas[1], moved_to};
   bool updated = false;
   cluster.transport().call(tree.hosts[0], created.primary(),
-                           fs::Method::kUpdateReplicas, update.encode(),
+                           fs::Method::kUpdateReplicas, encode(update),
                            [&](fs::Status s, fs::Bytes) {
                              EXPECT_EQ(s, fs::Status::kOk);
                              updated = true;

@@ -1,20 +1,8 @@
-// Fixture: the enum and the contract table disagree in both directions.
-// kOrphan has no table row; the table's kPing names no enumerator here.
+// Fixture: kEcho's owner never dispatches it, kPing is dispatched by a
+// family that does not own it, and kStray names an owner with no server.
 #pragma once
 
-namespace fixture {
-
-enum class Method : unsigned short {
-  kEcho = 1,
-  kOrphan = 2,
-};
-
-struct EchoReq {
-  int value = 0;
-};
-
-struct EchoResp {
-  int value = 0;
-};
-
-}  // namespace fixture
+#define MAYFLOWER_RPC_METHODS(X)           \
+  X(kEcho, 1, EchoReq, EchoResp, "server") \
+  X(kPing, 2, NoBody, NoBody, "server")    \
+  X(kStray, 3, NoBody, NoBody, "nobody")

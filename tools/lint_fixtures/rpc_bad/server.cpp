@@ -1,8 +1,10 @@
 // Fixture: the server owning kEcho never dispatches it.
 namespace fixture {
 
-void serve() {
-  // No dispatch switch at all.
+void serve(Method method) {
+  if (method == Method::kPing) {
+    return;
+  }
 }
 
 }  // namespace fixture

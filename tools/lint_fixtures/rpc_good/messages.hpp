@@ -1,19 +1,6 @@
-// Fixture: enum and contract table agree exactly (kEcho + bodyless kPing).
+// Fixture: every row's owners dispatch its method, and nobody else does.
 #pragma once
 
-namespace fixture {
-
-enum class Method : unsigned short {
-  kEcho = 1,
-  kPing = 2,
-};
-
-struct EchoReq {
-  int value = 0;
-};
-
-struct EchoResp {
-  int value = 0;
-};
-
-}  // namespace fixture
+#define MAYFLOWER_RPC_METHODS(X)           \
+  X(kEcho, 1, EchoReq, EchoResp, "server") \
+  X(kPing, 2, NoBody, NoBody, "server other")

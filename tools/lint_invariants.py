@@ -22,12 +22,11 @@ banned identifier does not trip the gate):
             src/common/sync.hpp nothing uses std::mutex directly — raw
             mutexes are invisible to Clang Thread Safety Analysis.
 
-  rpc       The wire contract is exhaustive: every rpc::Method enumerator
-            appears in RPC_METHODS below, its request/response structs have
-            encode + decode in src/fs/rpc/messages.*, it has a dispatch arm
-            in exactly the server file(s) that own it, and the generated
-            round-trip test (tools/gen_rpc_roundtrip.py, driven by the same
-            RPC_METHODS table) covers it.
+  rpc       Every RPC is answered where the method table says: the rows
+            of MAYFLOWER_RPC_METHODS in src/fs/rpc/messages.hpp (the C++
+            list that also generates rpc::Method, to_string and the wire
+            tests) name each method's owning server families, and each
+            method has a dispatch arm in exactly its owners' server files.
 
   metrics   Every metric name registered in src/ matches an entry of its
             kind in the metrics catalog (src/obs/metrics_catalog.json),
@@ -116,48 +115,14 @@ NONDET_BANNED = [
 NONDET_BANNED_CALLS = ["rand", "time"]
 
 # ---------------------------------------------------------------------------
-# rpc: the wire contract, one row per rpc::Method enumerator.
-#
-# method -> (request struct, response struct, dispatch owners). None means an
-# empty payload on that side. This table is the single source of truth for
-# BOTH the analyzer and tools/gen_rpc_roundtrip.py (which imports it to emit
-# the round-trip test), so a Method that lacks wire coverage fails the lint
-# and the build in the same breath.
-#
-# kPing is the liveness broadcast every server family answers, so it is the
-# one method with several owners by design — encoded here, not waived.
+# rpc: the method table is C++ (MAYFLOWER_RPC_METHODS); this pass reads its
+# rows and maps each owner family it names to that family's server file.
 RPC_MESSAGES_HPP = "src/fs/rpc/messages.hpp"
-RPC_MESSAGES_CPP = "src/fs/rpc/messages.cpp"
-RPC_ROUNDTRIP_TEST = "tests/test_rpc_roundtrip.cpp"
-RPC_ROUNDTRIP_MARKER = "rpc_roundtrip.gen.inc"
 RPC_SERVER_FILES = {
     "nameserver": "src/fs/nameserver.cpp",
     "dataserver": "src/fs/dataserver.cpp",
-    "flowserver_service": "src/fs/flowserver_service.cpp",
+    "flowserver": "src/fs/flowserver_service.cpp",
     "meta": "src/fs/meta/plane.cpp",
-}
-RPC_METHODS = {
-    "kCreateFile": ("CreateFileReq", "FileInfoResp", ("nameserver",)),
-    "kDeleteFile": ("NameReq", None, ("nameserver",)),
-    "kLookupFile": ("NameReq", "FileInfoResp", ("nameserver",)),
-    "kListFiles": (None, "ListFilesResp", ("nameserver",)),
-    "kAppend": ("AppendReq", "AppendResp", ("dataserver",)),
-    "kAppendRelay": ("AppendRelayReq", None, ("dataserver",)),
-    "kReadFile": ("ReadReq", "ReadResp", ("dataserver",)),
-    "kScanFiles": (None, "ScanFilesResp", ("dataserver",)),
-    "kCreateReplica": ("CreateReplicaReq", None, ("dataserver",)),
-    "kDropReplica": ("DropReplicaReq", None, ("dataserver",)),
-    "kReportSize": ("ReportSizeReq", None, ("nameserver",)),
-    "kSelectReplicas": ("SelectReplicasReq", "SelectReplicasResp",
-                        ("flowserver_service",)),
-    "kFlowDropped": ("FlowDroppedReq", None, ("flowserver_service",)),
-    "kPing": (None, None, ("nameserver", "dataserver", "meta")),
-    "kReplicateTo": ("ReplicateToReq", None, ("dataserver",)),
-    "kInstallReplica": ("InstallReplicaReq", None, ("dataserver",)),
-    "kUpdateReplicas": ("UpdateReplicasReq", None, ("dataserver",)),
-    "kGetShardMap": (None, "ShardMapResp", ("meta",)),
-    "kPlanWrite": ("PlanWriteReq", "SelectReplicasResp",
-                   ("flowserver_service",)),
 }
 
 # ---------------------------------------------------------------------------
@@ -396,7 +361,7 @@ def check_guards(root, findings, files=None):
 
 
 # ---------------------------------------------------------------------------
-# rpc-exhaustive
+# rpc-owners
 
 
 def read_stripped(path):
@@ -406,73 +371,38 @@ def read_stripped(path):
     return code, raw
 
 
-def parse_method_enum(code_text):
-    m = re.search(r"enum\s+class\s+Method[^{]*\{([^}]*)\}", code_text)
+RPC_TABLE_RE = re.compile(
+    r"#define\s+MAYFLOWER_RPC_METHODS\(X\)((?:[^\n]*\\\n)*[^\n]*)")
+RPC_ROW_RE = re.compile(
+    r"X\(\s*(k\w+)\s*,\s*\d+\s*,\s*\w+\s*,\s*\w+\s*,\s*\"([^\"]*)\"\s*\)")
+
+
+def parse_method_table(text):
+    """(method, [owner, ...]) per MAYFLOWER_RPC_METHODS row, or None."""
+    m = RPC_TABLE_RE.search(text)
     if m is None:
         return None
-    return re.findall(r"\b(k\w+)\b", m.group(1))
+    return [(name, owners.split())
+            for name, owners in RPC_ROW_RE.findall(m.group(1))]
 
 
 def check_rpc(root, findings, cfg=None):
     if cfg is None:
         cfg = {
-            "methods": RPC_METHODS,
             "messages_hpp": os.path.join(root, RPC_MESSAGES_HPP),
-            "messages_cpp": os.path.join(root, RPC_MESSAGES_CPP),
             "servers": {o: os.path.join(root, p)
                         for o, p in RPC_SERVER_FILES.items()},
-            "roundtrip": os.path.join(root, RPC_ROUNDTRIP_TEST),
         }
-    methods = cfg["methods"]
     hpp = cfg["messages_hpp"]
-    cpp = cfg["messages_cpp"]
-
-    if not os.path.exists(hpp) or not os.path.exists(cpp):
-        findings.append((hpp, 0, "rpc", "rpc message files missing"))
+    if not os.path.exists(hpp):
+        findings.append((hpp, 0, "rpc", "rpc message header missing"))
         return
-    hpp_code, _ = read_stripped(hpp)
-    cpp_code, _ = read_stripped(cpp)
-    hpp_text = "\n".join(hpp_code)
-    cpp_text = "\n".join(cpp_code)
-
-    enum = parse_method_enum(hpp_text)
-    if enum is None:
-        findings.append((hpp, 0, "rpc", "no 'enum class Method' found"))
+    with open(hpp, encoding="utf-8") as f:
+        rows = parse_method_table(f.read())
+    if not rows:
+        findings.append((hpp, 0, "rpc",
+                         "no MAYFLOWER_RPC_METHODS rows found"))
         return
-    for name in enum:
-        if name not in methods:
-            findings.append((hpp, 0, "rpc",
-                             "Method::%s has no row in RPC_METHODS: add its "
-                             "request/response structs and dispatch owner" %
-                             name))
-    for name in methods:
-        if name not in enum:
-            findings.append((hpp, 0, "rpc",
-                             "RPC_METHODS row '%s' names no Method "
-                             "enumerator (stale table entry)" % name))
-
-    # Every message struct the table references must be declared in
-    # messages.hpp and define encode + decode in messages.cpp.
-    structs = set()
-    for name in methods:
-        if name not in enum:
-            continue
-        req, resp, _ = methods[name]
-        for s in (req, resp):
-            if s is not None:
-                structs.add(s)
-    for s in sorted(structs):
-        if not re.search(r"\bstruct\s+%s\b" % re.escape(s), hpp_text):
-            findings.append((hpp, 0, "rpc",
-                             "message struct '%s' not declared in "
-                             "messages.hpp" % s))
-            continue
-        if not re.search(r"\b%s::encode\b" % re.escape(s), cpp_text):
-            findings.append((cpp, 0, "rpc",
-                             "'%s::encode' not defined in messages.cpp" % s))
-        if not re.search(r"\b%s::decode\b" % re.escape(s), cpp_text):
-            findings.append((cpp, 0, "rpc",
-                             "'%s::decode' not defined in messages.cpp" % s))
 
     # Dispatch arms: `case Method::kX` or `method == Method::kX` in a server
     # file counts as dispatching kX there. Client stubs (transport->call with
@@ -488,37 +418,22 @@ def check_rpc(root, findings, cfg=None):
             continue
         code, _ = read_stripped(path)
         dispatched[owner] = set(dispatch_re.findall("\n".join(code)))
-    for name in sorted(methods):
-        if name not in enum:
-            continue
-        owners = methods[name][2]
+    for name, owners in rows:
         for owner in owners:
-            if owner in dispatched and name not in dispatched[owner]:
+            if owner not in dispatched:
+                findings.append((hpp, 0, "rpc",
+                                 "Method::%s names owner '%s', which has no "
+                                 "server file" % (name, owner)))
+            elif name not in dispatched[owner]:
                 findings.append((cfg["servers"][owner], 0, "rpc",
                                  "Method::%s owned by '%s' but never "
                                  "dispatched there" % (name, owner)))
-        for owner, seen in dispatched.items():
+        for owner, seen in sorted(dispatched.items()):
             if name in seen and owner not in owners:
                 findings.append((cfg["servers"][owner], 0, "rpc",
                                  "Method::%s dispatched in '%s' which does "
                                  "not own it (owners: %s)" %
                                  (name, owner, ", ".join(owners))))
-
-    # Round-trip coverage: the generated test must exist and include the
-    # .inc the generator derives from this same table. Unmapped enumerators
-    # were already flagged above — the generator would refuse them too.
-    rt = cfg.get("roundtrip")
-    if rt is not None:
-        if not os.path.exists(rt):
-            findings.append((rt, 0, "rpc",
-                             "generated round-trip test driver missing"))
-        else:
-            with open(rt, encoding="utf-8") as f:
-                if RPC_ROUNDTRIP_MARKER not in f.read():
-                    findings.append((rt, 0, "rpc",
-                                     "round-trip driver does not include "
-                                     "the generated '%s'" %
-                                     RPC_ROUNDTRIP_MARKER))
 
 
 # ---------------------------------------------------------------------------
@@ -948,14 +863,9 @@ def run_checks(root, which, files=None):
 
 def fixture_rpc_cfg(dirpath):
     return {
-        "methods": {
-            "kEcho": ("EchoReq", "EchoResp", ("server",)),
-            "kPing": (None, None, ("server",)),
-        },
         "messages_hpp": os.path.join(dirpath, "messages.hpp"),
-        "messages_cpp": os.path.join(dirpath, "messages.cpp"),
-        "servers": {"server": os.path.join(dirpath, "server.cpp")},
-        "roundtrip": None,
+        "servers": {"server": os.path.join(dirpath, "server.cpp"),
+                    "other": os.path.join(dirpath, "other.cpp")},
     }
 
 
@@ -1004,7 +914,7 @@ def self_test(root):
     # Cross-file contract checks run against miniature fixture trees via
     # their cfg overrides: one violating tree, one clean tree per pass.
     structural = {
-        "rpc": (check_rpc, fixture_rpc_cfg, "rpc_bad", 4, "rpc_good"),
+        "rpc": (check_rpc, fixture_rpc_cfg, "rpc_bad", 3, "rpc_good"),
         "metrics": (check_metrics_contract, fixture_metrics_cfg,
                     "metrics_bad", 4, "metrics_good"),
         "flagdoc": (check_flag_doc, fixture_flagdoc_cfg,
