@@ -245,20 +245,24 @@ print("write_obs carries flowserver.write.*")
 EOF
 echo "identical"
 
-echo "=== write-path bench (>= 2x bar + decision-thread identity) ==="
+echo "=== write-path bench (>= 2x bar + decision-thread identity + golden) ==="
 # The bench exits non-zero unless pipelined+measured beats static fan-out by
 # >= 2x mean append completion AND write decisions are byte-identical across
-# decision_threads 1 and 8; the diff pins rerun determinism.
+# decision_threads 1 and 8. The fig4/fig6 goldens run static placement, so
+# the first run is diffed against tests/golden/ to pin the model and
+# measured placements; the second diff pins rerun determinism.
 ./build/bench/write_path >/tmp/mayflower_write_run1.txt
+diff tests/golden/write_path.txt /tmp/mayflower_write_run1.txt
 ./build/bench/write_path >/tmp/mayflower_write_run2.txt
 diff /tmp/mayflower_write_run1.txt /tmp/mayflower_write_run2.txt
-echo "deterministic"
+echo "identical"
 
-echo "=== placement ablation determinism (same seeds => identical table) ==="
+echo "=== placement ablation (golden + same seeds => identical table) ==="
 ./build/bench/ablation_placement >/tmp/mayflower_ablation_run1.txt
+diff tests/golden/ablation_placement.txt /tmp/mayflower_ablation_run1.txt
 ./build/bench/ablation_placement >/tmp/mayflower_ablation_run2.txt
 diff /tmp/mayflower_ablation_run1.txt /tmp/mayflower_ablation_run2.txt
-echo "deterministic"
+echo "identical"
 
 echo "=== metadata scaling bench (>= 3x bar at 4 shards, async < sync) ==="
 ./build/bench/meta_scale >/tmp/mayflower_meta_run1.txt

@@ -86,6 +86,9 @@ class LinkShareMemo {
 
   // == model.new_flow_share(view, path).
   double new_flow_share(const net::Path& path);
+  // The infinite-demand share of a new flow on link `l` alone: a path's
+  // new_flow_share is the min of this over its links.
+  double new_flow_share(net::LinkId l) { return link(l).new_flow_share; }
 
   struct Reduced {
     const net::NetworkView::Flow* flow;

@@ -11,45 +11,43 @@ std::vector<net::NodeId> tied_best_targets(
     const std::vector<net::NodeId>& candidates,
     const std::vector<units::Bps>& scores) {
   MAYFLOWER_ASSERT(!candidates.empty());
-  MAYFLOWER_ASSERT(candidates.size() == scores.size());
   std::vector<net::NodeId> ties;
   double best_score = -1.0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const double score = scores[i].value();
+  for (const net::NodeId candidate : candidates) {
+    MAYFLOWER_ASSERT(candidate < scores.size());
+    const double score = scores[candidate].value();
     const double tol = 1e-9 * (1.0 + best_score);
     if (ties.empty() || score > best_score + tol) {
       best_score = score;
-      ties.assign(1, candidates[i]);
+      ties.assign(1, candidate);
     } else if (score >= best_score - tol) {
-      ties.push_back(candidates[i]);
+      ties.push_back(candidate);
     }
   }
   return ties;
 }
 
-std::vector<net::NodeId> rank_write_targets_by_model(
-    const BandwidthModel& model, net::PathCache& paths, net::NodeId writer,
-    const std::vector<net::NodeId>& candidates, const net::NetworkView& view) {
-  // Every candidate's paths leave through the writer's uplink: one memo
-  // gathers and water-fills each link once for the whole ranking.
+std::vector<units::Bps> model_write_scores(const BandwidthModel& model,
+                                           const net::PathCache& paths,
+                                           net::NodeId writer,
+                                           const net::NetworkView& view) {
+  // A path's share is the min of its links' infinite-demand shares, so the
+  // sweep runs over the memo's per-link shares; the memo gathers and
+  // water-fills only the live links the sweep reaches.
   LinkShareMemo memo(model, view);
-  std::vector<units::Bps> scores;
-  scores.reserve(candidates.size());
-  for (const net::NodeId candidate : candidates) {
-    double share = 0.0;
-    if (candidate == writer) {
-      share = model.zero_hop_bps();
-    } else {
-      // A dead path carries nothing: a candidate the writer cannot reach
-      // scores 0, as in the measured ranking.
-      for (const net::Path& p : paths.get(writer, candidate)) {
-        if (!view.path_alive(p)) continue;
-        share = std::max(share, memo.new_flow_share(p));
-      }
-    }
-    scores.push_back(units::Bps{share});
-  }
-  return tied_best_targets(candidates, scores);
+  std::vector<units::Bps> scores = widest_shortest_paths(
+      paths.topology(), view, writer, units::Bps{net::kInfiniteDemand},
+      [&memo](net::LinkId l) { return memo.new_flow_share(l); });
+  scores[writer] = units::Bps{model.zero_hop_bps()};
+  return scores;
+}
+
+std::vector<net::NodeId> rank_write_targets_by_model(
+    const BandwidthModel& model, const net::PathCache& paths,
+    net::NodeId writer, const std::vector<net::NodeId>& candidates,
+    const net::NetworkView& view) {
+  return tied_best_targets(candidates,
+                           model_write_scores(model, paths, writer, view));
 }
 
 std::vector<ChainHopPlan> WriteChainPlanner::plan_readonly(

@@ -1,5 +1,6 @@
 #include "fs/dataserver.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 
@@ -7,6 +8,31 @@
 #include "common/strings.hpp"
 
 namespace mayflower::fs {
+namespace {
+
+// Marks every host a path from `from` reaches (one BFS over the topology).
+std::vector<char> hosts_reachable_from(const net::Topology& topo,
+                                       net::NodeId from) {
+  MAYFLOWER_ASSERT(from < topo.node_count());
+  std::vector<char> seen(topo.node_count(), 0);
+  std::vector<net::NodeId> order{from};
+  seen[from] = 1;
+  for (std::size_t next = 0; next < order.size(); ++next) {
+    for (const net::LinkId l : topo.out_links(order[next])) {
+      const net::NodeId v = topo.link(l).to;
+      if (seen[v] == 0) {
+        seen[v] = 1;
+        order.push_back(v);
+      }
+    }
+  }
+  for (net::NodeId n = 0; n < seen.size(); ++n) {
+    if (topo.node(n).kind != net::NodeKind::kHost) seen[n] = 0;
+  }
+  return seen;
+}
+
+}  // namespace
 
 Dataserver::Dataserver(Transport& transport, sdn::SdnFabric& fabric,
                        net::NodeId node, DataserverConfig config,
@@ -16,6 +42,7 @@ Dataserver::Dataserver(Transport& transport, sdn::SdnFabric& fabric,
       node_(node),
       config_(std::move(config)),
       paths_(fabric.topology()),
+      reachable_hosts_(hosts_reachable_from(fabric.topology(), node)),
       ecmp_(seed) {
   if (!config_.disk_root.empty()) {
     std::filesystem::create_directories(config_.disk_root);
@@ -74,7 +101,7 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
   switch (method) {
     case Method::kCreateReplica: {
       auto req = decode<CreateReplicaReq>(request);
-      if (!req || req->info.uuid.is_nil()) {
+      if (!req || !valid_info(req->info)) {
         reply(Status::kBadRequest, {});
         return;
       }
@@ -128,7 +155,7 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
       return;
     case Method::kUpdateReplicas: {
       auto req = decode<UpdateReplicasReq>(request);
-      if (!req || req->replicas.empty()) {
+      if (!req || !valid_replicas(req->replicas)) {
         reply(Status::kBadRequest, {});
         return;
       }
@@ -144,7 +171,7 @@ void Dataserver::handle(net::NodeId /*from*/, Method method,
     }
     case Method::kInstallReplica: {
       auto req = decode<InstallReplicaReq>(request);
-      if (!req || req->info.uuid.is_nil() ||
+      if (!req || !valid_info(req->info) ||
           req->data.size() != req->info.size) {
         reply(Status::kBadRequest, {});
         return;
@@ -264,6 +291,18 @@ void Dataserver::pump_appends(Stored& file) {
   }
   relay_fanout(uuid, std::move(wire), relay_bytes, secondaries,
                std::move(finish));
+}
+
+bool Dataserver::valid_replicas(
+    const std::vector<net::NodeId>& replicas) const {
+  return !replicas.empty() &&
+         std::all_of(replicas.begin(), replicas.end(),
+                     [this](net::NodeId n) { return reachable_host(n); });
+}
+
+bool Dataserver::valid_info(const FileInfo& info) const {
+  return !info.uuid.is_nil() && info.chunk_size > 0 &&
+         valid_replicas(info.replicas);
 }
 
 void Dataserver::count_relay_failure(const Uuid& uuid, net::NodeId secondary) {
@@ -475,7 +514,8 @@ void Dataserver::handle_append_relay(const Bytes& request, ResponseFn reply) {
 
 void Dataserver::handle_replicate_to(const Bytes& request, ResponseFn reply) {
   const auto req = decode<ReplicateToReq>(request);
-  if (!req || req->target == net::kInvalidNode || req->replicas.empty()) {
+  if (!req || !reachable_host(req->target) ||
+      !valid_replicas(req->replicas)) {
     reply(Status::kBadRequest, {});
     return;
   }
@@ -598,7 +638,8 @@ void Dataserver::load_from_disk() {
     const Bytes meta_bytes((std::istreambuf_iterator<char>(meta_in)),
                            std::istreambuf_iterator<char>());
     const auto info = decode<FileInfo>(meta_bytes);
-    if (!info || info->uuid != uuid) continue;
+    // A file this server would refuse over RPC is not loaded either.
+    if (!info || info->uuid != uuid || !valid_info(*info)) continue;
 
     Stored file;
     file.info = *info;

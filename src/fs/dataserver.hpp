@@ -146,6 +146,17 @@ class Dataserver {
   // One relay gave up before reaching its secondary: count it, log it.
   void count_relay_failure(const Uuid& uuid, net::NodeId secondary);
 
+  // The nameserver's node ids and chunk sizes are checked like a client's:
+  // relaying to a node that is not a host this server has a path to aborts
+  // path enumeration, and a chunk size of 0 divides by zero on disk.
+  bool reachable_host(net::NodeId n) const {
+    return n < reachable_hosts_.size() && reachable_hosts_[n] != 0;
+  }
+  // A non-empty list of reachable hosts.
+  bool valid_replicas(const std::vector<net::NodeId>& replicas) const;
+  // A non-nil uuid, a chunk size > 0 and valid replicas.
+  bool valid_info(const FileInfo& info) const;
+
   // Persistence helpers (no-ops in memory mode).
   void persist_meta(const Stored& file);
   void persist_chunks(const Stored& file, std::uint64_t offset,
@@ -159,6 +170,7 @@ class Dataserver {
   net::NodeId node_;
   DataserverConfig config_;
   net::PathCache paths_;
+  std::vector<char> reachable_hosts_;  // node id -> host with a path to it
   net::EcmpHasher ecmp_;
   std::unordered_map<Uuid, Stored, UuidHash> files_;
   bool attached_ = true;

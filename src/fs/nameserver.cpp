@@ -202,7 +202,15 @@ void Nameserver::provision_replicas(const FileInfo& info,
 
 void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
   const auto req = decode<CreateFileReq>(request);
-  if (!req || req->name.empty() || req->replication == 0) {
+  // Placement puts each replica in its own rack and ranks candidates from
+  // the writer's host: a factor beyond the rack count or a writer outside
+  // the topology's hosts cannot be placed.
+  const net::Topology& topo = tree_->topo;
+  if (!req || req->name.empty() || req->replication == 0 ||
+      req->replication > tree_->edge_switches.size() ||
+      (req->client != net::kInvalidNode &&
+       (req->client >= topo.node_count() ||
+        topo.node(req->client).kind != net::NodeKind::kHost))) {
     reply(Status::kBadRequest, {});
     return;
   }

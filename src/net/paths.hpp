@@ -35,6 +35,7 @@ class PathCache {
   explicit PathCache(const Topology& topo) : topo_(&topo) {}
 
   const std::vector<Path>& get(NodeId src, NodeId dst) EXCLUDES(mu_);
+  const Topology& topology() const { return *topo_; }
 
  private:
   const Topology* topo_;

@@ -22,6 +22,15 @@ std::optional<WritePlacementKind> parse_write_placement(const std::string& s) {
   return std::nullopt;
 }
 
+namespace {
+
+// Measured bytes/s still free on one link, clamped at 0.
+double free_bps(const net::NetworkView& view, net::LinkId l) {
+  return std::max(0.0, view.capacity_bps(l) - view.tx_rate_bps(l));
+}
+
+}  // namespace
+
 units::Bps MeasuredWritePlacement::headroom(net::NodeId writer,
                                             net::NodeId candidate,
                                             const net::NetworkView& view) const {
@@ -31,25 +40,25 @@ units::Bps MeasuredWritePlacement::headroom(net::NodeId writer,
     if (!view.path_alive(p)) continue;
     double bottleneck = kLocalHeadroom.value();
     for (const net::LinkId l : p.links) {
-      const double free =
-          std::max(0.0, view.capacity_bps(l) - view.tx_rate_bps(l));
-      bottleneck = std::min(bottleneck, free);
+      bottleneck = std::min(bottleneck, free_bps(view, l));
     }
     best = std::max(best, bottleneck);
   }
   return units::Bps{best};
 }
 
+std::vector<units::Bps> MeasuredWritePlacement::scores(
+    net::NodeId writer, const net::NetworkView& view) const {
+  // The writer keeps kLocalHeadroom, the sweep's start value.
+  return flowserver::widest_shortest_paths(
+      paths_->topology(), view, writer, kLocalHeadroom,
+      [&view](net::LinkId l) { return free_bps(view, l); });
+}
+
 std::vector<net::NodeId> MeasuredWritePlacement::rank(
     net::NodeId writer, const std::vector<net::NodeId>& candidates,
     const net::NetworkView& view) const {
-  MAYFLOWER_ASSERT(!candidates.empty());
-  std::vector<units::Bps> scores;
-  scores.reserve(candidates.size());
-  for (const net::NodeId candidate : candidates) {
-    scores.push_back(headroom(writer, candidate, view));
-  }
-  return flowserver::tied_best_targets(candidates, scores);
+  return flowserver::tied_best_targets(candidates, scores(writer, view));
 }
 
 }  // namespace mayflower::policy

@@ -47,16 +47,21 @@ class MeasuredWritePlacement {
   explicit MeasuredWritePlacement(net::PathCache& paths) : paths_(&paths) {}
 
   // Ranks `candidates` (non-empty) as homes for a new replica written by
-  // `writer` and returns the tied-best band (original order preserved,
-  // never empty).
+  // `writer` and returns the tied-best band of scores() (original order
+  // preserved, never empty).
   std::vector<net::NodeId> rank(net::NodeId writer,
                                 const std::vector<net::NodeId>& candidates,
                                 const net::NetworkView& view) const;
 
-  // Measured bytes/s still available on the best writer->candidate path:
-  // max over paths of (min over links of capacity - tx rate). Writer-local
-  // candidates return kLocalHeadroom (no fabric crossing). Exposed for
-  // tests.
+  // headroom() of every node (index = node id), in one
+  // flowserver::widest_shortest_paths sweep; enumerates no path.
+  std::vector<units::Bps> scores(net::NodeId writer,
+                                 const net::NetworkView& view) const;
+
+  // Measured bytes/s still available on the best live writer->candidate
+  // path: max over paths of (min over links of capacity - tx rate, clamped
+  // at 0). Writer-local candidates return kLocalHeadroom (no fabric
+  // crossing). The per-path reference rank()'s sweep is tested against.
   units::Bps headroom(net::NodeId writer, net::NodeId candidate,
                       const net::NetworkView& view) const;
 

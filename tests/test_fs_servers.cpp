@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -107,6 +108,57 @@ class ServerTest : public ::testing::Test {
     EXPECT_EQ(last.file_size(info.uuid), bad > 1 ? 1500u : 0u);
     EXPECT_EQ(primary.relay_failures(), 2 - bad);
   }
+
+  // Sends one request and runs the queue; returns the reply's status.
+  Status status_of(net::NodeId to, Method method, const Bytes& request) {
+    std::vector<Status> seen;
+    transport_.call(1, to, method, request,
+                    [&seen](Status s, Bytes) { seen.push_back(s); });
+    events_.run();
+    EXPECT_EQ(seen.size(), 1u);
+    return seen.empty() ? Status::kUnavailable : seen.front();
+  }
+
+  Status append_status(const FileInfo& info) {
+    AppendReq req;
+    req.file = info.uuid;
+    req.data = ExtentList(Extent::pattern(1, 100));
+    return status_of(info.primary(), Method::kAppend, encode(req));
+  }
+
+  // A fresh directory under the system temp dir, unique to this process.
+  static std::filesystem::path scratch_dir(const char* tag) {
+    const auto dir =
+        std::filesystem::temp_directory_path() /
+        strfmt("mayflower-%s-%d", tag, static_cast<int>(::getpid()));
+    std::filesystem::remove_all(dir);
+    return dir;
+  }
+
+  // Dataservers on every host, so any placement can be provisioned.
+  std::vector<std::unique_ptr<Dataserver>> dataservers_everywhere() {
+    std::vector<std::unique_ptr<Dataserver>> servers;
+    for (const net::NodeId h : tree_.hosts) {
+      servers.push_back(std::make_unique<Dataserver>(
+          transport_, fabric_, h, DataserverConfig{}, h));
+    }
+    return servers;
+  }
+
+  Status create_status(net::NodeId nameserver, const std::string& name,
+                       std::uint32_t replication, net::NodeId client) {
+    CreateFileReq req;
+    req.name = name;
+    req.replication = replication;
+    req.client = client;
+    return status_of(nameserver, Method::kCreateFile, encode(req));
+  }
+
+  // A node id outside the topology, and one no topology here reaches.
+  net::NodeId beyond_topology() const {
+    return static_cast<net::NodeId>(tree_.topo.node_count());
+  }
+  static constexpr net::NodeId kFarNode = 1000000;
 
   sim::EventQueue events_;
   net::ThreeTier tree_;
@@ -487,6 +539,175 @@ TEST_F(ServerTest, TruncatedFlowDroppedIsABadRequest) {
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], Status::kBadRequest);
   EXPECT_EQ(server.table().size(), believed);
+}
+
+// --- node ids and sizes the nameserver sends are checked too ---------------
+
+TEST_F(ServerTest, NameserverRejectsStaticReplicationBeyondTheRackCount) {
+  const auto servers = dataservers_everywhere();
+  NameserverConfig cfg;
+  cfg.kv_dir = scratch_dir("ns-static");
+  const net::NodeId ns = beyond_topology();
+  {
+    Nameserver nameserver(transport_, ns, tree_, cfg, 5);
+    // One replica per rack: 16 racks fit 16 replicas, and placing a 17th
+    // would abort.
+    EXPECT_EQ(create_status(ns, "wide", 16, tree_.hosts[2]), Status::kOk);
+    EXPECT_EQ(create_status(ns, "wider", 17, tree_.hosts[2]),
+              Status::kBadRequest);
+    EXPECT_EQ(nameserver.file_count(), 1u);
+  }
+  std::filesystem::remove_all(cfg.kv_dir);
+}
+
+TEST_F(ServerTest,
+       NameserverRejectsCollaborativeReplicationBeyondTheRackCount) {
+  const auto servers = dataservers_everywhere();
+  NameserverConfig cfg;
+  cfg.kv_dir = scratch_dir("ns-collab");
+  cfg.placement_advisor = [](net::NodeId,
+                              const std::vector<net::NodeId>& pool) {
+    return pool.front();
+  };
+  const net::NodeId ns = beyond_topology();
+  {
+    Nameserver nameserver(transport_, ns, tree_, cfg, 5);
+    EXPECT_EQ(create_status(ns, "wide", 16, tree_.hosts[2]), Status::kOk);
+    EXPECT_EQ(create_status(ns, "wider", 17, tree_.hosts[2]),
+              Status::kBadRequest);
+    EXPECT_EQ(nameserver.file_count(), 1u);
+  }
+  std::filesystem::remove_all(cfg.kv_dir);
+}
+
+TEST_F(ServerTest, NameserverRejectsACreatingClientThatIsNotAHost) {
+  const auto servers = dataservers_everywhere();
+  flowserver::Flowserver server(fabric_, {});
+  NameserverConfig cfg;
+  cfg.kv_dir = scratch_dir("ns-client");
+  cfg.placement_advisor = [&server](net::NodeId writer,
+                                    const std::vector<net::NodeId>& pool) {
+    return server.best_write_target(writer, pool);
+  };
+  const net::NodeId ns = beyond_topology();
+  {
+    Nameserver nameserver(transport_, ns, tree_, cfg, 5);
+    // The advisor ranks from the client's host: ranking from an id outside
+    // the topology would abort path enumeration, and a switch writes no
+    // file.
+    EXPECT_EQ(create_status(ns, "far", 3, kFarNode), Status::kBadRequest);
+    EXPECT_EQ(create_status(ns, "edge", 3, tree_.edge_switches[0]),
+              Status::kBadRequest);
+    EXPECT_EQ(create_status(ns, "near", 3, tree_.hosts[2]), Status::kOk);
+    EXPECT_EQ(create_status(ns, "anon", 3, net::kInvalidNode), Status::kOk);
+    EXPECT_EQ(nameserver.file_count(), 2u);
+  }
+  std::filesystem::remove_all(cfg.kv_dir);
+}
+
+TEST_F(ServerTest, CreateReplicaRejectsUnknownHostsAndZeroChunks) {
+  DataserverConfig cfg;
+  cfg.disk_root = scratch_dir("ds-create");
+  Dataserver primary(transport_, fabric_, tree_.hosts[0], cfg, 1);
+  auto create = [&](const FileInfo& info) {
+    return status_of(tree_.hosts[0], Method::kCreateReplica,
+                     encode(CreateReplicaReq{info}));
+  };
+  // A secondary outside the topology: relaying the next append to it would
+  // abort path enumeration.
+  const FileInfo far = make_info("far", 1000, {tree_.hosts[0], kFarNode});
+  EXPECT_EQ(create(far), Status::kBadRequest);
+  EXPECT_EQ(append_status(far), Status::kNotFound);
+  EXPECT_EQ(create(make_info("edge", 1000,
+                             {tree_.hosts[0], tree_.edge_switches[3]})),
+            Status::kBadRequest);
+  EXPECT_EQ(create(make_info("none", 1000, {})), Status::kBadRequest);
+  // Chunk size 0: persisting the next append would divide by zero.
+  const FileInfo zero = make_info("zero", 0, {tree_.hosts[0]});
+  EXPECT_EQ(create(zero), Status::kBadRequest);
+  EXPECT_EQ(append_status(zero), Status::kNotFound);
+  EXPECT_EQ(primary.file_count(), 0u);
+  std::filesystem::remove_all(cfg.disk_root);
+}
+
+TEST_F(ServerTest, InstallReplicaRejectsUnknownHostsAndZeroChunks) {
+  DataserverConfig cfg;
+  cfg.disk_root = scratch_dir("ds-install");
+  Dataserver target(transport_, fabric_, tree_.hosts[0], cfg, 1);
+  auto install = [&](const FileInfo& info, ExtentList data) {
+    return status_of(tree_.hosts[0], Method::kInstallReplica,
+                     encode(InstallReplicaReq{info, std::move(data)}));
+  };
+  const FileInfo far = make_info("far", 1000, {tree_.hosts[0], kFarNode});
+  EXPECT_EQ(install(far, ExtentList{}), Status::kBadRequest);
+  EXPECT_EQ(append_status(far), Status::kNotFound);
+  // Installing 100 bytes at chunk size 0 would divide by zero on disk.
+  FileInfo zero = make_info("zero", 0, {tree_.hosts[0]});
+  zero.size = 100;
+  EXPECT_EQ(install(zero, ExtentList(Extent::pattern(2, 100))),
+            Status::kBadRequest);
+  EXPECT_EQ(target.file_count(), 0u);
+  std::filesystem::remove_all(cfg.disk_root);
+}
+
+TEST_F(ServerTest, UpdateReplicasRejectsUnknownHosts) {
+  Dataserver primary(transport_, fabric_, tree_.hosts[0], {}, 1);
+  const FileInfo info = make_info("f", 1000, {tree_.hosts[0]});
+  provision(info);
+  EXPECT_EQ(status_of(tree_.hosts[0], Method::kUpdateReplicas,
+                      encode(UpdateReplicasReq{info.uuid,
+                                               {tree_.hosts[0], kFarNode}})),
+            Status::kBadRequest);
+  // The replica list is unchanged, so the append relays nowhere; a relay to
+  // the far node would abort.
+  EXPECT_EQ(append_status(info), Status::kOk);
+  EXPECT_EQ(primary.file_size(info.uuid), 100u);
+  EXPECT_EQ(primary.relay_failures(), 0u);
+}
+
+TEST_F(ServerTest, ReplicateToRejectsUnknownTargetsAndReplicas) {
+  Dataserver source(transport_, fabric_, tree_.hosts[0], {}, 1);
+  Dataserver spare(transport_, fabric_, tree_.hosts[20], {}, 2);
+  const FileInfo info = make_info("f", 1000, {tree_.hosts[0]});
+  provision(info);
+  append_to_primary(info, ExtentList(Extent::pattern(3, 100)));
+  auto replicate = [&](net::NodeId to, std::vector<net::NodeId> replicas) {
+    return status_of(
+        tree_.hosts[0], Method::kReplicateTo,
+        encode(ReplicateToReq{info.uuid, to, std::move(replicas)}));
+  };
+  // A copy to the far node would abort path enumeration.
+  EXPECT_EQ(replicate(kFarNode, {tree_.hosts[0], kFarNode}),
+            Status::kBadRequest);
+  EXPECT_EQ(replicate(tree_.edge_switches[5],
+                      {tree_.hosts[0], tree_.edge_switches[5]}),
+            Status::kBadRequest);
+  EXPECT_EQ(replicate(tree_.hosts[20], {tree_.hosts[0], kFarNode}),
+            Status::kBadRequest);
+  EXPECT_EQ(spare.file_size(info.uuid), 0u);
+  EXPECT_EQ(replicate(tree_.hosts[20], {tree_.hosts[0], tree_.hosts[20]}),
+            Status::kOk);
+  EXPECT_EQ(spare.file_size(info.uuid), 100u);
+}
+
+TEST_F(ServerTest, RestartSkipsAReplicaWithChunkSizeZero) {
+  DataserverConfig cfg;
+  cfg.disk_root = scratch_dir("ds-zero-chunk");
+  Dataserver primary(transport_, fabric_, tree_.hosts[0], cfg, 1);
+  const FileInfo info = make_info("f", 1000, {tree_.hosts[0]});
+  provision(info);
+  append_to_primary(info, ExtentList(Extent::pattern(4, 100)));
+  // Damage the meta file: loading it would divide by its chunk size.
+  FileInfo damaged = info;
+  damaged.size = 100;
+  damaged.chunk_size = 0;
+  const Bytes meta = encode(damaged);
+  std::ofstream(cfg.disk_root / info.uuid.to_string() / "meta",
+                std::ios::binary | std::ios::trunc)
+      .write(meta.data(), static_cast<std::streamsize>(meta.size()));
+  primary.restart();
+  EXPECT_EQ(primary.file_data(info.uuid), nullptr);
+  std::filesystem::remove_all(cfg.disk_root);
 }
 
 }  // namespace

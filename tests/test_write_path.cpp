@@ -18,6 +18,7 @@
 #include "flowserver/flowserver.hpp"
 #include "flowserver/writechain.hpp"
 #include "fs/cluster.hpp"
+#include "net/fat_tree.hpp"
 #include "net/tree.hpp"
 #include "obs/observability.hpp"
 #include "policy/write_placement.hpp"
@@ -259,6 +260,119 @@ TEST(WritePlacement, ModelSkipsPathsTheWriterCannotUse) {
   EXPECT_EQ(flowserver::rank_write_targets_by_model(model, paths, writer,
                                                     {healthy, cut}, view),
             want);
+}
+
+// --- one sweep against the per-path oracle ---------------------------------
+
+// The model ranking's per-path definition: the max over live shortest paths
+// of BandwidthModel::new_flow_share, the zero-hop rate at the writer.
+units::Bps model_oracle(const flowserver::BandwidthModel& model,
+                        net::PathCache& paths, net::NodeId writer,
+                        net::NodeId target, const net::NetworkView& view) {
+  if (target == writer) return units::Bps{model.zero_hop_bps()};
+  double best = 0.0;
+  for (const net::Path& p : paths.get(writer, target)) {
+    if (!view.path_alive(p)) continue;
+    best = std::max(best, model.new_flow_share(view, p));
+  }
+  return units::Bps{best};
+}
+
+// A seeded view over `topo`: about 10% of links down, tx rates drawn from a
+// few fractions of capacity (exact ties, and rates at and above capacity
+// that clamp the headroom to 0), and believed flows between random hosts at
+// a few shares (ties in the model's water levels).
+net::NetworkView random_view(const net::Topology& topo,
+                             const std::vector<net::NodeId>& hosts,
+                             net::PathCache& paths, Rng& rng) {
+  static constexpr double kTxFractions[] = {0.0,  0.0, 0.25, 0.25, 0.5,
+                                            0.5,  0.5, 0.75, 1.0,  1.5};
+  static constexpr double kShares[] = {5e6, 12.5e6, 31.25e6, 62.5e6};
+  net::NetworkView view;
+  view.reset_links(topo);
+  for (net::LinkId l = 0; l < topo.link_count(); ++l) {
+    view.set_tx_rate(l,
+                     view.capacity_bps(l) * kTxFractions[rng.next_below(10)]);
+    if (rng.bernoulli(0.1)) view.mark_link_down(l);
+  }
+  for (std::uint64_t key = 1; key <= hosts.size(); ++key) {
+    const net::NodeId src = hosts[rng.next_below(hosts.size())];
+    const net::NodeId dst = hosts[rng.next_below(hosts.size())];
+    if (src == dst) continue;
+    const std::vector<net::Path>& ps = paths.get(src, dst);
+    net::NetworkView::Flow f;
+    f.key = key;
+    f.path = ps[rng.next_below(ps.size())];
+    f.size_bytes = f.remaining_bytes = 1e8;
+    f.bw_bps = kShares[rng.next_below(4)];
+    view.load_flow(std::move(f));
+  }
+  return view;
+}
+
+// Every node's sweep score, measured and model, must equal the per-path
+// oracle bit for bit (switches too: only their scores show a relaxation
+// over a link off every shortest path), and each ranking's tied band over
+// a random host pool must equal tied_best_targets over the oracle scores.
+void expect_sweep_matches_oracle(const net::Topology& topo,
+                                 const std::vector<net::NodeId>& hosts,
+                                 std::uint64_t seed) {
+  net::PathCache paths(topo);
+  policy::MeasuredWritePlacement measured(paths);
+  flowserver::BandwidthModel model;
+  Rng rng(seed);
+  for (int round = 0; round < 2; ++round) {
+    const net::NetworkView view = random_view(topo, hosts, paths, rng);
+    for (int w = 0; w < 12; ++w) {
+      const net::NodeId writer = hosts[rng.next_below(hosts.size())];
+      const std::vector<units::Bps> got_measured =
+          measured.scores(writer, view);
+      const std::vector<units::Bps> got_model =
+          flowserver::model_write_scores(model, paths, writer, view);
+      ASSERT_EQ(got_measured.size(), topo.node_count());
+      ASSERT_EQ(got_model.size(), topo.node_count());
+      std::vector<units::Bps> want_measured(topo.node_count());
+      std::vector<units::Bps> want_model(topo.node_count());
+      for (net::NodeId c = 0; c < topo.node_count(); ++c) {
+        want_measured[c] = measured.headroom(writer, c, view);
+        want_model[c] = model_oracle(model, paths, writer, c, view);
+        EXPECT_EQ(got_measured[c].value(), want_measured[c].value())
+            << "measured writer=" << writer << " candidate=" << c;
+        EXPECT_EQ(got_model[c].value(), want_model[c].value())
+            << "model writer=" << writer << " candidate=" << c;
+      }
+      std::vector<net::NodeId> pool = hosts;
+      rng.shuffle(pool);
+      pool.resize(1 + rng.next_below(pool.size()));
+      EXPECT_EQ(measured.rank(writer, pool, view),
+                flowserver::tied_best_targets(pool, want_measured))
+          << "writer=" << writer;
+      EXPECT_EQ(
+          flowserver::rank_write_targets_by_model(model, paths, writer, pool,
+                                                  view),
+          flowserver::tied_best_targets(pool, want_model))
+          << "writer=" << writer;
+      ASSERT_FALSE(::testing::Test::HasFailure()) << "seed=" << seed;
+    }
+  }
+}
+
+TEST(WritePlacement, SweepMatchesPerPathOracleOnThePaperTree) {
+  const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
+  expect_sweep_matches_oracle(tree.topo, tree.hosts, 0x5eed1);
+}
+
+TEST(WritePlacement, SweepMatchesPerPathOracleWithMoreCores) {
+  const net::ThreeTier tree = net::build_three_tier(
+      net::ThreeTierConfig{.aggs_per_pod = 3, .cores = 4});
+  expect_sweep_matches_oracle(tree.topo, tree.hosts, 0x5eed2);
+}
+
+TEST(WritePlacement, SweepMatchesPerPathOracleOnFatTrees) {
+  for (const std::uint32_t k : {4u, 8u}) {
+    const net::FatTree tree = net::build_fat_tree(net::FatTreeConfig{.k = k});
+    expect_sweep_matches_oracle(tree.topo, tree.hosts, 0x5eed3 + k);
+  }
 }
 
 // --- cluster end-to-end ------------------------------------------------------
