@@ -1,13 +1,13 @@
 // Macro-scale benchmark: datacenter-sized selection on k-ary fat-trees.
 //
 // Sweeps fat-tree arity x background-flow population and, at each point,
-// drives an identical churny selection stream through a LEGACY
-// (single-shard) and a SHARDED (by edge switch) Flowserver:
+// drives an identical churny selection stream through a ONE-SHARD and a
+// SHARDED (by edge switch) Flowserver:
 //
 //  * every request is preceded by one background SETBW, so the decision
 //    snapshot is stale at every request — the scenario the sharded state
-//    plane exists for. Legacy pays a full table re-copy per request; sharded
-//    reloads exactly the one shard the churn touched;
+//    plane exists for. One shard pays a full table re-copy per request;
+//    sharded reloads exactly the one shard the churn touched;
 //  * requests read same-rack replicas, keeping the selection itself at
 //    O(flows near one edge) in both layouts so the sweep isolates the
 //    rebuild cost (the quantity sharding changes);
@@ -21,7 +21,7 @@
 // ground-truth allocator's cost at this scale, for context against the
 // incremental path the control plane actually uses.
 //
-// Acceptance (exit code): sharded selections/s >= 5x legacy at every
+// Acceptance (exit code): sharded selections/s >= 5x one-shard at every
 // k >= 16 sweep point with >= 10k background flows, and decision identity
 // everywhere. (At k=8, 10k flows crowd a 128-host fabric so heavily that
 // selection over the shared rack dominates both layouts — those points
@@ -201,7 +201,7 @@ int sweep_main(bool full) {
       built_k = pt.k;
     }
     const Workload w = make_workload(tree, pt.flows);
-    const LayoutRun legacy = run_layout(tree, w, false);
+    const LayoutRun one_shard = run_layout(tree, w, false);
     const LayoutRun sharded = run_layout(tree, w, true);
     const double solve_sec = time_max_min_solve(tree, w);
 
@@ -210,21 +210,21 @@ int sweep_main(bool full) {
       std::printf("%s\n", d.c_str());
     }
 
-    const double speedup = legacy.secs / sharded.secs;
+    const double speedup = one_shard.secs / sharded.secs;
     std::fprintf(stderr,
                  "k=%-2u flows=%-6zu hosts=%zu\n"
-                 "  legacy  %9.0f selections/s  refresh %8.1f us\n"
-                 "  sharded %9.0f selections/s  refresh %8.1f us  "
+                 "  one-shard %9.0f selections/s  refresh %8.1f us\n"
+                 "  sharded   %9.0f selections/s  refresh %8.1f us  "
                  "(%.1fx, bar >= 5x at k >= 16, >= 10k flows)\n"
                  "  max-min solve over %zu flows: %.1f ms\n",
                  pt.k, pt.flows, tree.hosts.size(),
-                 kRequests / legacy.secs, legacy.refresh_sec_mean * 1e6,
+                 kRequests / one_shard.secs, one_shard.refresh_sec_mean * 1e6,
                  kRequests / sharded.secs, sharded.refresh_sec_mean * 1e6,
                  speedup, pt.flows, solve_sec * 1e3);
 
-    if (legacy.decisions != sharded.decisions) {
+    if (one_shard.decisions != sharded.decisions) {
       std::fprintf(stderr,
-                   "FAIL: sharded decisions diverge from legacy at k=%u "
+                   "FAIL: sharded decisions diverge from one shard at k=%u "
                    "flows=%zu\n",
                    pt.k, pt.flows);
       ok = false;

@@ -270,14 +270,21 @@ echo "=== metadata scaling bench (>= 3x bar at 4 shards, async < sync) ==="
 diff /tmp/mayflower_meta_run1.txt /tmp/mayflower_meta_run2.txt
 echo "deterministic"
 
-echo "=== background-flow sweep (edge-sharded decisions == one shard, deterministic) ==="
+echo "=== background-flow sweep (edge-sharded decisions == one shard, golden + deterministic) ==="
+# The two fat-tree decision corpora below are pinned by hash in
+# tests/golden/: the rerun diff alone would pass a change that moves every
+# fat-tree decision the same way on every run.
 ./build/bench/micro_selector --flows >/tmp/mayflower_flows_run1.txt
+echo "$(cat tests/golden/micro_selector_flows.sha256)  /tmp/mayflower_flows_run1.txt" |
+    sha256sum -c -
 ./build/bench/micro_selector --flows >/tmp/mayflower_flows_run2.txt
 diff /tmp/mayflower_flows_run1.txt /tmp/mayflower_flows_run2.txt
 echo "deterministic"
 
-echo "=== macro-scale fat-tree sweep (>= 5x bar at k=16 + decision identity) ==="
+echo "=== macro-scale fat-tree sweep (>= 5x bar at k=16 + decision identity + golden) ==="
 ./build/bench/macro_scale >/tmp/mayflower_macro_run1.txt
+echo "$(cat tests/golden/macro_scale.sha256)  /tmp/mayflower_macro_run1.txt" |
+    sha256sum -c -
 ./build/bench/macro_scale >/tmp/mayflower_macro_run2.txt
 diff /tmp/mayflower_macro_run1.txt /tmp/mayflower_macro_run2.txt
 echo "deterministic"

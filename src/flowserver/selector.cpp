@@ -10,14 +10,20 @@ namespace mayflower::flowserver {
 
 namespace {
 
-// FLOWCOST (Pseudocode 2) of `path`: fills c's estimate, cost and bumped
-// list (reusing its capacity); replica and path are the caller's.
-void cost_path(LinkShareMemo& memo, const net::Path& path,
-               double request_bytes, Candidate& c) {
+// Eq. 2's first term: fills c's estimate b_j (MAXMINSHARE of `path`) and
+// own time d_j / b_j.
+void cost_own_time(LinkShareMemo& memo, const net::Path& path,
+                   double request_bytes, Candidate& c) {
   MAYFLOWER_ASSERT(request_bytes > 0.0);
   c.est_bw_bps = memo.new_flow_share(path);
   MAYFLOWER_ASSERT_MSG(c.est_bw_bps > 0.0, "estimated share must be positive");
   c.cost.own_time = request_bytes / c.est_bw_bps;
+}
+
+// The rest of FLOWCOST (Pseudocode 2) once cost_own_time() has filled c:
+// the impact sum, the bumped list (reusing its capacity) and the total.
+// Replica and path are the caller's.
+void cost_impact(LinkShareMemo& memo, const net::Path& path, Candidate& c) {
   c.cost.impact = 0.0;
   c.bumped.clear();
 
@@ -27,6 +33,8 @@ void cost_path(LinkShareMemo& memo, const net::Path& path,
     const double cur = f->bw_bps;
     if (reduced < cur) {
       const double r = f->remaining_bytes;
+      // select()'s bound needs every impact term >= 0 (or NaN).
+      MAYFLOWER_ASSERT_MSG(r >= 0.0, "negative remaining bytes");
       c.cost.impact += r / reduced - r / cur;
       c.bumped.emplace_back(f->key, reduced);
     }
@@ -43,7 +51,8 @@ Candidate evaluate_path(const BandwidthModel& model,
   Candidate c;
   c.replica = replica;
   c.path = path;
-  cost_path(memo, path, request_bytes, c);
+  cost_own_time(memo, path, request_bytes, c);
+  cost_impact(memo, path, c);
   return c;
 }
 
@@ -82,8 +91,22 @@ std::optional<Candidate> ReplicaPathSelector::select(
     // Data flows replica -> client; paths are enumerated in that direction.
     for (const net::Path& p : paths_->get(replica, client)) {
       if (!view.path_alive(p)) continue;
-      cost_path(memo, p, request_bytes, c);
       if (stats != nullptr) ++stats->candidates_evaluated;
+      cost_own_time(memo, p, request_bytes, c);
+      // Bound: own time <= total. Each impact term r/b' - r/b has r >= 0
+      // and b' < b, so monotone IEEE division makes it >= 0 or +inf (NaN
+      // only from 0/0), and under round-to-nearest adding it never lowers
+      // the own time; without impact awareness total == own time. A
+      // candidate whose own time reaches the best total cannot be strictly
+      // cheaper, and only a strictly cheaper one replaces the best, so
+      // skipping its impact merge moves no decision. A NaN best fails every
+      // comparison and skips nothing. Candidates stay in enumeration order
+      // (DESIGN.md §5 says why they are not sorted by this bound).
+      if (best.has_value() && c.cost.own_time >= best->cost.total) {
+        if (stats != nullptr) ++stats->candidates_bounded;
+        continue;
+      }
+      cost_impact(memo, p, c);
       if (!impact_aware_) c.cost.total = c.cost.own_time;
       if (!best.has_value() || c.cost.total < best->cost.total) {
         // Only a new best pays for copying its path.

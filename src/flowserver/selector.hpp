@@ -64,7 +64,11 @@ net::NetworkView make_decision_view(const net::Topology& topo,
 
 // How a select() arrived at its answer; feeds the decision-audit trace.
 struct SelectStats {
-  std::uint64_t candidates_evaluated = 0;  // replica×path pairs costed
+  // Live replica×path candidates considered, bounded ones included.
+  std::uint64_t candidates_evaluated = 0;
+  // Of those, candidates whose own time d_j/b_j already reached the best
+  // total, so their impact term was never computed.
+  std::uint64_t candidates_bounded = 0;
 };
 
 class ReplicaPathSelector {
@@ -76,7 +80,8 @@ class ReplicaPathSelector {
   // Evaluates all shortest paths from every replica to the client against
   // `view`; returns the minimum-cost candidate, or nullopt if no replica is
   // reachable (the view's liveness bits gate every path). Does not mutate
-  // any state. `stats` (optional) reports how many candidates were costed.
+  // any state. `stats` (optional) reports how many candidates were
+  // considered and how many of them the own-time bound skipped.
   std::optional<Candidate> select(const net::NetworkView& view,
                                   net::NodeId client,
                                   const std::vector<net::NodeId>& replicas,

@@ -202,12 +202,14 @@ void Nameserver::provision_replicas(const FileInfo& info,
 
 void Nameserver::handle_create(const Bytes& request, ResponseFn reply) {
   const auto req = decode<CreateFileReq>(request);
-  // Placement puts each replica in its own rack and ranks candidates from
-  // the writer's host: a factor beyond the rack count or a writer outside
-  // the topology's hosts cannot be placed.
+  // Placement puts each replica in its own rack, the second in another
+  // rack of the primary's pod, and ranks candidates from the writer's host:
+  // a factor beyond the rack count, a second replica on a tree with one
+  // rack per pod or a writer outside the topology's hosts cannot be placed.
   const net::Topology& topo = tree_->topo;
   if (!req || req->name.empty() || req->replication == 0 ||
       req->replication > tree_->edge_switches.size() ||
+      (req->replication >= 2 && tree_->config.racks_per_pod < 2) ||
       (req->client != net::kInvalidNode &&
        (req->client >= topo.node_count() ||
         topo.node(req->client).kind != net::NodeKind::kHost))) {

@@ -94,11 +94,6 @@ void NetworkView::load_flow(Flow f) {
   track_key_added(key, it->second.path);
 }
 
-bool NetworkView::link_up(LinkId link) const {
-  MAYFLOWER_ASSERT(link < up_.size());
-  return up_[link] != 0;
-}
-
 double NetworkView::capacity_bps(LinkId link) const {
   MAYFLOWER_ASSERT(link < capacity_bps_.size());
   return capacity_bps_[link];
@@ -107,13 +102,6 @@ double NetworkView::capacity_bps(LinkId link) const {
 double NetworkView::tx_rate_bps(LinkId link) const {
   MAYFLOWER_ASSERT(link < tx_rate_bps_.size());
   return tx_rate_bps_[link];
-}
-
-bool NetworkView::path_alive(const Path& path) const {
-  for (const LinkId l : path.links) {
-    if (!link_up(l)) return false;
-  }
-  return true;
 }
 
 const NetworkView::Flow* NetworkView::find(std::uint64_t key) const {

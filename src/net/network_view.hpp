@@ -107,13 +107,21 @@ class NetworkView {
   sim::SimTime built_at() const { return built_at_; }
   std::size_t link_count() const { return capacity_bps_.size(); }
 
-  bool link_up(LinkId link) const;
+  bool link_up(LinkId link) const {
+    MAYFLOWER_ASSERT(link < up_.size());
+    return up_[link] != 0;
+  }
   double capacity_bps(LinkId link) const;
   // Measured transmit rate (bytes/s) of `link`; 0 unless a rate monitor
   // populated it at build time.
   double tx_rate_bps(LinkId link) const;
   // True iff every link of `path` is up (zero-hop paths are always alive).
-  bool path_alive(const Path& path) const;
+  bool path_alive(const Path& path) const {
+    for (const LinkId l : path.links) {
+      if (!link_up(l)) return false;
+    }
+    return true;
+  }
 
   // --- believed flows ---------------------------------------------------
 

@@ -2,9 +2,15 @@
 //
 // Mayflower restricts replica-path selection to the shortest paths between
 // endpoints (§4.2), which in a 3-tier tree have lengths 2, 4 or 6 links.
-// Enumeration is generic over any Topology (BFS distance labels + DFS over
-// tightening edges), so the hand-built Figure-2 topology and property-test
-// topologies work unchanged. Results are memoized per (src, dst).
+// Enumeration is generic over any Topology, so the hand-built Figure-2
+// topology and property-test topologies work unchanged. A BFS from src
+// labels distances up to dist(dst); one backward walk from dst over
+// in_links then marks the nodes on some shortest path (u is marked when it
+// links into a marked v with dist[u] == dist[v] - 1); a DFS from src over
+// tightening links enters only marked nodes, so every branch reaches dst
+// and the work is proportional to the paths returned, not to the dead ends
+// inside dist(dst). The DFS visits out_links in order, which fixes the
+// paths' order. Results are memoized per (src, dst).
 #pragma once
 
 #include <unordered_map>

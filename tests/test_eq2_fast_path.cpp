@@ -7,6 +7,13 @@
 // and random, on the paper's tree and on a k=8 fat-tree, and are admitted
 // through the selector itself, so frozen estimates come out of the same
 // waterfills and equal believed shares are the common case.
+//
+// select() also skips the impact term of any candidate whose own time
+// already reaches the best total. The oracle costs every candidate in full,
+// with and without impact awareness, so the differential cases hold that
+// bound to an exhaustive minimum; the Eq2Bound cases pin its edges (equal
+// totals, an own time equal to the best total, a cheaper candidate just
+// under it) with hand-picked exact numbers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,6 +80,8 @@ struct Coverage {
   std::size_t links_with_equal_shares = 0;
   std::size_t links_with_spare_capacity = 0;
   std::size_t zero_hop_candidates = 0;
+  std::size_t bounded = 0;         // skipped by select()'s own-time bound
+  std::size_t bounded_greedy = 0;  // the same, without impact awareness
 };
 
 class Eq2FastPath : public ::testing::Test {
@@ -158,7 +167,10 @@ class Eq2FastPath : public ::testing::Test {
     for (std::size_t q = 0; q < queries; ++q) {
       pick_request(client, replicas);
       const double bytes = rng.uniform(1e6, 256e6);
+      // The exhaustive minimum, first of equal totals winning, with the
+      // impact term and without it (total == own time).
       std::optional<Candidate> oracle_best;
+      std::optional<Candidate> oracle_greedy;
       std::uint64_t costed = 0;
       for (const net::NodeId r : replicas) {
         for (const net::Path& p : paths.get(r, client)) {
@@ -171,14 +183,25 @@ class Eq2FastPath : public ::testing::Test {
               oracle.cost.total < oracle_best->cost.total) {
             oracle_best = oracle;
           }
+          if (!oracle_greedy.has_value() ||
+              oracle.cost.own_time < oracle_greedy->cost.total) {
+            oracle_greedy = oracle;
+            oracle_greedy->cost.total = oracle.cost.own_time;
+          }
         }
       }
-      SelectStats stats;
-      const auto best = selector.select(view, client, replicas, bytes, &stats);
-      ASSERT_TRUE(best.has_value());
       ASSERT_TRUE(oracle_best.has_value());
-      expect_identical(*best, *oracle_best);
-      EXPECT_EQ(stats.candidates_evaluated, costed);
+      for (const bool aware : {true, false}) {
+        selector.set_impact_aware(aware);
+        SelectStats stats;
+        const auto best =
+            selector.select(view, client, replicas, bytes, &stats);
+        ASSERT_TRUE(best.has_value());
+        expect_identical(*best, aware ? *oracle_best : *oracle_greedy);
+        EXPECT_EQ(stats.candidates_evaluated, costed);
+        (aware ? cov.bounded : cov.bounded_greedy) += stats.candidates_bounded;
+      }
+      selector.set_impact_aware(true);
       if (HasFailure()) return;  // one diverging request says enough
     }
   }
@@ -188,6 +211,8 @@ class Eq2FastPath : public ::testing::Test {
     EXPECT_GT(cov.links_with_equal_shares, 0u);
     EXPECT_GT(cov.links_with_spare_capacity, 0u);
     EXPECT_GT(cov.zero_hop_candidates, 0u);
+    EXPECT_GT(cov.bounded, 0u);
+    EXPECT_GT(cov.bounded_greedy, 0u);
   }
 };
 
@@ -210,6 +235,95 @@ TEST_F(Eq2FastPath, FatTreeK8MatchesPerFlowOracle) {
     if (HasFailure()) return;
   }
   expect_covered(cov);
+}
+
+// A star: replica i (node i + 1) reaches the client (node 0) over one link
+// of spokes[i]'s capacity, and a busy spoke carries one believed flow at
+// its full capacity with 800 MB left. Every share and cost is exact: a
+// 400 MB read over a busy 200 MB/s spoke gets 100 MB/s, so it costs 4 s of
+// own time plus (8 - 4) s of impact = 8 s; over an idle spoke of capacity
+// c it costs 400e6 / c.
+class Eq2Bound : public ::testing::Test {
+ protected:
+  struct Spoke {
+    double capacity_bps;
+    bool busy;
+  };
+
+  // The spoke select() picks with the replicas listed in `order`.
+  std::size_t pick(const std::vector<Spoke>& spokes,
+                   const std::vector<std::size_t>& order, SelectStats& stats,
+                   double* total = nullptr) {
+    net::Topology topo;
+    const net::NodeId client = topo.add_node(net::NodeKind::kHost, "client");
+    for (const Spoke& spoke : spokes) {
+      const net::NodeId r = topo.add_node(net::NodeKind::kHost, "replica");
+      topo.add_link(r, client, spoke.capacity_bps);
+    }
+    net::PathCache paths(topo);
+    FlowStateTable table;
+    const ReplicaPathSelector selector(topo, paths, table);
+    net::NetworkView view;
+    view.reset_links(topo);
+    for (std::size_t i = 0; i < spokes.size(); ++i) {
+      if (!spokes[i].busy) continue;
+      view.add_flow(100 + i, paths.get(replica(i), client).front(), 800e6,
+                    spokes[i].capacity_bps);
+    }
+    std::vector<net::NodeId> replicas;
+    for (const std::size_t i : order) replicas.push_back(replica(i));
+    const auto best = selector.select(view, client, replicas, 400e6, &stats);
+    EXPECT_TRUE(best.has_value());
+    if (!best.has_value()) return spokes.size();
+    if (total != nullptr) *total = best->cost.total;
+    return best->replica - 1;
+  }
+
+  static net::NodeId replica(std::size_t spoke) {
+    return static_cast<net::NodeId>(spoke + 1);
+  }
+};
+
+TEST_F(Eq2Bound, EqualTotalsKeepTheFirstEnumerated) {
+  const std::vector<Spoke> spokes = {{200e6, true}, {200e6, true}};
+  SelectStats stats;
+  double total = 0.0;
+  EXPECT_EQ(pick(spokes, {0, 1}, stats, &total), 0u);
+  EXPECT_EQ(total, 8.0);
+  EXPECT_EQ(pick(spokes, {1, 0}, stats), 1u);
+  // Each own time (4 s) is below the best total (8 s): no candidate is
+  // bounded, and the tie goes to the first.
+  EXPECT_EQ(stats.candidates_evaluated, 4u);
+  EXPECT_EQ(stats.candidates_bounded, 0u);
+}
+
+TEST_F(Eq2Bound, OwnTimeEqualToTheBestTotalDoesNotReplaceIt) {
+  // Spoke 1 is idle at 50 MB/s: own time 8 s, no impact, total 8 s.
+  const std::vector<Spoke> spokes = {{200e6, true}, {50e6, false}};
+  SelectStats stats;
+  double total = 0.0;
+  EXPECT_EQ(pick(spokes, {0, 1}, stats, &total), 0u);
+  EXPECT_EQ(total, 8.0);
+  EXPECT_EQ(stats.candidates_bounded, 1u);
+  stats = {};
+  EXPECT_EQ(pick(spokes, {1, 0}, stats, &total), 1u);
+  EXPECT_EQ(total, 8.0);
+  EXPECT_EQ(stats.candidates_bounded, 0u);
+}
+
+TEST_F(Eq2Bound, ACheaperLaterCandidateStillReplacesTheBest) {
+  // After spoke 0 (own 4 s, total 8 s): spoke 1's own time 400/50.04 s is
+  // under 8 s by less than 0.1%, and spoke 2's own time 5 s is above spoke
+  // 0's own time but below its total. Each is strictly cheaper.
+  const std::vector<Spoke> spokes = {
+      {200e6, true}, {50.04e6, false}, {80e6, false}};
+  SelectStats stats;
+  double total = 0.0;
+  EXPECT_EQ(pick(spokes, {0, 1}, stats, &total), 1u);
+  EXPECT_EQ(total, 400e6 / 50.04e6);
+  EXPECT_EQ(pick(spokes, {0, 2}, stats, &total), 2u);
+  EXPECT_EQ(total, 5.0);
+  EXPECT_EQ(stats.candidates_bounded, 0u);
 }
 
 TEST(LinkShareMemo, ListsAFlowCrossingSeveralPathLinksOnce) {

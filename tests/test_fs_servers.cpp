@@ -135,14 +135,36 @@ class ServerTest : public ::testing::Test {
     return dir;
   }
 
-  // Dataservers on every host, so any placement can be provisioned.
-  std::vector<std::unique_ptr<Dataserver>> dataservers_everywhere() {
+  // Dataservers on every host of `tree`, so any placement can be
+  // provisioned.
+  std::vector<std::unique_ptr<Dataserver>> dataservers_on(
+      const net::ThreeTier& tree, sdn::SdnFabric& fabric) {
     std::vector<std::unique_ptr<Dataserver>> servers;
-    for (const net::NodeId h : tree_.hosts) {
+    for (const net::NodeId h : tree.hosts) {
       servers.push_back(std::make_unique<Dataserver>(
-          transport_, fabric_, h, DataserverConfig{}, h));
+          transport_, fabric, h, DataserverConfig{}, h));
     }
     return servers;
+  }
+
+  // On a tree with one rack per pod, a second replica, which must sit in
+  // another rack of the primary's pod, cannot be placed; a single one can.
+  void expect_one_rack_per_pod_refuses_a_second_replica(
+      const NameserverConfig& cfg) {
+    net::ThreeTierConfig one_rack;
+    one_rack.racks_per_pod = 1;
+    const net::ThreeTier tree = net::build_three_tier(one_rack);
+    sdn::SdnFabric fabric(events_, tree.topo);
+    const auto servers = dataservers_on(tree, fabric);
+    const auto ns = static_cast<net::NodeId>(tree.topo.node_count());
+    {
+      Nameserver nameserver(transport_, ns, tree, cfg, 5);
+      EXPECT_EQ(create_status(ns, "pair", 2, tree.hosts[2]),
+                Status::kBadRequest);
+      EXPECT_EQ(create_status(ns, "single", 1, tree.hosts[2]), Status::kOk);
+      EXPECT_EQ(nameserver.file_count(), 1u);
+    }
+    std::filesystem::remove_all(cfg.kv_dir);
   }
 
   Status create_status(net::NodeId nameserver, const std::string& name,
@@ -544,7 +566,7 @@ TEST_F(ServerTest, TruncatedFlowDroppedIsABadRequest) {
 // --- node ids and sizes the nameserver sends are checked too ---------------
 
 TEST_F(ServerTest, NameserverRejectsStaticReplicationBeyondTheRackCount) {
-  const auto servers = dataservers_everywhere();
+  const auto servers = dataservers_on(tree_, fabric_);
   NameserverConfig cfg;
   cfg.kv_dir = scratch_dir("ns-static");
   const net::NodeId ns = beyond_topology();
@@ -562,7 +584,7 @@ TEST_F(ServerTest, NameserverRejectsStaticReplicationBeyondTheRackCount) {
 
 TEST_F(ServerTest,
        NameserverRejectsCollaborativeReplicationBeyondTheRackCount) {
-  const auto servers = dataservers_everywhere();
+  const auto servers = dataservers_on(tree_, fabric_);
   NameserverConfig cfg;
   cfg.kv_dir = scratch_dir("ns-collab");
   cfg.placement_advisor = [](net::NodeId,
@@ -580,8 +602,25 @@ TEST_F(ServerTest,
   std::filesystem::remove_all(cfg.kv_dir);
 }
 
+TEST_F(ServerTest, NameserverRejectsAStaticSecondReplicaWithOneRackPerPod) {
+  NameserverConfig cfg;
+  cfg.kv_dir = scratch_dir("ns-static-one-rack");
+  expect_one_rack_per_pod_refuses_a_second_replica(cfg);
+}
+
+TEST_F(ServerTest,
+       NameserverRejectsACollaborativeSecondReplicaWithOneRackPerPod) {
+  NameserverConfig cfg;
+  cfg.kv_dir = scratch_dir("ns-collab-one-rack");
+  cfg.placement_advisor = [](net::NodeId,
+                              const std::vector<net::NodeId>& pool) {
+    return pool.front();
+  };
+  expect_one_rack_per_pod_refuses_a_second_replica(cfg);
+}
+
 TEST_F(ServerTest, NameserverRejectsACreatingClientThatIsNotAHost) {
-  const auto servers = dataservers_everywhere();
+  const auto servers = dataservers_on(tree_, fabric_);
   flowserver::Flowserver server(fabric_, {});
   NameserverConfig cfg;
   cfg.kv_dir = scratch_dir("ns-client");
