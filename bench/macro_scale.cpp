@@ -6,11 +6,12 @@
 //
 //  * every request is preceded by one background SETBW, so the decision
 //    snapshot is stale at every request — the scenario the sharded state
-//    plane exists for. One shard pays a full table re-copy per request;
-//    sharded reloads exactly the one shard the churn touched;
+//    plane exists for. One shard syncs every tracked flow in place per
+//    request (a pass over the whole table); sharded syncs exactly the one
+//    shard the churn touched;
 //  * requests read same-rack replicas, keeping the selection itself at
 //    O(flows near one edge) in both layouts so the sweep isolates the
-//    rebuild cost (the quantity sharding changes);
+//    view-refresh cost (the quantity sharding changes);
 //  * decision records are byte-compared across layouts (the sharding
 //    invariant) and the sharded run's records go to stdout, where CI's
 //    rerun-and-diff checks determinism end to end.

@@ -1,10 +1,10 @@
-// Microbenchmark for the incremental link-state substrate: flow churn
-// (cancel one flow, start another) against a fabric carrying 10k concurrent
-// flows, measured with the dirty-set incremental max-min recompute vs. the
-// full progressive-filling solve on identical state. FlowSim keeps its flows
-// in slots with per-link slot lists (no LinkIndex, no map), so both modes
-// read flow records directly; the net::LinkIndex of the name now serves
-// only the decision-side NetworkView.
+// Microbenchmark of FlowSim's incremental max-min recompute against its
+// full solve: flow churn (cancel one flow, start another) against a fabric
+// carrying 10k concurrent flows, measured with the dirty-set incremental
+// recompute vs. the full progressive-filling solve on identical state.
+// Despite the binary's name it times no link index: FlowSim keeps its flows
+// in slots with per-link slot lists, so both modes read flow records
+// directly.
 //
 // The workload models steady-state datacenter churn: 512 hosts, rack-level
 // full bisection with 2:1 core oversubscription, and rate-limited flows

@@ -27,11 +27,13 @@ cmake -B build-tsan -S . -DMAYFLOWER_TSAN=ON >/dev/null
 cmake --build build-tsan -j "${jobs}"
 (cd build-tsan && ctest --output-on-failure -j "${jobs}")
 
-echo "=== debug build (data-plane tests, FlowSim full-solve cross-check live) ==="
+echo "=== debug build (data-plane and view tests, debug cross-checks live) ==="
 # The lanes above build RelWithDebInfo, which defines NDEBUG, so FlowSim's
-# check of every incremental recompute against a full solve never runs
-# there. This lane builds only the suites that drive the data plane.
-debug_tests="test_flow_sim test_fault test_sdn test_harness test_fs_cluster test_write_path"
+# check of every incremental recompute against a full solve, and the
+# decision view's check of every in-place shard sync against a fresh copy,
+# never run there. This lane builds only the suites that drive the data
+# plane and the view's refresh.
+debug_tests="test_flow_sim test_fault test_sdn test_harness test_fs_cluster test_write_path test_network_view test_flow_state test_view_refresh"
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 # shellcheck disable=SC2086
 cmake --build build-debug -j "${jobs}" --target ${debug_tests}
@@ -70,7 +72,7 @@ echo "$(cat tests/golden/fig4_metrics.sha256)  /tmp/mayflower_metrics_run1.json"
     sha256sum -c -
 echo "identical"
 
-echo "=== link-index churn microbenchmark (>= 5x bar) ==="
+echo "=== FlowSim incremental-vs-full solve microbenchmark (>= 5x bar) ==="
 ./build/bench/micro_link_index
 
 echo "=== fault bench determinism (same seeds => identical table) ==="

@@ -7,6 +7,26 @@
 
 namespace mayflower::flowserver {
 
+namespace {
+
+// The freeze horizon now + bytes / bw_bps: the flow's expected completion,
+// saturated at SimTime::max() when the clock cannot hold it (a huge plan at
+// a small share), where converting the span to nanoseconds or adding it to
+// `now` would overflow. Below that it is exactly
+// now + SimTime::from_seconds(bytes / bw_bps).
+sim::SimTime freeze_horizon(sim::SimTime now, double bytes, double bw_bps) {
+  const double span_ns = bytes / bw_bps * 1e9;
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(span_ns < kTwoTo63)) return sim::SimTime::max();  // NaN too
+  const auto span = static_cast<std::int64_t>(span_ns);
+  if (span > sim::SimTime::max().nanos() - now.nanos()) {
+    return sim::SimTime::max();
+  }
+  return now + sim::SimTime::from_nanos(span);
+}
+
+}  // namespace
+
 FlowStateTable::FlowStateTable() {
   shards_.push_back(std::make_unique<Shard>());
 }
@@ -55,7 +75,7 @@ void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
   f.last_poll_time = now;
   if (freeze_enabled_) {
     f.frozen = true;
-    f.freeze_until = now + sim::SimTime::from_seconds(size_bytes / est_bw_bps);
+    f.freeze_until = freeze_horizon(now, size_bytes, est_bw_bps);
   }
   sh.flows.emplace(cookie, std::move(f));
   if (trace_ != nullptr) {
@@ -155,8 +175,7 @@ void FlowStateTable::setbw(sdn::Cookie cookie, double bw_bps,
   f.bw_bps = bw_bps;
   if (freeze_enabled_) {
     f.frozen = true;
-    f.freeze_until =
-        now + sim::SimTime::from_seconds(f.remaining_bytes / bw_bps);
+    f.freeze_until = freeze_horizon(now, f.remaining_bytes, bw_bps);
   }
   if (trace_ != nullptr) trace_->flow_bw_set(cookie, bw_bps);
 }
@@ -174,8 +193,7 @@ void FlowStateTable::resize(sdn::Cookie cookie, double new_size_bytes,
   f.size_bytes = new_size_bytes;
   f.remaining_bytes = new_size_bytes;
   if (freeze_enabled_ && f.frozen) {
-    f.freeze_until =
-        now + sim::SimTime::from_seconds(new_size_bytes / f.bw_bps);
+    f.freeze_until = freeze_horizon(now, new_size_bytes, f.bw_bps);
   }
   if (trace_ != nullptr) trace_->flow_resized(cookie, new_size_bytes);
 }
@@ -219,25 +237,32 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
 }
 
 void FlowStateTable::snapshot_into(net::NetworkView& view) const {
-  for (std::uint32_t s = 0; s < shard_count(); ++s) {
-    snapshot_shard_into(view, s);
-  }
+  view.set_shard_map(shard_map_);
+  for (std::uint32_t s = 0; s < shard_count(); ++s) sync_shard_into(view, s);
 }
 
-void FlowStateTable::snapshot_shard_into(net::NetworkView& view,
-                                         std::uint32_t s) const {
+void FlowStateTable::sync_shard_into(net::NetworkView& view,
+                                     std::uint32_t s) const {
   MAYFLOWER_ASSERT(s < shards_.size());
   const Shard& sh = *shards_[s];
   common::MutexLock lock(sh.mu);
+  sync_from(sh, s, view);
+#ifndef NDEBUG
+  net::NetworkView fresh;
+  fresh.set_shard_map(shard_map_);
+  sync_from(sh, s, fresh);
+  MAYFLOWER_ASSERT_MSG(view.shard_equals(fresh, s),
+                       "in-place shard sync diverged from a fresh copy");
+#endif
+}
+
+void FlowStateTable::sync_from(const Shard& sh, std::uint32_t s,
+                               net::NetworkView& view) {
+  view.begin_sync(s);
   for (const auto& [cookie, f] : sh.flows) {
-    net::NetworkView::Flow v;
-    v.key = cookie;
-    v.path = f.path;
-    v.size_bytes = f.size_bytes;
-    v.remaining_bytes = f.remaining_bytes;
-    v.bw_bps = f.bw_bps;
-    view.load_flow(std::move(v));
+    view.sync_flow(cookie, f.path, f.size_bytes, f.remaining_bytes, f.bw_bps);
   }
+  view.end_sync();
 }
 
 }  // namespace mayflower::flowserver

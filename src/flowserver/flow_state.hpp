@@ -16,9 +16,9 @@
 // global table) with identical semantics and no routing overhead.
 //
 // The table answers no per-link queries: decisions read a NetworkView
-// snapshot of it (snapshot_into), whose link index serves them. Nor does it
-// plan: the multi-read planner (§4.3) tries its split on a view, so the
-// table only ever receives committed decisions. It is intentionally
+// synced from it (sync_shard_into), whose per-link lists serve them. Nor
+// does it plan: the multi-read planner (§4.3) tries its split on a view, so
+// the table only ever receives committed decisions. It is intentionally
 // non-copyable.
 #pragma once
 
@@ -118,13 +118,18 @@ class FlowStateTable {
   // mutated, so a snapshot consumer reloads exactly the shards that changed.
   std::uint64_t shard_version(std::uint32_t s) const;
 
-  // Copies every tracked flow into `view` — the belief section of a
-  // decision snapshot.
+  // Installs the table's shard map into `view`, which must hold no flows,
+  // and syncs every shard in: the belief section of a fresh decision
+  // snapshot.
   void snapshot_into(net::NetworkView& view) const;
 
-  // Copies only shard `s`'s flows into `view` (per-shard reload; pair with
-  // view.unload_shard(s)).
-  void snapshot_shard_into(net::NetworkView& view, std::uint32_t s) const;
+  // Brings shard `s` of `view` (partitioned by the same map) in line with
+  // the table's shard `s`, in place: a flow the view already holds on the
+  // same path has only its sizes and share overwritten, a flow the table
+  // no longer tracks leaves, and a new one is inserted. Also the first
+  // build of an empty view. In !NDEBUG builds the result is checked against
+  // a fresh copy of the shard.
+  void sync_shard_into(net::NetworkView& view, std::uint32_t s) const;
 
  private:
   // One partition of the table. All hot state sits behind the shard's own
@@ -135,6 +140,11 @@ class FlowStateTable {
     std::uint64_t version GUARDED_BY(mu) = 0;
     std::uint64_t freeze_suppressed GUARDED_BY(mu) = 0;
   };
+
+  // Syncs shard `s` of `view` from `sh` (shard `s`), whose mutex the caller
+  // holds.
+  static void sync_from(const Shard& sh, std::uint32_t s,
+                        net::NetworkView& view) REQUIRES(sh.mu);
 
   // The shard a cookie routes to; shard 0 always when unsharded. Returns
   // nullptr for cookies the table does not track (sharded lookups only —

@@ -109,39 +109,37 @@ void Flowserver::absorb_table_versions() {
 }
 
 void Flowserver::refresh_view() {
-  if (!view_built_) {
-    // Full rebuild: the first build, or a manual invalidate — the shard
-    // stamps can no longer be trusted.
+  // Full rebuild: the first build, or a manual invalidate — the shard
+  // stamps can no longer be trusted, so the flow section is emptied and
+  // every shard synced back in. Otherwise the refresh is incremental: it
+  // overlays the link sections only if the fabric epoch or the rate monitor
+  // moved (O(links), no flow copying), then syncs exactly the flow shards
+  // whose table version ran past the stamp this view holds. Queries on the
+  // result are byte-identical to a full rebuild's: a sync leaves a shard
+  // holding exactly the table's flows, and every link lists its flows in
+  // ascending key, so sync order cannot leak into answers.
+  const bool full = !view_built_;
+  if (full) {
     view_.reset_links(fabric_->topology());
     fabric_->snapshot_liveness_into(view_);
     if (monitor_ != nullptr) monitor_->snapshot_into(view_);
-    table_.snapshot_into(view_);
     ++full_rebuilds_;
     full_rebuilds_metric_.inc();
-  } else {
-    // Incremental refresh: overlay the link sections only if the fabric
-    // epoch or the rate monitor moved (O(links), no flow copying), then
-    // reload exactly the flow shards whose table version ran past the stamp
-    // this view holds. Queries on the result are byte-identical to a full
-    // rebuild's: the flows map and link index are global and the index
-    // keeps keys sorted, so reload order cannot leak into answers.
-    const bool links_stale =
-        fabric_->state_epoch() != seen_fabric_epoch_ ||
-        (monitor_ != nullptr && monitor_->samples() != seen_monitor_samples_);
-    if (links_stale) {
-      view_.refresh_link_state(fabric_->topology());
-      fabric_->snapshot_liveness_into(view_);
-      if (monitor_ != nullptr) monitor_->snapshot_into(view_);
-      ++link_refreshes_;
-      link_refreshes_metric_.inc();
-    }
-    for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
-      if (table_.shard_version(s) == view_.shard_stamp(s)) continue;
-      view_.unload_shard(s);
-      table_.snapshot_shard_into(view_, s);
-      ++shard_reloads_;
-      shard_reloads_metric_.inc();
-    }
+  } else if (fabric_->state_epoch() != seen_fabric_epoch_ ||
+             (monitor_ != nullptr &&
+              monitor_->samples() != seen_monitor_samples_)) {
+    view_.refresh_link_state(fabric_->topology());
+    fabric_->snapshot_liveness_into(view_);
+    if (monitor_ != nullptr) monitor_->snapshot_into(view_);
+    ++link_refreshes_;
+    link_refreshes_metric_.inc();
+  }
+  for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
+    if (!full && table_.shard_version(s) == view_.shard_stamp(s)) continue;
+    table_.sync_shard_into(view_, s);
+    if (full) continue;
+    ++shard_reloads_;
+    shard_reloads_metric_.inc();
   }
   absorb_table_versions();
   view_.stamp(++view_epoch_, fabric_->events().now());

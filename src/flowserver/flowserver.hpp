@@ -200,9 +200,9 @@ class Flowserver {
   void invalidate_view() { view_built_ = false; }
 
   // View-refresh telemetry, the same under every shard map: one full
-  // rebuild per first build or manual invalidate, then per-shard reloads and
-  // link-section refreshes (a one-shard server reloads its single shard on
-  // every table change).
+  // rebuild per first build or manual invalidate, then per-shard reloads
+  // (in-place syncs of a stale shard) and link-section refreshes (a
+  // one-shard server syncs its single shard on every table change).
   std::uint32_t state_shards() const { return table_.shard_count(); }
   std::uint64_t full_view_rebuilds() const { return full_rebuilds_; }
   std::uint64_t shard_reloads() const { return shard_reloads_; }
@@ -248,9 +248,9 @@ class Flowserver {
   bool view_stale() const;
   void refresh_view();
   // Re-stamps the view's shard sections at the table's current versions and
-  // refreshes seen_table_version_ — how a refresh records what it copied,
+  // refreshes seen_table_version_ — how a refresh records what it synced,
   // and how a drain absorbs its own write-through commits without forcing
-  // shard reloads that would copy identical state.
+  // shard syncs that would find identical state.
   void absorb_table_versions();
 
   // Replicas with at least one live path to `client` in the current view,
@@ -341,7 +341,7 @@ class Flowserver {
   std::uint64_t seen_monitor_samples_ = 0;
 
   // Refresh work counters; per-shard freshness lives in the view's shard
-  // stamps (table shard version at copy time).
+  // stamps (table shard version at sync time).
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t shard_reloads_ = 0;
   std::uint64_t link_refreshes_ = 0;

@@ -10,21 +10,26 @@
 // commits write through the view (add_flow / set_flow_bps / resize_flow)
 // once every request has been evaluated, so the next batch starts from
 // them without a rebuild; mutations from outside the decision pipeline
-// (stats polls, drops, faults) instead invalidate the view, forcing a
-// rebuild before the next batch.
+// (stats polls, drops, faults) instead stale the view, and the next batch
+// first refreshes what they touched: the link sections, or the flow shards
+// (synced in place, begin_sync .. end_sync).
 //
-// The flow section mirrors FlowStateTable semantics: a per-link reverse
-// index (LinkIndex) keeps append_flows_on_link at O(flows actually crossing
-// the link) in key order. A tentative scope lets a planner add flows and
-// change shares on the view it plans on and then put the view back.
+// The flow section mirrors FlowStateTable semantics. Believed flows live in
+// slots (a vector with a free list, plus a key -> slot map nothing
+// iterates), and each link lists the (key, slot) of the flows crossing it in
+// ascending key, so append_flows_on_link costs O(flows actually crossing the
+// link) with no lookup, and a copy of the view stays valid as it is. A
+// tentative scope lets a planner add flows and change shares on the view it
+// plans on and then put the view back.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "net/link_index.hpp"
+#include "common/assert.hpp"
 #include "net/paths.hpp"
 #include "net/shard_map.hpp"
 #include "net/topology.hpp"
@@ -69,23 +74,23 @@ class NetworkView {
   // data-plane stats) from the topology, leaving the believed-flow section
   // untouched. The incremental refresh uses this when the fabric epoch or
   // monitor moved but the flow shards did not: liveness/rates are O(links)
-  // to overlay, the flow copy is the cost a shard reload avoids.
+  // to overlay, the flow sync is the cost a clean shard avoids.
   void refresh_link_state(const Topology& topo);
 
-  // Partitions the believed-flow section by `map` (per-shard key lists and
+  // Partitions the believed-flow section by `map` (per-shard slot lists and
   // version stamps). Must be installed while the view holds no flows; the
   // default map has one shard holding every flow.
   void set_shard_map(ShardMap map);
   const ShardMap& shard_map() const { return shard_map_; }
   std::uint32_t shard_count() const { return shard_map_.shard_count(); }
-
-  // Removes every believed flow belonging to shard `s` (the first half of a
-  // per-shard reload; snapshotting the table's shard back in is the second).
-  // Not legal inside a tentative scope.
-  void unload_shard(std::uint32_t s);
+  // Believed flows in shard `s`.
+  std::size_t shard_flow_count(std::uint32_t s) const {
+    MAYFLOWER_ASSERT(s < shard_slots_.size());
+    return shard_slots_[s].size();
+  }
 
   // Per-shard freshness stamp: the table shard version this view's shard
-  // section was built from. Written by the view's owner at refresh time.
+  // section was synced from. Written by the view's owner at refresh time.
   std::uint64_t shard_stamp(std::uint32_t s) const {
     MAYFLOWER_ASSERT(s < shard_stamp_.size());
     return shard_stamp_[s];
@@ -98,8 +103,29 @@ class NetworkView {
   void mark_link_down(LinkId link);
   void set_tx_rate(LinkId link, double bps);
   void set_flow_stats(std::uint64_t key, FlowStats stats);
-  // Inserts one believed flow verbatim (snapshot population; no undo).
-  void load_flow(Flow f);
+
+  // --- in-place shard sync ----------------------------------------------
+  //
+  // Brings shard `s`'s believed flows in line with an authoritative copy:
+  // begin_sync(s), then sync_flow() once for every flow the source holds in
+  // shard s (each must route to s), then end_sync(), which drops every flow
+  // of shard s that no sync_flow() named. A key the view already holds on
+  // the same path keeps its slot and link entries and only has its sizes
+  // and share overwritten; a new key, or one whose path differs (dropped and
+  // re-added between two syncs), is inserted afresh. Per-link lists stay in
+  // ascending key, so the result answers every query exactly as a view
+  // loaded from scratch would. Syncs do not nest and are not legal inside a
+  // tentative scope.
+  void begin_sync(std::uint32_t s);
+  void sync_flow(std::uint64_t key, const Path& path, double size_bytes,
+                 double remaining_bytes, double bw_bps);
+  void end_sync();
+
+  // True iff shard `s` of this view and of `other` hold the same keys with
+  // the same paths, sizes and shares, and every link those flows cross
+  // lists this view's flows in strictly ascending key with shard s's in the
+  // order `other` lists them. The sync's cross-check against a fresh copy.
+  bool shard_equals(const NetworkView& other, std::uint32_t s) const;
 
   // --- network facts ----------------------------------------------------
 
@@ -124,14 +150,22 @@ class NetworkView {
   }
 
   // --- believed flows ---------------------------------------------------
+  //
+  // Pointers from find() and append_flows_on_link() point into slot
+  // storage: each stays valid only until the next mutation of the flow
+  // section (add, drop, rollback, sync), so callers read through them at
+  // once and keep the key.
 
   const Flow* find(std::uint64_t key) const;
-  std::size_t flow_count() const { return flows_.size(); }
+  std::size_t flow_count() const { return slot_of_.size(); }
 
   // Appends the flows crossing `link` to `out`, in key order
   // (deterministic). O(flows on link); allocates nothing once `out` has
   // grown, so a caller gathering many links can keep one buffer.
-  void append_flows_on_link(LinkId link, std::vector<const Flow*>& out) const;
+  void append_flows_on_link(LinkId link, std::vector<const Flow*>& out) const {
+    if (link >= on_link_.size()) return;
+    for (const OnLink& e : on_link_[link]) out.push_back(&slots_[e.slot].flow);
+  }
 
   // --- data-plane telemetry ---------------------------------------------
 
@@ -146,7 +180,7 @@ class NetworkView {
   // the same mutation here. add_flow and set_flow_bps are logged by an open
   // tentative scope; resize_flow and drop_flow are not legal inside one.
 
-  void add_flow(std::uint64_t key, Path path, double size_bytes,
+  void add_flow(std::uint64_t key, const Path& path, double size_bytes,
                 double bw_bps);
   void set_flow_bps(std::uint64_t key, double bw_bps);
   void resize_flow(std::uint64_t key, double new_size_bytes);
@@ -158,13 +192,26 @@ class NetworkView {
   // split read, the next hop of a write chain) applies it inside a scope:
   // each add_flow logs the key it added and each set_flow_bps the share it
   // overwrote, and rollback replays the log newest-first, leaving the view
-  // exactly as begin found it. Scopes do not nest.
+  // answering exactly as begin found it. Scopes do not nest.
 
   void begin_tentative();
   void rollback_tentative();
   bool tentative_active() const { return tentative_; }
 
  private:
+  // One believed flow's storage. A free slot keeps its last path's buffers
+  // for the next flow it holds.
+  struct Slot {
+    Flow flow;
+    std::uint32_t shard = 0;
+    std::uint32_t shard_pos = 0;  // index in shard_slots_[shard]
+    std::uint64_t synced = 0;     // the last sync pass that named it
+  };
+  // One entry of a link's flow list.
+  struct OnLink {
+    std::uint64_t key = 0;
+    std::uint32_t slot = 0;
+  };
   // One logged mutation: `added` is true for an add_flow, else `prior_bps`
   // holds the share a set_flow_bps overwrote.
   struct Undo {
@@ -172,10 +219,17 @@ class NetworkView {
     bool added = false;
     double prior_bps = 0.0;
   };
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kNoSync = UINT32_MAX;
 
-  // Shard-key bookkeeping around flow insertion/removal.
-  void track_key_added(std::uint64_t key, const Path& path);
-  void track_key_removed(std::uint64_t key, const Path& path);
+  // Places a flow with `key` (absent) and `path` in a slot, on its links and
+  // in its shard's list; the caller fills the remaining fields.
+  Slot& insert(std::uint64_t key, const Path& path);
+  // Removes the flow in `slot` from its links, its shard and the key map,
+  // and frees the slot. O(path links x flows per link), O(1) per shard.
+  void erase(std::uint32_t slot);
+  // The slot holding `key`, or kNoSlot.
+  std::uint32_t slot_of(std::uint64_t key) const;
 
   std::uint64_t epoch_ = 0;
   sim::SimTime built_at_;
@@ -184,19 +238,27 @@ class NetworkView {
   std::vector<char> up_;
   std::vector<double> tx_rate_bps_;
 
-  std::map<std::uint64_t, Flow> flows_;
-  LinkIndex index_;  // link -> keys of believed flows crossing it
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;  // never iterated
+  // Per link: the flows crossing it, ascending key. Grown on demand, so a
+  // view never given a topology still indexes the links its flows name.
+  std::vector<std::vector<OnLink>> on_link_;
   std::map<std::uint64_t, FlowStats> stats_;
 
-  // Per-shard key lists so unload_shard() is O(flows in the shard), plus
-  // per-shard freshness stamps; both sized to shard_count(), so the default
-  // one-shard view has one entry each. The flows map and link index above
-  // stay GLOBAL — a view answers append_flows_on_link identically under
-  // every map; the map changes only which sections a refresh touches.
+  // Per-shard slot lists (unordered; each slot records its position, so a
+  // drop leaves its list in O(1)) and freshness stamps; both sized to
+  // shard_count(), so the default one-shard view has one entry each. The
+  // slots and link lists above stay GLOBAL — a view answers
+  // append_flows_on_link identically under every map; the map changes only
+  // which sections a refresh touches.
   ShardMap shard_map_;
-  std::vector<std::vector<std::uint64_t>> shard_keys_ =
-      std::vector<std::vector<std::uint64_t>>(1);
+  std::vector<std::vector<std::uint32_t>> shard_slots_ =
+      std::vector<std::vector<std::uint32_t>>(1);
   std::vector<std::uint64_t> shard_stamp_ = std::vector<std::uint64_t>(1, 0);
+
+  std::uint32_t syncing_ = kNoSync;  // the shard an open sync covers
+  std::uint64_t sync_pass_ = 0;
 
   bool tentative_ = false;
   std::vector<Undo> undo_;

@@ -188,6 +188,22 @@ TEST_F(FlowserverTest, FrozenEstimateSurvivesFirstPoll) {
   server.stop();
 }
 
+TEST_F(FlowserverTest, HugePlanIsBornFrozen) {
+  // A finite size the RPC service accepts, whose expected completion does
+  // not fit the clock: the planned flow's freeze saturates instead of
+  // wrapping into the past and leaving the estimate to the next poll.
+  FlowserverConfig cfg = default_config();
+  cfg.freeze_enabled = true;
+  Flowserver server(fabric_, cfg);
+  const auto plan =
+      server.select_for_read(tree_.hosts[0], {tree_.hosts[20]}, 1e30);
+  ASSERT_EQ(plan.size(), 1u);
+  const TrackedFlow* f = server.table().find(plan[0].cookie);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->freeze_until, sim::SimTime::max());
+  EXPECT_EQ(server.table().frozen_count(events_.now()), 1u);
+}
+
 TEST_F(FlowserverTest, DropIsIdempotentAndPollsSkipGone) {
   Flowserver server(fabric_, default_config());
   server.start();

@@ -300,12 +300,8 @@ net::NetworkView random_view(const net::Topology& topo,
     const net::NodeId dst = hosts[rng.next_below(hosts.size())];
     if (src == dst) continue;
     const std::vector<net::Path>& ps = paths.get(src, dst);
-    net::NetworkView::Flow f;
-    f.key = key;
-    f.path = ps[rng.next_below(ps.size())];
-    f.size_bytes = f.remaining_bytes = 1e8;
-    f.bw_bps = kShares[rng.next_below(4)];
-    view.load_flow(std::move(f));
+    const net::Path& path = ps[rng.next_below(ps.size())];
+    view.add_flow(key, path, 1e8, kShares[rng.next_below(4)]);
   }
   return view;
 }

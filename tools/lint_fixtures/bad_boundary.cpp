@@ -1,4 +1,4 @@
-// Fixture: decision code reaching past the NetworkView. Exactly five
+// Fixture: decision code reaching past the NetworkView. Exactly six
 // violations — the comment and string mentions of flow_sim must NOT count.
 namespace fixture {
 
@@ -29,6 +29,12 @@ inline int peek_meta(Fabric& f) {
   (void)f;
   // owner_of_path in prose is fine; the call below is not.
   return f.owner_of_path(7);         // violation 5: metadata shard routing
+}
+
+inline void peek_sync(Fabric& f) {
+  (void)f;
+  // sync_shard_into in prose is fine; the call below is not.
+  f.table.sync_shard_into(f.view, 0);  // violation 6: view refresh internals
 }
 
 }  // namespace fixture

@@ -98,9 +98,9 @@ BOUNDARY_BANNED = ["flow_sim", "port_bytes", "poll_port_stats", "flow_record",
 # owns a path, how adoption rebuilds a dead shard's keys) are banned for the
 # same reason: decision code asks the router, never the shard map.
 DECISION_FILE_COUNT = 18  # prefix of BOUNDARY_FILES the shard ban covers
-SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "unload_shard",
-                         "snapshot_shard_into", "shard_version",
-                         "stamp_shard", "shard_stamp",
+SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "sync_shard_into",
+                         "begin_sync", "sync_flow", "end_sync",
+                         "shard_version", "stamp_shard", "shard_stamp",
                          "owner_of_path", "adopt_from_dataservers"]
 
 # Identifiers that smuggle wall-clock time or ambient randomness into a
@@ -897,7 +897,7 @@ def self_test(root):
         failures.append("good.cpp flagged: %s:%d [%s] %s" % f)
 
     expectations = {
-        "bad_boundary.cpp": ("boundary", 5),
+        "bad_boundary.cpp": ("boundary", 6),
         "bad_nondet.cpp": ("nondet", 4),
         "bad_guards.cpp": ("guards", 2),
         "bad_units.cpp": ("units", 3),
