@@ -2,20 +2,13 @@
 // table preloaded with N tracked flows — the per-read control-plane cost a
 // Flowserver deployment would pay.
 //
-// Four modes:
+// Three modes:
 //  * default: google-benchmark micro timings of select() and evaluate_path()
 //    against a prebuilt decision view;
 //  * --flows: background-flow sweep on a k=8 fat-tree comparing the
 //    one-shard state plane against the edge-sharded one over an identical
 //    churny request stream — decision records must be byte-identical (the
 //    sharding invariant) and go to stdout for CI's determinism diff;
-//  * --threads: drives one large decision batch through the snapshot
-//    pipeline at decision_threads=1 and =8 over identical state. Decisions
-//    must be byte-identical (always enforced — that is the pipeline's
-//    design invariant) and the 8-worker drain must be >= 1.8x faster when
-//    the host actually has cores to parallelize on (the bar is skipped,
-//    loudly, below 4 hardware threads). Decisions go to stdout for CI's
-//    two-run determinism diff; timings and verdicts go to stderr;
 //  * --batch: drives a real Flowserver through its admission queue and
 //    compares batch-of-one against batched drains over an identical request
 //    stream. A large background population (confined to the last pod, away
@@ -28,16 +21,15 @@
 //    table. The decisions are not expected to match across modes: a batched
 //    request is evaluated against its batch-start view, without the commits
 //    of the requests ahead of it in the batch. The batched decisions go to
-//    stdout (two seeded runs must be byte-identical — CI diffs them);
-//    timings and the >= 2x acceptance bar go to stderr, with a non-zero
-//    exit when the bar fails.
+//    stdout (CI checks them against tests/golden/micro_selector_batch.sha256
+//    and diffs two seeded runs); timings and the >= 2x acceptance bar go to
+//    stderr, with a non-zero exit when the bar fails.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -257,130 +249,6 @@ int batch_main() {
   return 0;
 }
 
-// --- --threads mode -------------------------------------------------------
-
-struct ThreadsRun {
-  double drain_sec = 0.0;
-  std::vector<std::string> decisions;  // same record format as --batch
-};
-
-// Fewer requests than --batch: every request here is a multiread plan over
-// a fabric crowded with kPreloadFlows cross-pod flows (~tens of ms each
-// serial), and the mode runs the batch twice.
-constexpr std::size_t kThreadRequests = 256;
-
-// One big admission batch decided by the snapshot pipeline with `threads`
-// workers. The preload population spans ALL pods, so nearly every candidate
-// path is crowded and evaluation (Eq. 2's per-link waterfills for every
-// candidate) dominates the drain — the part the worker pool parallelizes.
-ThreadsRun run_threads_mode(std::size_t threads) {
-  const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
-  sim::EventQueue events;
-  sdn::SdnFabric fabric(events, tree.topo);
-
-  FlowserverConfig cfg;
-  cfg.decision_threads = threads;
-  cfg.batch_size = kThreadRequests * 4;  // never size-triggered
-  Flowserver server(fabric, cfg);
-
-  Rng rng(42);
-  net::PathCache preload_cache(tree.topo);
-  for (std::size_t i = 0; i < kPreloadFlows; ++i) {
-    const net::NodeId src = tree.hosts[rng.next_below(tree.hosts.size())];
-    net::NodeId dst = src;
-    while (dst == src) dst = tree.hosts[rng.next_below(tree.hosts.size())];
-    const auto& paths = preload_cache.get(src, dst);
-    server.table().add(static_cast<sdn::Cookie>(1000000 + i),
-                       paths[rng.next_below(paths.size())], 256e6,
-                       rng.uniform(1e6, 125e6), sim::SimTime{});
-  }
-
-  Rng req_rng(7);
-  std::vector<net::NodeId> clients(kThreadRequests);
-  std::vector<std::vector<net::NodeId>> replica_sets(kThreadRequests);
-  for (std::size_t i = 0; i < kThreadRequests; ++i) {
-    clients[i] = tree.hosts[req_rng.next_below(tree.hosts.size())];
-    std::vector<net::NodeId> reps;
-    while (reps.size() < 3) {
-      const net::NodeId r = tree.hosts[req_rng.next_below(tree.hosts.size())];
-      bool dup = r == clients[i];
-      for (const net::NodeId seen : reps) dup |= (seen == r);
-      if (!dup) reps.push_back(r);
-    }
-    replica_sets[i] = std::move(reps);
-  }
-
-  // Warm-up drain: spins up the worker pool and populates the path cache so
-  // the timed drain measures evaluation, not one-time setup. Identical at
-  // every thread count, so decision identity is unaffected.
-  server.post({.client = clients[0], .replicas = replica_sets[0],
-               .bytes = 256e6});
-  server.drain();
-
-  ThreadsRun run;
-  run.decisions.reserve(kThreadRequests);
-  for (std::size_t i = 0; i < kThreadRequests; ++i) {
-    server.post({.client = clients[i],
-                 .replicas = replica_sets[i],
-                 .bytes = 256e6,
-                 .done = [&run](std::vector<ReadAssignment> plan) {
-                   for (const ReadAssignment& a : plan) {
-                     char line[96];
-                     std::snprintf(line, sizeof line, "%u %zu %.6g",
-                                   a.replica, a.path.links.size(),
-                                   a.est_bw_bps);
-                     run.decisions.emplace_back(line);
-                   }
-                 }});
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  server.drain();
-  const auto t1 = std::chrono::steady_clock::now();
-  run.drain_sec = std::chrono::duration<double>(t1 - t0).count();
-  return run;
-}
-
-int threads_main() {
-  const ThreadsRun serial = run_threads_mode(1);
-  const ThreadsRun threaded = run_threads_mode(8);
-
-  // Decision records to stdout: CI runs this twice and diffs.
-  for (const std::string& d : threaded.decisions) {
-    std::printf("%s\n", d.c_str());
-  }
-
-  const double speedup = serial.drain_sec / threaded.drain_sec;
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::fprintf(stderr,
-               "threads=1  drain of %zu requests in %.3fs\n"
-               "threads=8  drain of %zu requests in %.3fs\n"
-               "speedup    %.2fx (bar: >= 1.8x on >= 4 hardware threads; "
-               "host has %u)\n",
-               kThreadRequests, serial.drain_sec, kThreadRequests,
-               threaded.drain_sec,
-               speedup, hw);
-
-  bool ok = true;
-  if (serial.decisions != threaded.decisions) {
-    std::fprintf(stderr,
-                 "FAIL: threads=8 decisions diverge from threads=1\n");
-    ok = false;
-  }
-  if (hw >= 4) {
-    if (speedup < 1.8) {
-      std::fprintf(stderr, "FAIL: threaded drain speedup below 1.8x\n");
-      ok = false;
-    }
-  } else {
-    std::fprintf(stderr,
-                 "NOTE: %u hardware thread(s) — speedup bar skipped "
-                 "(identity still enforced)\n",
-                 hw);
-  }
-  if (ok) std::fprintf(stderr, "PASS\n");
-  return ok ? 0 : 1;
-}
-
 // --- --flows mode ---------------------------------------------------------
 //
 // Background-flow sweep on a k=8 fat-tree: for each population size, drive
@@ -522,9 +390,6 @@ int flows_main() {
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--batch") == 0) {
     return mayflower::flowserver::batch_main();
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--threads") == 0) {
-    return mayflower::flowserver::threads_main();
   }
   if (argc > 1 && std::strcmp(argv[1], "--flows") == 0) {
     return mayflower::flowserver::flows_main();

@@ -13,18 +13,13 @@
 //   ... +chain      appends additionally carry a kPlanWrite pipelined
 //                   relay chain, every hop SETBW'd to the chain bottleneck.
 //
-// The bench exits non-zero unless (a) write decisions are byte-identical
-// across decision_threads 1 and 8, and (b) pipelined+measured beats the
-// static fan-out baseline by >= 2x on mean append completion.
-#include <algorithm>
+// The bench exits non-zero unless pipelined+measured beats the static
+// fan-out baseline by >= 2x on mean append completion.
 #include <cstdio>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/strings.hpp"
-#include "flowserver/flowserver.hpp"
 #include "fs/cluster.hpp"
 #include "net/paths.hpp"
 
@@ -78,76 +73,6 @@ double mean_of(const harness::RunResult& r) {
                                : sum / static_cast<double>(r.completions.size());
 }
 
-// --- decision-determinism gate ---------------------------------------------
-// A mixed read+write admission workload against a standalone Flowserver; the
-// transcript captures every decision bit-exactly. Identical transcripts at
-// decision_threads 1 and 8 prove the snapshot pipeline treats write slots as
-// deterministically as read slots.
-std::string decision_transcript(std::size_t decision_threads) {
-  constexpr int kRequests = 24;
-  constexpr std::size_t kGroup = 8;
-  sim::EventQueue events;
-  net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
-  sdn::SdnFabric fabric(events, tree.topo);
-  flowserver::FlowserverConfig cfg;
-  cfg.decision_threads = decision_threads;
-  cfg.batch_size = kGroup;
-  flowserver::Flowserver server(fabric, cfg);
-
-  const std::size_t hosts = tree.hosts.size();
-  Rng rng(0x5eedULL);
-  std::vector<std::vector<flowserver::ReadAssignment>> plans(kRequests);
-  int posted = 0;
-  while (posted < kRequests) {
-    const int n = static_cast<int>(std::min<std::size_t>(
-        kGroup, static_cast<std::size_t>(kRequests - posted)));
-    for (int k = 0; k < n; ++k) {
-      const int idx = posted + k;
-      std::vector<net::NodeId> nodes;
-      while (nodes.size() < 4) {
-        const net::NodeId h = tree.hosts[rng.next_below(hosts)];
-        if (std::find(nodes.begin(), nodes.end(), h) == nodes.end()) {
-          nodes.push_back(h);
-        }
-      }
-      const double bytes = rng.uniform(64e6, 512e6);
-      auto sink = [&plans, idx](std::vector<flowserver::ReadAssignment> p) {
-        plans[static_cast<std::size_t>(idx)] = std::move(p);
-      };
-      if (idx % 2 == 0) {
-        server.enqueue(
-            {.replicas = nodes, .bytes = bytes, .write = true, .done = sink});
-      } else {
-        server.enqueue({.client = nodes[0],
-                        .replicas = {nodes[1], nodes[2], nodes[3]},
-                        .bytes = bytes,
-                        .done = sink});
-      }
-    }
-    server.drain();
-    for (int k = posted; k < posted + n; ++k) {
-      for (const auto& a : plans[static_cast<std::size_t>(k)]) {
-        fabric.start_flow(a.cookie, a.path, a.bytes, nullptr);
-      }
-    }
-    posted += n;
-    server.collect_stats();
-  }
-
-  std::ostringstream out;
-  out << std::hexfloat;
-  for (int i = 0; i < kRequests; ++i) {
-    out << "req " << i << "\n";
-    for (const auto& a : plans[static_cast<std::size_t>(i)]) {
-      out << "  cookie=" << a.cookie << " replica=" << a.replica
-          << " bytes=" << a.bytes << " est=" << a.est_bw_bps << " path=";
-      for (const net::NodeId n : a.path.nodes) out << n << ",";
-      out << "\n";
-    }
-  }
-  return out.str();
-}
-
 }  // namespace
 
 int main() {
@@ -155,15 +80,7 @@ int main() {
       "Write path: placement policy x replication transport",
       "create + append 256 MB per job, elephants pinned to pods 0-1");
 
-  if (decision_transcript(1) != decision_transcript(8)) {
-    std::fprintf(stderr,
-                 "FAIL: write decisions differ between decision_threads 1 "
-                 "and 8\n");
-    return 1;
-  }
-  std::printf(
-      "\ndecision determinism: transcripts byte-identical at "
-      "decision_threads 1 and 8\n\n");
+  std::printf("\n");
 
   const std::vector<std::pair<policy::WritePlacementKind, bool>> combos = {
       {policy::WritePlacementKind::kStatic, false},

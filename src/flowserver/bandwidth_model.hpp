@@ -79,7 +79,7 @@ class BandwidthModel {
 // new_flow_share's and reduced_share's.
 //
 // Holds pointers into the view: valid only while the view is not mutated.
-// Meant to live for one selection call; not shared between threads.
+// Meant to live for one selection call.
 class LinkShareMemo {
  public:
   LinkShareMemo(const BandwidthModel& model, const net::NetworkView& view);

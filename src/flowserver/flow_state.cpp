@@ -27,27 +27,21 @@ sim::SimTime freeze_horizon(sim::SimTime now, double bytes, double bw_bps) {
 
 }  // namespace
 
-FlowStateTable::FlowStateTable() {
-  shards_.push_back(std::make_unique<Shard>());
-}
+FlowStateTable::FlowStateTable() : shards_(1) {}
 
 void FlowStateTable::set_shard_map(net::ShardMap map) {
   MAYFLOWER_ASSERT_MSG(size() == 0,
                        "install the shard map before tracking flows");
   shard_map_ = std::move(map);
-  shards_.clear();
-  for (std::uint32_t s = 0; s < shard_map_.shard_count(); ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  common::MutexLock lock(route_mu_);
+  shards_.assign(shard_map_.shard_count(), Shard{});
   route_.clear();
 }
 
-FlowStateTable::Shard* FlowStateTable::shard_for(sdn::Cookie cookie) const {
-  if (shards_.size() == 1) return shards_[0].get();
-  common::MutexLock lock(route_mu_);
+const FlowStateTable::Shard* FlowStateTable::shard_for(
+    sdn::Cookie cookie) const {
+  if (shards_.size() == 1) return &shards_[0];
   const auto it = route_.find(cookie);
-  return it == route_.end() ? nullptr : shards_[it->second].get();
+  return it == route_.end() ? nullptr : &shards_[it->second];
 }
 
 void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
@@ -55,13 +49,11 @@ void FlowStateTable::add(sdn::Cookie cookie, net::Path path,
                          sim::SimTime now) {
   const std::uint32_t s = shard_map_.shard_of_path(path);
   if (shards_.size() > 1) {
-    common::MutexLock route_lock(route_mu_);
     MAYFLOWER_ASSERT_MSG(route_.find(cookie) == route_.end(),
                          "cookie already tracked");
     route_.emplace(cookie, s);
   }
-  Shard& sh = *shards_[s];
-  common::MutexLock lock(sh.mu);
+  Shard& sh = shards_[s];
   MAYFLOWER_ASSERT_MSG(sh.flows.find(cookie) == sh.flows.end(),
                        "cookie already tracked");
   MAYFLOWER_ASSERT(size_bytes > 0.0 && est_bw_bps > 0.0);
@@ -96,9 +88,8 @@ void FlowStateTable::set_obs(obs::Observability* hub) {
 
 std::size_t FlowStateTable::frozen_count(sim::SimTime now) const {
   std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    for (const auto& [cookie, f] : sh->flows) {
+  for (const Shard& sh : shards_) {
+    for (const auto& [cookie, f] : sh.flows) {
       if (f.frozen && now <= f.freeze_until) ++n;
     }
   }
@@ -107,66 +98,48 @@ std::size_t FlowStateTable::frozen_count(sim::SimTime now) const {
 
 std::uint64_t FlowStateTable::freeze_suppressed_total() const {
   std::uint64_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    n += sh->freeze_suppressed;
-  }
+  for (const Shard& sh : shards_) n += sh.freeze_suppressed;
   return n;
 }
 
 void FlowStateTable::drop(sdn::Cookie cookie) {
   Shard* sh = shard_for(cookie);
   if (sh == nullptr) return;
-  {
-    common::MutexLock lock(sh->mu);
-    const auto it = sh->flows.find(cookie);
-    if (it == sh->flows.end()) return;
-    ++sh->version;
-    sh->flows.erase(it);
-  }
-  if (shards_.size() > 1) {
-    common::MutexLock route_lock(route_mu_);
-    route_.erase(cookie);
-  }
+  const auto it = sh->flows.find(cookie);
+  if (it == sh->flows.end()) return;
+  ++sh->version;
+  sh->flows.erase(it);
+  if (shards_.size() > 1) route_.erase(cookie);
 }
 
 const TrackedFlow* FlowStateTable::find(sdn::Cookie cookie) const {
   const Shard* sh = shard_for(cookie);
   if (sh == nullptr) return nullptr;
-  common::MutexLock lock(sh->mu);
   const auto it = sh->flows.find(cookie);
   return it == sh->flows.end() ? nullptr : &it->second;
 }
 
 std::size_t FlowStateTable::size() const {
   std::size_t n = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    n += sh->flows.size();
-  }
+  for (const Shard& sh : shards_) n += sh.flows.size();
   return n;
 }
 
 std::uint64_t FlowStateTable::version() const {
   std::uint64_t v = 0;
-  for (const auto& sh : shards_) {
-    common::MutexLock lock(sh->mu);
-    v += sh->version;
-  }
+  for (const Shard& sh : shards_) v += sh.version;
   return v;
 }
 
 std::uint64_t FlowStateTable::shard_version(std::uint32_t s) const {
   MAYFLOWER_ASSERT(s < shards_.size());
-  common::MutexLock lock(shards_[s]->mu);
-  return shards_[s]->version;
+  return shards_[s].version;
 }
 
 void FlowStateTable::setbw(sdn::Cookie cookie, double bw_bps,
                             sim::SimTime now) {
   Shard* sh = shard_for(cookie);
   MAYFLOWER_ASSERT_MSG(sh != nullptr, "setbw on unknown flow");
-  common::MutexLock lock(sh->mu);
   const auto it = sh->flows.find(cookie);
   MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "setbw on unknown flow");
   MAYFLOWER_ASSERT(bw_bps > 0.0);
@@ -184,7 +157,6 @@ void FlowStateTable::resize(sdn::Cookie cookie, double new_size_bytes,
                             sim::SimTime now) {
   Shard* sh = shard_for(cookie);
   MAYFLOWER_ASSERT_MSG(sh != nullptr, "resize on unknown flow");
-  common::MutexLock lock(sh->mu);
   const auto it = sh->flows.find(cookie);
   MAYFLOWER_ASSERT_MSG(it != sh->flows.end(), "resize on unknown flow");
   MAYFLOWER_ASSERT(new_size_bytes > 0.0);
@@ -203,7 +175,6 @@ void FlowStateTable::update_from_stats(sdn::Cookie cookie,
                                        sim::SimTime now) {
   Shard* sh = shard_for(cookie);
   if (sh == nullptr) return;  // raced with a drop; counters can arrive late
-  common::MutexLock lock(sh->mu);
   const auto it = sh->flows.find(cookie);
   if (it == sh->flows.end()) return;
   ++sh->version;
@@ -244,8 +215,7 @@ void FlowStateTable::snapshot_into(net::NetworkView& view) const {
 void FlowStateTable::sync_shard_into(net::NetworkView& view,
                                      std::uint32_t s) const {
   MAYFLOWER_ASSERT(s < shards_.size());
-  const Shard& sh = *shards_[s];
-  common::MutexLock lock(sh.mu);
+  const Shard& sh = shards_[s];
   sync_from(sh, s, view);
 #ifndef NDEBUG
   net::NetworkView fresh;

@@ -9,8 +9,8 @@
 //
 // The table is PARTITIONED BY EDGE SWITCH (net::ShardMap): every flow lives
 // in the shard of its source host's edge switch — the same key the fabric's
-// per-edge poll index uses — under that shard's own mutex, flow map and
-// version counter. A poll of edge E or a drop of an E-sourced flow
+// per-edge poll index uses — with that shard's own flow map and version
+// counter. A poll of edge E or a drop of an E-sourced flow
 // moves only shard E's version, so a snapshot consumer reloads one shard
 // instead of the whole table. The default layout is a single shard (one
 // global table) with identical semantics and no routing overhead.
@@ -24,11 +24,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
 #include "net/shard_map.hpp"
@@ -132,40 +130,31 @@ class FlowStateTable {
   void sync_shard_into(net::NetworkView& view, std::uint32_t s) const;
 
  private:
-  // One partition of the table. All hot state sits behind the shard's own
-  // mutex so workers touching disjoint shards never contend.
+  // One partition of the table.
   struct Shard {
-    mutable common::Mutex mu;
-    std::map<sdn::Cookie, TrackedFlow> flows GUARDED_BY(mu);
-    std::uint64_t version GUARDED_BY(mu) = 0;
-    std::uint64_t freeze_suppressed GUARDED_BY(mu) = 0;
+    std::map<sdn::Cookie, TrackedFlow> flows;
+    std::uint64_t version = 0;
+    std::uint64_t freeze_suppressed = 0;
   };
 
-  // Syncs shard `s` of `view` from `sh` (shard `s`), whose mutex the caller
-  // holds.
+  // Syncs shard `s` of `view` from `sh` (shard `s`).
   static void sync_from(const Shard& sh, std::uint32_t s,
-                        net::NetworkView& view) REQUIRES(sh.mu);
+                        net::NetworkView& view);
 
   // The shard a cookie routes to; shard 0 always when unsharded. Returns
   // nullptr for cookies the table does not track (sharded lookups only —
   // the single-shard layout resolves unknown cookies inside the shard).
-  Shard* shard_for(sdn::Cookie cookie) const;
+  const Shard* shard_for(sdn::Cookie cookie) const;
+  Shard* shard_for(sdn::Cookie cookie) {
+    return const_cast<Shard*>(std::as_const(*this).shard_for(cookie));
+  }
 
-  // Concurrency: the table is written only by the control thread (commits,
-  // polls, drops); decision workers read the immutable NetworkView snapshot,
-  // never the table. The per-shard mutexes make that contract checkable —
-  // every shard member is GUARDED_BY its mutex, so an unlocked access from
-  // a future worker path is a compile error under -Wthread-safety (and the
-  // TSan lane would catch the same dynamically). Lock order: route_mu_
-  // before any shard mutex; shard mutexes are never nested with each other
-  // (cross-shard reads lock one shard at a time); any obs mutex is a leaf.
   net::ShardMap shard_map_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<Shard> shards_;
 
   // Cookie -> shard routing (sharded layouts only; a single shard routes
   // everything to shard 0 without touching this map).
-  mutable common::Mutex route_mu_;
-  std::map<sdn::Cookie, std::uint32_t> route_ GUARDED_BY(route_mu_);
+  std::map<sdn::Cookie, std::uint32_t> route_;
 
   bool freeze_enabled_ = true;  // set once at wiring time
   obs::FlowTracer* trace_ = nullptr;  // set once at wiring time

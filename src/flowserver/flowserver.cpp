@@ -21,8 +21,8 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
       rng_(config.seed),
       telemetry_(config.telemetry) {
   MAYFLOWER_ASSERT_MSG(config_.batch_size >= 1, "batch_size must be >= 1");
-  MAYFLOWER_ASSERT_MSG(config_.decision_threads >= 1,
-                       "decision_threads must be >= 1");
+  MAYFLOWER_ASSERT_MSG(config_.decision_threads == 1,
+                       "decisions run on one thread");
   table_.set_freeze_enabled(config.freeze_enabled);
   selector_.set_impact_aware(config.impact_aware);
   if (config_.obs != nullptr) {
@@ -224,36 +224,20 @@ std::vector<ReadAssignment> Flowserver::finish_chain(
   return out;
 }
 
-void Flowserver::post(Request req) {
+void Flowserver::enqueue(Request req) {
   MAYFLOWER_ASSERT_MSG(!req.write || req.replicas.size() >= 2,
                        "a write chain needs >= 2 hosts");
-  common::MutexLock lock(queue_mu_);
   queue_.push_back(std::move(req));
-}
-
-void Flowserver::enqueue(Request req) {
-  post(std::move(req));
-  bool size_triggered = false;
-  bool arm_window = false;
-  std::uint64_t gen = 0;
-  {
-    common::MutexLock lock(queue_mu_);
-    size_triggered = queue_.size() >= config_.batch_size;
-    if (!size_triggered && !drain_armed_) {
-      drain_armed_ = true;
-      arm_window = true;
-      gen = drain_gen_;
-    }
-  }
-  if (size_triggered) {
+  if (queue_.size() >= config_.batch_size) {
     drain();
     return;
   }
-  if (arm_window) {
-    fabric_->events().schedule_in(kBatchWindow, [this, gen] {
+  if (!drain_armed_) {
+    drain_armed_ = true;
+    fabric_->events().schedule_in(kBatchWindow, [this, gen = drain_gen_] {
       // A size-triggered drain may have already flushed the batch this
       // event was armed for; in that case the generation moved on.
-      if (!drain_generation_is(gen)) return;
+      if (gen != drain_gen_) return;
       drain();
     });
   }
@@ -275,14 +259,11 @@ std::vector<ReadAssignment> Flowserver::plan_write(
 }
 
 std::size_t Flowserver::drain() {
+  drain_armed_ = false;
+  ++drain_gen_;
+  if (queue_.empty()) return 0;
   std::deque<Request> batch;
-  {
-    common::MutexLock lock(queue_mu_);
-    drain_armed_ = false;
-    ++drain_gen_;
-    if (queue_.empty()) return 0;
-    batch.swap(queue_);
-  }
+  batch.swap(queue_);
 
   // One snapshot for the whole batch. Stale inputs (a poll, a fault, a drop
   // since the last build) force a rebuild here — never mid-batch.
@@ -316,11 +297,11 @@ std::size_t Flowserver::drain() {
 
 void Flowserver::decide_batch(std::deque<Request>& batch, sim::SimTime now,
                               std::vector<Decided>& results) {
-  // --- pre-phase (serial, batch order) ----------------------------------
+  // --- pre-phase (batch order) ------------------------------------------
   // Everything order-sensitive that is NOT the evaluation itself happens
   // here: chooser policies run against the batch view, and multiread slots
-  // pre-draw their cookie pair so cookie assignment is independent of which
-  // worker later evaluates the slot.
+  // pre-draw their cookie pair, so every multiread and write cookie is drawn
+  // before any slot is evaluated.
   std::vector<Slot> slots(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Request& req = batch[i];
@@ -333,8 +314,8 @@ void Flowserver::decide_batch(std::deque<Request>& batch, sim::SimTime now,
     }
     if (req.write) {
       // Write slots pre-draw every hop cookie here, even for hops that go
-      // unrouted: cookie assignment must not depend on which worker
-      // evaluates the chain, nor on how far the chain gets.
+      // unrouted: cookie assignment must not depend on how far the chain
+      // gets.
       s.write = true;
       s.replicas = std::move(req.replicas);
       s.cookies.reserve(s.replicas.size() - 1);
@@ -363,41 +344,27 @@ void Flowserver::decide_batch(std::deque<Request>& batch, sim::SimTime now,
     }
   }
 
-  // --- evaluate (parallel, against the batch-start view) ----------------
+  // --- evaluate (against the batch-start view) --------------------------
   // Single-path slots read view_ directly (select() is pure). Multiread and
   // write slots plan inside a view tentative scope that is rolled back
-  // before the slot returns, so each slot sees exactly the batch-start state
-  // regardless of which worker runs it or in what order — that is the
-  // determinism argument. One worker runs the slots one after another, so
-  // it plans on view_ itself; N workers each plan on a private copy, since
-  // one worker's open scope must stay invisible to the others.
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::WorkerPool>(config_.decision_threads);
+  // before the slot returns, so every slot sees exactly the batch-start
+  // state, whatever slots were evaluated before it.
+  for (Slot& s : slots) {
+    if (s.unavailable) continue;
+    if (s.write) {
+      s.chain = chain_planner_.plan_readonly(view_, s.replicas,
+                                             units::Bytes{s.bytes}, s.cookies,
+                                             &s.stats);
+    } else if (s.multiread) {
+      s.plans = planner_.plan_readonly(view_, s.client, s.replicas, s.bytes,
+                                       s.cookies, &s.stats);
+    } else {
+      s.best = selector_.select(view_, s.client, s.replicas, s.bytes,
+                                &s.stats);
+    }
   }
-  std::vector<net::NetworkView> copies;
-  if (config_.decision_threads > 1) {
-    copies.assign(config_.decision_threads, view_);
-  }
-  pool_->parallel_for(
-      slots.size(), [this, &slots, &copies](std::size_t worker,
-                                            std::size_t i) {
-        Slot& s = slots[i];
-        if (s.unavailable) return;
-        net::NetworkView& plan_view = copies.empty() ? view_ : copies[worker];
-        if (s.write) {
-          s.chain = chain_planner_.plan_readonly(plan_view, s.replicas,
-                                                 units::Bytes{s.bytes},
-                                                 s.cookies, &s.stats);
-        } else if (s.multiread) {
-          s.plans = planner_.plan_readonly(plan_view, s.client, s.replicas,
-                                           s.bytes, s.cookies, &s.stats);
-        } else {
-          s.best = selector_.select(view_, s.client, s.replicas, s.bytes,
-                                    &s.stats);
-        }
-      });
 
-  // --- replay (serial, batch order) --------------------------------------
+  // --- replay (batch order) ----------------------------------------------
   // Commits write through table + view with the usual stale-share clamp, so
   // a slot planned against the batch-start snapshot can never raise a flow
   // above what an earlier slot's commit already lowered it to.

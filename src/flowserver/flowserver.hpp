@@ -21,13 +21,10 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/sync.hpp"
-#include "common/worker_pool.hpp"
 #include "flowserver/assignment.hpp"
 #include "flowserver/multiread.hpp"
 #include "flowserver/selector.hpp"
@@ -53,10 +50,9 @@ struct FlowserverConfig {
   // queued, or kBatchWindow after the first one, whichever comes first.
   // batch_size 1 keeps every entry point synchronous (batch-of-one).
   std::size_t batch_size = 1;
-  // Decision workers (>= 1): every request in a batch is evaluated against
-  // the batch-start view (1 = inline on the control thread, N = a worker
-  // pool of N), then commits replay serially in batch order. Decisions are
-  // byte-identical at every worker count by construction.
+  // Must be 1: decisions run on the one simulation thread. Read by nothing;
+  // kept only because perfbench's write_mix driver assigns it, and goes
+  // with ROADMAP item 1's benchmark PR.
   std::size_t decision_threads = 1;
   // Which shard map partitions the flow table and the view's believed-flow
   // section: one shard per source edge switch
@@ -134,23 +130,14 @@ class Flowserver {
   // Queues one request. The batch drains immediately once
   // config.batch_size requests are queued, else kBatchWindow after
   // the first enqueue.
-  void enqueue(Request req) EXCLUDES(queue_mu_);
-
-  // Producer-thread-safe enqueue: pushes the request and nothing else — no
-  // batch-window timer (the event queue is control-thread-only by design).
-  // Posted requests are decided by the next control-thread drain(). This is
-  // the only Flowserver entry point callable off the control thread.
-  void post(Request req) EXCLUDES(queue_mu_);
+  void enqueue(Request req);
 
   // Decides everything queued right now against one view and installs all
   // chosen paths through the fabric's bulk API. Returns the number of
   // requests decided.
-  std::size_t drain() EXCLUDES(queue_mu_);
+  std::size_t drain();
 
-  std::size_t queued() const EXCLUDES(queue_mu_) {
-    common::MutexLock lock(queue_mu_);
-    return queue_.size();
-  }
+  std::size_t queued() const { return queue_.size(); }
 
   // --- synchronous wrappers (batch-of-one) ------------------------------
 
@@ -264,9 +251,9 @@ class Flowserver {
     std::vector<ReadAssignment> plan;
   };
 
-  // One batch slot. The serial pre-phase fills the request half (effective
-  // replicas, pre-drawn cookies); the parallel evaluate phase fills the
-  // result half; the serial replay consumes it.
+  // One batch slot. The pre-phase fills the request half (effective
+  // replicas, pre-drawn cookies); the evaluate phase fills the result half;
+  // the replay consumes it.
   struct Slot {
     net::NodeId client = net::kInvalidNode;
     double bytes = 0.0;
@@ -294,17 +281,10 @@ class Flowserver {
   // the plan (the synchronous wrappers' batch of one).
   std::vector<ReadAssignment> decide_now(Request req);
 
-  // Decides one drained batch: serial pre-phase + evaluation against the
-  // batch-start view (parallel over decision_threads workers) + in-order
-  // commit replay.
+  // Decides one drained batch: pre-phase + evaluation against the
+  // batch-start view + in-order commit replay.
   void decide_batch(std::deque<Request>& batch, sim::SimTime now,
                     std::vector<Decided>& results);
-
-  // Did the armed batch-window event survive to its firing time?
-  bool drain_generation_is(std::uint64_t gen) const EXCLUDES(queue_mu_) {
-    common::MutexLock lock(queue_mu_);
-    return gen == drain_gen_;
-  }
 
   sdn::SdnFabric* fabric_;
   FlowserverConfig config_;
@@ -346,20 +326,12 @@ class Flowserver {
   std::uint64_t shard_reloads_ = 0;
   std::uint64_t link_refreshes_ = 0;
 
-  // Admission queue. Guarded so producer threads can post() while the
-  // control thread drains; everything else in the Flowserver stays
-  // control-thread-only. Lock order: queue_mu_ is a leaf — nothing is
-  // called while it is held.
-  mutable common::Mutex queue_mu_;
-  std::deque<Request> queue_ GUARDED_BY(queue_mu_);
+  // Admission queue.
+  std::deque<Request> queue_;
   // A kBatchWindow drain event is pending.
-  bool drain_armed_ GUARDED_BY(queue_mu_) = false;
+  bool drain_armed_ = false;
   // Invalidates armed events once drained.
-  std::uint64_t drain_gen_ GUARDED_BY(queue_mu_) = 0;
-
-  // Decision workers, created on the first drain (one worker runs inline
-  // and spawns no thread).
-  std::unique_ptr<common::WorkerPool> pool_;
+  std::uint64_t drain_gen_ = 0;
 
   // Observability (no-ops until config.obs is set).
   obs::Counter selections_metric_;

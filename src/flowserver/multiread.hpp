@@ -36,9 +36,8 @@ class MultiReadPlanner {
 
   // Plans against `view` and leaves it exactly as found: subflow 1 is tried
   // inside a view tentative scope that is rolled back before returning.
-  // Touches no table and no live state, so workers may plan concurrently,
-  // each on its own copy of the batch view. `cookies` must provide at least
-  // 2 ids: the first names subflow 1 inside the scope, so subflow 2's
+  // Touches no table and no live state. `cookies` must provide at least 2
+  // ids: the first names subflow 1 inside the scope, so subflow 2's
   // candidate reports its bump. `stats` (optional) accumulates candidates
   // across both selection rounds.
   std::vector<SubflowPlan> plan_readonly(

@@ -83,7 +83,7 @@ std::optional<Candidate> ReplicaPathSelector::select(
     SelectStats* stats) const {
   // One memo per call: candidates share links (every path ends at the
   // client), so each link is gathered and water-filled for the new flow
-  // once. Concurrent selections each own theirs.
+  // once.
   LinkShareMemo memo(model_, view);
   std::optional<Candidate> best;
   Candidate c;

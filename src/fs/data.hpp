@@ -40,8 +40,9 @@ class Extent {
   // `limit` to keep simulations from accidentally allocating gigabytes.
   std::string materialize(std::uint64_t limit = 64u << 20) const;
 
-  // CRC-32 of the content, computed without materializing patterns.
-  std::uint32_t checksum() const;
+  // CRC-32 of the content, continuing `crc` (the CRC-32 of whatever
+  // precedes it; 0 for nothing), computed without materializing patterns.
+  std::uint32_t checksum(std::uint32_t crc = 0) const;
 
   bool content_equals(const Extent& other) const;
 

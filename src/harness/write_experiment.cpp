@@ -15,7 +15,6 @@ WriteRunResult run_write_experiment(const WriteExperimentConfig& config) {
   cluster_cfg.write_pipeline = config.pipeline;
   cluster_cfg.nameserver.chunk_size =
       static_cast<std::uint64_t>(config.block_bytes);
-  cluster_cfg.flowserver.decision_threads = config.decision_threads;
   cluster_cfg.obs = config.obs;
   cluster_cfg.seed = config.seed;
   fs::Cluster cluster(cluster_cfg);

@@ -85,7 +85,6 @@ std::vector<Path> shortest_paths(const Topology& topo, NodeId src, NodeId dst) {
 
 const std::vector<Path>& PathCache::get(NodeId src, NodeId dst) {
   const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-  common::MutexLock lock(mu_);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     it = cache_.emplace(key, shortest_paths(*topo_, src, dst)).first;

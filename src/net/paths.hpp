@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "net/topology.hpp"
 
 namespace mayflower::net {
@@ -33,20 +32,18 @@ struct Path {
 // unreachable; a single zero-length path if src == dst.
 std::vector<Path> shortest_paths(const Topology& topo, NodeId src, NodeId dst);
 
-// Thread-safe: decision workers enumerate candidate paths concurrently, so
-// the memoization map is mutex-guarded. Returned references stay valid for
-// the cache's lifetime (unordered_map is node-based; rehash moves nothing).
+// Returned references stay valid for the cache's lifetime (unordered_map is
+// node-based; rehash moves nothing).
 class PathCache {
  public:
   explicit PathCache(const Topology& topo) : topo_(&topo) {}
 
-  const std::vector<Path>& get(NodeId src, NodeId dst) EXCLUDES(mu_);
+  const std::vector<Path>& get(NodeId src, NodeId dst);
   const Topology& topology() const { return *topo_; }
 
  private:
   const Topology* topo_;
-  mutable common::Mutex mu_;
-  std::unordered_map<std::uint64_t, std::vector<Path>> cache_ GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, std::vector<Path>> cache_;
 };
 
 }  // namespace mayflower::net

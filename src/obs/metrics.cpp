@@ -24,7 +24,6 @@ void Histogram::observe(double v) {
 }
 
 Counter MetricsRegistry::counter(std::string_view name) {
-  common::MutexLock lock(mu_);
   if (!enabled_) return Counter{};
   const auto it = counters_.find(name);
   if (it != counters_.end()) return Counter(&it->second);
@@ -32,7 +31,6 @@ Counter MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name) {
-  common::MutexLock lock(mu_);
   if (!enabled_) return Gauge{};
   const auto it = gauges_.find(name);
   if (it != gauges_.end()) return Gauge(&it->second);
@@ -41,7 +39,6 @@ Gauge MetricsRegistry::gauge(std::string_view name) {
 
 Histogram MetricsRegistry::histogram(std::string_view name,
                                      std::vector<double> edges) {
-  common::MutexLock lock(mu_);
   if (!enabled_) return Histogram{};
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return Histogram(&it->second);
@@ -58,26 +55,22 @@ Histogram MetricsRegistry::histogram(std::string_view name,
 }
 
 std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
-  common::MutexLock lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
 double MetricsRegistry::gauge_value(std::string_view name) const {
-  common::MutexLock lock(mu_);
   const auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
 const HistogramData* MetricsRegistry::find_histogram(
     std::string_view name) const {
-  common::MutexLock lock(mu_);
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
 void MetricsRegistry::write_json(std::string* out) const {
-  common::MutexLock lock(mu_);
   json_key("counters", out);
   out->push_back('{');
   bool first = true;

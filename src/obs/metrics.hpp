@@ -17,8 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/sync.hpp"
-
 namespace mayflower::obs {
 
 class MetricsRegistry;
@@ -84,42 +82,33 @@ class MetricsRegistry {
   bool enabled() const { return enabled_; }
 
   // Finds or creates the named metric. Disabled registries return null
-  // handles without touching any storage. Registration is mutex-guarded;
-  // the returned handles write through raw cell pointers with no locking
-  // and are therefore control-thread-only (decision workers never touch
-  // metrics — evaluation is pure against the snapshot).
-  Counter counter(std::string_view name) EXCLUDES(mu_);
-  Gauge gauge(std::string_view name) EXCLUDES(mu_);
+  // handles without touching any storage; the returned handles write
+  // through raw cell pointers.
+  Counter counter(std::string_view name);
+  Gauge gauge(std::string_view name);
   // `edges` must be non-empty and strictly ascending; re-registering an
   // existing histogram ignores `edges` (the first registration wins).
-  Histogram histogram(std::string_view name, std::vector<double> edges)
-      EXCLUDES(mu_);
+  Histogram histogram(std::string_view name, std::vector<double> edges);
 
   // Inspection (tests, reports). Absent names read as zero.
-  std::uint64_t counter_value(std::string_view name) const EXCLUDES(mu_);
-  double gauge_value(std::string_view name) const EXCLUDES(mu_);
-  const HistogramData* find_histogram(std::string_view name) const
-      EXCLUDES(mu_);
-  std::size_t metric_count() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
+  std::uint64_t counter_value(std::string_view name) const;
+  double gauge_value(std::string_view name) const;
+  const HistogramData* find_histogram(std::string_view name) const;
+  std::size_t metric_count() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
   // Appends {"counters":{...},"gauges":{...},"histograms":{...}} fragments
   // (without the enclosing braces) to `out`, keys sorted by name.
-  void write_json(std::string* out) const EXCLUDES(mu_);
+  void write_json(std::string* out) const;
 
  private:
   bool enabled_;
-  // Guards the name -> storage maps (registration and whole-registry
-  // reads). Individual cells are written through handles without the lock
-  // — see the handle contract above. std::map nodes are stable, so handle
-  // pointers survive later registrations.
-  mutable common::Mutex mu_;
-  std::map<std::string, std::uint64_t, std::less<>> counters_ GUARDED_BY(mu_);
-  std::map<std::string, double, std::less<>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, HistogramData, std::less<>> histograms_
-      GUARDED_BY(mu_);
+  // std::map nodes are stable, so handle pointers survive later
+  // registrations.
+  std::map<std::string, std::uint64_t, std::less<>> counters_;
+  std::map<std::string, double, std::less<>> gauges_;
+  std::map<std::string, HistogramData, std::less<>> histograms_;
 };
 
 }  // namespace mayflower::obs

@@ -12,14 +12,12 @@ FlowTraceRecord* FlowTracer::mutable_active(std::uint64_t cookie) {
 }
 
 const FlowTraceRecord* FlowTracer::find_active(std::uint64_t cookie) const {
-  common::MutexLock lock(mu_);
   const auto it = active_.find(cookie);
   return it == active_.end() ? nullptr : &it->second;
 }
 
 void FlowTracer::flow_planned(std::uint64_t cookie, double now_sec,
                               double bytes, double planned_bw_bps) {
-  common::MutexLock lock(mu_);
   if (!enabled_) return;
   FlowTraceRecord rec;
   rec.cookie = cookie;
@@ -30,7 +28,6 @@ void FlowTracer::flow_planned(std::uint64_t cookie, double now_sec,
 }
 
 void FlowTracer::flow_resized(std::uint64_t cookie, double new_bytes) {
-  common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);
   if (rec == nullptr) return;
   ++rec->resizes;
@@ -38,7 +35,6 @@ void FlowTracer::flow_resized(std::uint64_t cookie, double new_bytes) {
 }
 
 void FlowTracer::flow_bw_set(std::uint64_t cookie, double bw_bps) {
-  common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);
   if (rec == nullptr) return;
   if (rec->started) {
@@ -49,19 +45,16 @@ void FlowTracer::flow_bw_set(std::uint64_t cookie, double bw_bps) {
 }
 
 void FlowTracer::freeze_hit(std::uint64_t cookie) {
-  common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);
   if (rec != nullptr) ++rec->freeze_hits;
 }
 
 void FlowTracer::mark_split(std::uint64_t cookie) {
-  common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);
   if (rec != nullptr) rec->split = true;
 }
 
 void FlowTracer::flow_started(std::uint64_t cookie, double now_sec) {
-  common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);
   if (rec == nullptr) return;
   rec->started = true;
@@ -69,7 +62,6 @@ void FlowTracer::flow_started(std::uint64_t cookie, double now_sec) {
 }
 
 void FlowTracer::flow_rerouted(std::uint64_t cookie) {
-  common::MutexLock lock(mu_);
   FlowTraceRecord* rec = mutable_active(cookie);
   if (rec != nullptr) ++rec->reroutes;
 }
@@ -90,30 +82,25 @@ void FlowTracer::finish(std::uint64_t cookie, double now_sec,
 
 void FlowTracer::flow_completed(std::uint64_t cookie, double now_sec,
                                 double moved_bytes) {
-  common::MutexLock lock(mu_);
   finish(cookie, now_sec, moved_bytes, /*killed=*/false);
 }
 
 void FlowTracer::flow_killed(std::uint64_t cookie, double now_sec,
                              double moved_bytes) {
-  common::MutexLock lock(mu_);
   finish(cookie, now_sec, moved_bytes, /*killed=*/true);
 }
 
 void FlowTracer::decision(const DecisionAudit& audit) {
-  common::MutexLock lock(mu_);
   if (!enabled_) return;
   decisions_.push_back(audit);
 }
 
 void FlowTracer::belief_error_sample(double error) {
-  common::MutexLock lock(mu_);
   if (!enabled_) return;
   belief_errors_.push_back(error);
 }
 
 std::vector<double> FlowTracer::estimator_errors() const {
-  common::MutexLock lock(mu_);
   std::vector<double> out;
   out.reserve(finished_.size());
   for (const FlowTraceRecord& rec : finished_) {
@@ -125,7 +112,6 @@ std::vector<double> FlowTracer::estimator_errors() const {
 }
 
 void FlowTracer::write_json(std::string* out) const {
-  common::MutexLock lock(mu_);
   json_key("flows", out);
   out->push_back('[');
   for (std::size_t i = 0; i < finished_.size(); ++i) {

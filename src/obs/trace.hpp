@@ -22,8 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sync.hpp"
-
 namespace mayflower::obs {
 
 struct FlowTraceRecord {
@@ -66,78 +64,55 @@ class FlowTracer {
 
   // --- registration/planning (FlowStateTable hooks) ----------------------
   void flow_planned(std::uint64_t cookie, double now_sec, double bytes,
-                    double planned_bw_bps) EXCLUDES(mu_);
+                    double planned_bw_bps);
   // Before the transfer starts these revise the plan (multi-read sizing);
   // afterwards they count as SETBW bumps and leave the plan untouched.
-  void flow_resized(std::uint64_t cookie, double new_bytes) EXCLUDES(mu_);
-  void flow_bw_set(std::uint64_t cookie, double bw_bps) EXCLUDES(mu_);
-  void freeze_hit(std::uint64_t cookie) EXCLUDES(mu_);
-  void mark_split(std::uint64_t cookie) EXCLUDES(mu_);
+  void flow_resized(std::uint64_t cookie, double new_bytes);
+  void flow_bw_set(std::uint64_t cookie, double bw_bps);
+  void freeze_hit(std::uint64_t cookie);
+  void mark_split(std::uint64_t cookie);
 
   // --- data plane (SdnFabric hooks) --------------------------------------
-  void flow_started(std::uint64_t cookie, double now_sec) EXCLUDES(mu_);
-  void flow_rerouted(std::uint64_t cookie) EXCLUDES(mu_);
+  void flow_started(std::uint64_t cookie, double now_sec);
+  void flow_rerouted(std::uint64_t cookie);
   void flow_completed(std::uint64_t cookie, double now_sec,
-                      double moved_bytes) EXCLUDES(mu_);
-  void flow_killed(std::uint64_t cookie, double now_sec, double moved_bytes)
-      EXCLUDES(mu_);
+                      double moved_bytes);
+  void flow_killed(std::uint64_t cookie, double now_sec, double moved_bytes);
 
-  void decision(const DecisionAudit& audit) EXCLUDES(mu_);
+  void decision(const DecisionAudit& audit);
 
   // One stats-poll audit sample: |table belief − actual rate| / actual rate
   // for a tracked flow at poll time, *before* UPDATEBW ran. This is the
   // quantity the update-freeze protects — the accuracy of the bandwidth
   // state every selection trusts.
-  void belief_error_sample(double error) EXCLUDES(mu_);
+  void belief_error_sample(double error);
 
   // --- inspection / export -----------------------------------------------
-  //
-  // The reference-returning readers are control-thread-only: the returned
-  // containers are not stabilized against concurrent event hooks (no
-  // decision worker ever reaches the tracer, so in practice nothing races
-  // with them).
-  const std::vector<FlowTraceRecord>& finished() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return finished_;
-  }
-  const std::vector<DecisionAudit>& decisions() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return decisions_;
-  }
-  std::size_t active_count() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return active_.size();
-  }
-  const FlowTraceRecord* find_active(std::uint64_t cookie) const
-      EXCLUDES(mu_);
+  const std::vector<FlowTraceRecord>& finished() const { return finished_; }
+  const std::vector<DecisionAudit>& decisions() const { return decisions_; }
+  std::size_t active_count() const { return active_.size(); }
+  const FlowTraceRecord* find_active(std::uint64_t cookie) const;
 
   // |planned − realized| / realized for every completed (not killed) flow
   // with a positive realized bandwidth, in completion order.
-  std::vector<double> estimator_errors() const EXCLUDES(mu_);
+  std::vector<double> estimator_errors() const;
 
   // Poll-time belief errors, in sample order.
-  const std::vector<double>& belief_errors() const EXCLUDES(mu_) {
-    common::MutexLock lock(mu_);
-    return belief_errors_;
-  }
+  const std::vector<double>& belief_errors() const { return belief_errors_; }
 
   // Appends "flows":[...],"decisions":[...] fragments to `out`.
-  void write_json(std::string* out) const EXCLUDES(mu_);
+  void write_json(std::string* out) const;
 
  private:
-  FlowTraceRecord* mutable_active(std::uint64_t cookie) REQUIRES(mu_);
+  FlowTraceRecord* mutable_active(std::uint64_t cookie);
   void finish(std::uint64_t cookie, double now_sec, double moved_bytes,
-              bool killed) REQUIRES(mu_);
+              bool killed);
 
   bool enabled_;
-  // Acquired after FlowStateTable::mu_ (trace hooks fire under the table
-  // lock; the tracer never calls back out).
-  mutable common::Mutex mu_;
-  std::map<std::uint64_t, FlowTraceRecord> active_ GUARDED_BY(mu_);
-  std::vector<FlowTraceRecord> finished_
-      GUARDED_BY(mu_);  // completion/kill order
-  std::vector<DecisionAudit> decisions_ GUARDED_BY(mu_);
-  std::vector<double> belief_errors_ GUARDED_BY(mu_);
+  std::map<std::uint64_t, FlowTraceRecord> active_;
+  std::vector<FlowTraceRecord> finished_;  // completion/kill order
+  std::vector<DecisionAudit> decisions_;
+  std::vector<double> belief_errors_;
 };
 
 }  // namespace mayflower::obs

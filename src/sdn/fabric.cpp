@@ -58,7 +58,6 @@ Switch& SdnFabric::mutable_switch(net::NodeId node) {
 }
 
 const Switch& SdnFabric::switch_at(net::NodeId node) const {
-  common::MutexLock lock(table_mu_);
   const auto it = switches_.find(node);
   MAYFLOWER_ASSERT_MSG(it != switches_.end(), "node is not a switch");
   return it->second;
@@ -77,13 +76,11 @@ void SdnFabric::install_entries(Cookie cookie, const net::Path& path) {
 }
 
 void SdnFabric::install_path(Cookie cookie, const net::Path& path) {
-  common::MutexLock lock(table_mu_);
   install_entries(cookie, path);
   installs_.inc();
 }
 
 void SdnFabric::install_paths(const std::vector<PathInstall>& batch) {
-  common::MutexLock lock(table_mu_);
   for (const PathInstall& p : batch) {
     MAYFLOWER_ASSERT(p.path != nullptr);
     install_entries(p.cookie, *p.path);
@@ -92,7 +89,6 @@ void SdnFabric::install_paths(const std::vector<PathInstall>& batch) {
 }
 
 void SdnFabric::remove_path(Cookie cookie) {
-  common::MutexLock lock(table_mu_);
   // Only the switches an install wrote can hold the cookie. A crashed
   // switch's table is already wiped; removing from it is a no-op.
   if (const auto it = installed_at_.find(cookie); it != installed_at_.end()) {
@@ -105,7 +101,6 @@ void SdnFabric::remove_path(Cookie cookie) {
 }
 
 bool SdnFabric::path_installed(Cookie cookie, const net::Path& path) const {
-  common::MutexLock lock(table_mu_);
   // The first link leaves the source host; every later one leaves a switch.
   for (std::size_t i = 1; i < path.links.size(); ++i) {
     if (i >= path.nodes.size()) return false;
@@ -237,11 +232,8 @@ bool SdnFabric::restore_link(net::LinkId link) {
 }
 
 void SdnFabric::fail_switch(net::NodeId node) {
-  {
-    common::MutexLock lock(table_mu_);
-    MAYFLOWER_ASSERT_MSG(switches_.find(node) != switches_.end(),
-                         "node is not a switch");
-  }
+  MAYFLOWER_ASSERT_MSG(switches_.find(node) != switches_.end(),
+                       "node is not a switch");
   if (!switch_up(node)) return;
   // Mark the switch down before killing flows: failure listeners may
   // re-select paths and must already see it dead.
@@ -254,10 +246,7 @@ void SdnFabric::fail_switch(net::NodeId node) {
   }
   // A crash wipes the flow table and whatever counters a poll would have
   // read.
-  {
-    common::MutexLock lock(table_mu_);
-    mutable_switch(node).clear();
-  }
+  mutable_switch(node).clear();
   completed_.erase(node);
   switch_wipes_.inc();
   ++state_epoch_;

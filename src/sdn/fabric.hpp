@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/sync.hpp"
 #include "net/flow_sim.hpp"
 #include "net/network_view.hpp"
 #include "net/topology.hpp"
@@ -45,21 +44,11 @@ class SdnFabric {
   SdnFabric(sim::EventQueue& events, const net::Topology& topo);
 
   // --- control plane ---------------------------------------------------
-  //
-  // The flow-table surface (install/remove/verify, cookie allocation) is
-  // mutex-guarded: decision workers pre-draw cookies and the commit replay
-  // installs paths, and both must be safe against a concurrent stress
-  // driver. The data plane (start/cancel/reroute, polls, faults) remains
-  // control-thread-only — it runs inside the event loop by design.
 
-  Cookie new_cookie() EXCLUDES(table_mu_) {
-    common::MutexLock lock(table_mu_);
-    return next_cookie_++;
-  }
+  Cookie new_cookie() { return next_cookie_++; }
 
   // Installs `path` for `cookie` in every switch along it.
-  void install_path(Cookie cookie, const net::Path& path)
-      EXCLUDES(table_mu_);
+  void install_path(Cookie cookie, const net::Path& path);
 
   // Bulk variant for a decision batch: installs every (cookie, path) pair,
   // flushing trace/metrics once (one counter add of `batch.size()` rather
@@ -68,17 +57,15 @@ class SdnFabric {
     Cookie cookie = 0;
     const net::Path* path = nullptr;
   };
-  void install_paths(const std::vector<PathInstall>& batch)
-      EXCLUDES(table_mu_);
+  void install_paths(const std::vector<PathInstall>& batch);
 
   // Removes `cookie`'s entries from every switch its installs wrote.
-  void remove_path(Cookie cookie) EXCLUDES(table_mu_);
+  void remove_path(Cookie cookie);
 
   // Whether every switch along `path` forwards `cookie` onto the path's
   // next link. False, never an assert, for any path it cannot follow:
   // endpoints check client-carried plans with it.
-  bool path_installed(Cookie cookie, const net::Path& path) const
-      EXCLUDES(table_mu_);
+  bool path_installed(Cookie cookie, const net::Path& path) const;
 
   // --- data plane -------------------------------------------------------
 
@@ -193,9 +180,9 @@ class SdnFabric {
   net::FlowSim& flow_sim() { return flow_sim_; }
   sim::EventQueue& events() { return *events_; }
 
-  // Control-thread-only: returns a reference into the guarded switch map
-  // (valid for the fabric's lifetime; unordered_map nodes are stable).
-  const Switch& switch_at(net::NodeId node) const EXCLUDES(table_mu_);
+  // A reference into the switch map (valid for the fabric's lifetime;
+  // unordered_map nodes are stable).
+  const Switch& switch_at(net::NodeId node) const;
 
  private:
   struct ActiveFlow {
@@ -204,10 +191,9 @@ class SdnFabric {
     FailureFn on_fail;
   };
 
-  Switch& mutable_switch(net::NodeId node) REQUIRES(table_mu_);
+  Switch& mutable_switch(net::NodeId node);
   // Writes `path`'s entries for `cookie` and remembers the switches written.
-  void install_entries(Cookie cookie, const net::Path& path)
-      REQUIRES(table_mu_);
+  void install_entries(Cookie cookie, const net::Path& path);
   // Cleanup + notification for a flow the simulator killed (link failure).
   void on_flow_killed(const net::FlowRecord& record);
   void notify_flow_failed(Cookie cookie, const net::FlowRecord& record,
@@ -219,15 +205,10 @@ class SdnFabric {
   sim::EventQueue* events_;
   const net::Topology* topo_;
   net::FlowSim flow_sim_;
-  // Guards the flow tables and the cookie counter (see the control-plane
-  // note above). Never held across FlowSim calls: fail_link kills flows,
-  // whose cleanup re-enters remove_path().
-  mutable common::Mutex table_mu_;
-  std::unordered_map<net::NodeId, Switch> switches_ GUARDED_BY(table_mu_);
+  std::unordered_map<net::NodeId, Switch> switches_;
   // cookie -> the switches its installs wrote, so remove_path() visits
   // those instead of every switch in the fabric.
-  std::unordered_map<Cookie, std::vector<net::NodeId>> installed_at_
-      GUARDED_BY(table_mu_);
+  std::unordered_map<Cookie, std::vector<net::NodeId>> installed_at_;
   std::unordered_map<Cookie, ActiveFlow> active_;
   // Poll index: source edge switch -> active cookies polled there (ordered,
   // so stats replies are deterministic and O(flows at the edge)).
@@ -239,7 +220,7 @@ class SdnFabric {
   // (restore_switch brings back exactly those, not individually-failed ones).
   std::map<net::NodeId, std::vector<net::LinkId>> down_switches_;
   std::vector<std::function<void(Cookie)>> failure_listeners_;
-  Cookie next_cookie_ GUARDED_BY(table_mu_) = 1;
+  Cookie next_cookie_ = 1;
   std::uint64_t state_epoch_ = 0;
 
   // Observability (all handles are no-ops until set_obs()).

@@ -44,10 +44,33 @@ TEST(Extent, ChecksumMatchesMaterializedCrcWithoutMaterializing) {
   const Extent p = Extent::pattern(99, 100000);
   const std::string bytes = p.materialize(1u << 20);
   EXPECT_EQ(p.checksum(), crc32(bytes));
-  // Huge pattern: checksum works where materialize refuses.
+  // Huge pattern: checksum works where materialize refuses. The constant is
+  // what the byte-at-a-time stream computed for these 8 GiB.
   const Extent huge = Extent::pattern(1, 1ull << 33);
   EXPECT_TRUE(huge.materialize(1u << 20).empty());
-  EXPECT_NE(huge.checksum(), 0u);  // computed, streaming
+  EXPECT_EQ(huge.checksum(), 0xa4adcc48U);  // computed, streaming
+}
+
+// checksum() fills whole 8-byte pattern words at once and folds them
+// 8 bytes per CRC step; materialize() still builds one byte at a time.
+// Offsets and sizes straddle word and 4 KiB chunk boundaries.
+TEST(Extent, ChecksumMatchesMaterializedCrcAtUnalignedSlices) {
+  const Extent stream = Extent::pattern(99, 1u << 20);
+  for (const std::uint64_t offset : {0u, 3u, 4093u}) {
+    for (const std::uint64_t size : {0u, 1u, 7u, 8u, 9u, 4095u, 4097u}) {
+      const Extent e = stream.slice(offset, size);
+      EXPECT_EQ(e.checksum(), crc32(e.materialize()))
+          << "offset=" << offset << " size=" << size;
+      ExtentList list;
+      list.append(Extent::from_bytes("abc"));
+      list.append(e);
+      list.append(Extent::from_bytes("de"));
+      list.append(Extent::pattern(7, 13, offset + 5));
+      list.append(e);
+      EXPECT_EQ(list.checksum(), crc32(list.materialize()))
+          << "offset=" << offset << " size=" << size;
+    }
+  }
 }
 
 TEST(Extent, ContentEqualsAcrossKinds) {

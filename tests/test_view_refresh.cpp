@@ -26,7 +26,7 @@ namespace {
 
 struct Layout {
   bool sharded = false;
-  // Requests per drain, decided on as many workers (1 = batch-of-one).
+  // Requests per drain (1 = batch-of-one).
   std::size_t batch = 1;
 };
 
@@ -125,7 +125,6 @@ class ViewWorkload {
     cfg.seed = seed;
     cfg.shard_by_edge = layout.sharded;
     cfg.batch_size = layout.batch;
-    cfg.decision_threads = layout.batch;
     return cfg;
   }
 

@@ -1,7 +1,7 @@
 // The write path as a first-class citizen of the decision pipeline:
 // kPlanWrite chains (jointly-scheduled pipelined replication), write
-// placement policies (model vs measured), determinism of write decisions
-// across thread counts, and the chain-failure semantics — a failure at hop k
+// placement policies (model vs measured), batched write decisions pinned
+// to committed transcripts, and the chain-failure semantics — a failure at hop k
 // degrades exactly the suffix, the client ack never hangs, and nameserver
 // re-replication repairs the short replica afterwards.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "flowserver/flowserver.hpp"
@@ -91,16 +92,14 @@ TEST(WriteChain, WholeChainUnroutableReturnsEmpty) {
   EXPECT_EQ(rig.server.write_chains(), 0u);
 }
 
-// --- determinism across thread counts --------------------------------------
+// --- batched decisions pinned to committed transcripts --------------------
 
 // A mixed read+write admission workload; the transcript captures every
 // decision bit-exactly (hexfloat doubles, cookies, full paths).
-std::string run_mixed_workload(std::size_t decision_threads,
-                               std::size_t group, std::uint64_t seed) {
+std::string run_mixed_workload(std::size_t group, std::uint64_t seed) {
   constexpr int kRequests = 48;
   ChainRig rig([&] {
     flowserver::FlowserverConfig cfg;
-    cfg.decision_threads = decision_threads;
     cfg.batch_size = group;
     return cfg;
   }());
@@ -164,24 +163,24 @@ std::string run_mixed_workload(std::size_t decision_threads,
   return out.str();
 }
 
-TEST(WriteChain, DecisionsByteIdenticalAcrossThreadCounts) {
-  for (const std::uint64_t seed : {0xbeefULL, 0x5ca1eULL}) {
-    const std::string one = run_mixed_workload(1, 8, seed);
-    EXPECT_NE(one.find("chains="), std::string::npos);
-    for (const std::size_t threads : {2u, 8u}) {
-      EXPECT_EQ(run_mixed_workload(threads, 8, seed), one)
-          << "threads=" << threads << " seed=" << seed;
-    }
-  }
-}
-
-// Batches of one at every worker count, one inline worker as the
-// reference (the name predates the removal of the serial pipeline).
-TEST(WriteChain, BatchOfOneMatchesLegacySerialPipeline) {
-  const std::string inline_worker = run_mixed_workload(1, 1, 0xbeefULL);
-  for (const std::size_t threads : {2u, 8u}) {
-    EXPECT_EQ(run_mixed_workload(threads, 1, 0xbeefULL), inline_worker)
-        << "threads=" << threads;
+// The CRC-32 of each transcript, captured when batches were last known to
+// decide correctly. Batches of 8 pin the batch pipeline: the pre-drawn
+// multiread and write cookies, the per-slot tentative-scope rollback and the
+// in-order commit replay; a batch of one pins the synchronous path. A change
+// meant to move decisions re-captures these with the reason.
+TEST(WriteChain, MixedWorkloadTranscriptsMatchPinnedCrcs) {
+  struct Pin {
+    std::size_t group;
+    std::uint64_t seed;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{8, 0xbeefULL, 0xf2ac5414U},
+                         Pin{8, 0x5ca1eULL, 0xd076bd96U},
+                         Pin{1, 0xbeefULL, 0x5eea7ba7U}}) {
+    const std::string transcript = run_mixed_workload(pin.group, pin.seed);
+    EXPECT_NE(transcript.find("chains="), std::string::npos);
+    EXPECT_EQ(crc32(transcript), pin.crc)
+        << "batch=" << pin.group << " seed=" << std::hex << pin.seed;
   }
 }
 

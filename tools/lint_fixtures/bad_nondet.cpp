@@ -1,8 +1,9 @@
-// Fixture: four distinct nondeterminism violations, one per construct the
+// Fixture: five distinct nondeterminism violations, one per construct the
 // check knows. The comment mentioning steady_clock must NOT count.
 #include <chrono>
 #include <cstdlib>
 #include <map>
+#include <thread>
 #include <unordered_map>
 
 namespace fixture {
@@ -18,6 +19,11 @@ struct Sim {
   }
 
   int draw() { return rand(); }  // violation: ambient randomness
+
+  void spawn() {
+    std::thread worker([] {});  // violation: a second thread
+    worker.join();
+  }
 
   int checksum() {
     int total = 0;

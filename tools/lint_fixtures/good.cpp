@@ -7,15 +7,6 @@
 
 namespace fixture {
 
-struct Mutex {};
-#define GUARDED_BY(x)
-
-// A guarded mutex member: common::Mutex plus at least one GUARDED_BY.
-struct Guarded {
-  mutable ::fixture::Mutex mu_;  // not common::Mutex — no guard obligation
-  int value_ GUARDED_BY(mu_) = 0;
-};
-
 inline const char* banner() { return "poll_port_stats is only a string"; }
 
 struct Table {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cross-layer contract analyzer for the Mayflower tree (no clang required).
 
-Eight checks, each enforcing a repo-wide contract that a plain grep cannot
+Six checks, each enforcing a repo-wide contract that a plain grep cannot
 (the scanner strips comments and string literals first, so prose mentioning a
 banned identifier does not trip the gate):
 
@@ -12,15 +12,12 @@ banned identifier does not trip the gate):
             port_bytes, poll_port_stats, flow_record, switch_at).
 
   nondet    Nothing under src/ may introduce nondeterminism: no wall clocks,
-            no unseeded randomness, no pointer-keyed ordered containers, and
-            no range-for over std::unordered_* members (hash order leaks
-            into iteration order). Deterministic replay is what makes every
-            CI diff in ci.sh meaningful.
-
-  guards    Every common::Mutex member must actually guard something: at
-            least one GUARDED_BY(<name>) in the same file. And outside
-            src/common/sync.hpp nothing uses std::mutex directly — raw
-            mutexes are invisible to Clang Thread Safety Analysis.
+            no unseeded randomness, no second thread (std::thread, jthread,
+            async, mutex, condition_variable: thread scheduling is an input
+            no seed replays), no pointer-keyed ordered containers, and no
+            range-for over std::unordered_* members (hash order leaks into
+            iteration order). Deterministic replay is what makes every CI
+            diff in ci.sh meaningful.
 
   rpc       Every RPC is answered where the method table says: the rows
             of MAYFLOWER_RPC_METHODS in src/fs/rpc/messages.hpp (the C++
@@ -41,10 +38,6 @@ banned identifier does not trip the gate):
             _bytes, _sec, _us: the non-canonical spellings (_seconds, _ms,
             _bw, ...) are banned across src/ tools/ tests/ bench/.
             common::units (Bps, Bytes) provides the strong-typedef seed.
-
-  lockorder The lock acquisition graph — ACQUIRED_BEFORE/ACQUIRED_AFTER
-            annotations plus MutexLock nesting observed in code — must be
-            acyclic. A cycle is a latent deadlock.
 
 Waivers: a comment containing "lint:allow(<check>)" suppresses that check's
 findings on its own line and the next line. Waive sparingly and say why in
@@ -103,13 +96,16 @@ SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "sync_shard_into",
                          "shard_version", "stamp_shard", "shard_stamp",
                          "owner_of_path", "adopt_from_dataservers"]
 
-# Identifiers that smuggle wall-clock time or ambient randomness into a
-# deterministic simulation. Rng (src/common/rng.hpp) is the one sanctioned
-# randomness source: seeded, serializable, replayable.
+# Identifiers that smuggle wall-clock time, ambient randomness or thread
+# scheduling into a deterministic simulation. Rng (src/common/rng.hpp) is
+# the one sanctioned randomness source: seeded, serializable, replayable;
+# the event queue is the one sanctioned source of ordering.
 NONDET_BANNED = [
     "system_clock", "steady_clock", "high_resolution_clock",
     "random_device", "gettimeofday", "clock_gettime", "localtime", "gmtime",
     "srand", "drand48",
+    "std::thread", "std::jthread", "std::async", "std::mutex",
+    "std::condition_variable",
 ]
 # Bare rand( / time( need word-boundary care: "operand(", "runtime(" are fine.
 NONDET_BANNED_CALLS = ["rand", "time"]
@@ -157,8 +153,7 @@ UNIT_ALLOWED_IDENTIFIERS = {
 }
 UNIT_DIRS = ("src", "tools", "tests", "bench")
 
-CHECKS = ("boundary", "nondet", "guards", "rpc", "metrics", "flagdoc",
-          "units", "lockorder")
+CHECKS = ("boundary", "nondet", "rpc", "metrics", "flagdoc", "units")
 
 
 def strip_comments_and_strings(text):
@@ -330,34 +325,6 @@ def check_nondet(root, findings, files=None):
                                      "range-for over unordered member '%s' "
                                      "(hash order is not deterministic)" %
                                      m.group(1)))
-
-
-def check_guards(root, findings, files=None):
-    paths = list(files) if files is not None else list(iter_source_files(root))
-    mutex_decl = re.compile(r"common::Mutex\s+(\w+)\s*;")
-    std_mutex = re.compile(r"\bstd::(?:mutex|recursive_mutex|shared_mutex)\b")
-    for path in paths:
-        with open(path, encoding="utf-8") as f:
-            code, raw = strip_comments_and_strings(f.read())
-        text = "\n".join(code)
-        for idx, line in enumerate(code, start=1):
-            if path.replace("\\", "/").endswith("src/common/sync.hpp"):
-                break  # the wrapper itself legitimately holds a std::mutex
-            if std_mutex.search(line) and not waived(raw, idx, "guards"):
-                findings.append((path, idx, "guards",
-                                 "raw std::mutex is invisible to thread "
-                                 "safety analysis; use common::Mutex"))
-        for idx, line in enumerate(code, start=1):
-            m = mutex_decl.search(line)
-            if m is None or waived(raw, idx, "guards"):
-                continue
-            name = m.group(1)
-            if "GUARDED_BY(%s)" % name not in text and \
-               "PT_GUARDED_BY(%s)" % name not in text:
-                findings.append((path, idx, "guards",
-                                 "mutex '%s' guards no member: annotate the "
-                                 "state it protects with GUARDED_BY(%s)" %
-                                 (name, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -702,126 +669,6 @@ def check_units(root, findings, files=None):
 
 
 # ---------------------------------------------------------------------------
-# lock-order
-
-LOCK_DECL_RE = re.compile(
-    r"\b(?:common::)?MutexLock\s+\w+\s*\(\s*(&?\s*[A-Za-z_][\w]*"
-    r"(?:(?:\.|->)[A-Za-z_][\w]*)*)\s*[),]")
-ACQ_BEFORE_RE = re.compile(r"\b(\w+)\s+ACQUIRED_BEFORE\(([^)]*)\)")
-ACQ_AFTER_RE = re.compile(r"\b(\w+)\s+ACQUIRED_AFTER\(([^)]*)\)")
-
-
-def normalize_lock_expr(expr):
-    expr = re.sub(r"\s+", "", expr).lstrip("&")
-    if expr.startswith("this->"):
-        expr = expr[len("this->"):]
-    return expr
-
-
-def collect_lock_edges(paths):
-    """Edges (held -> acquired) from TSA annotations and observed MutexLock
-    nesting. Self-edges are dropped: the static key cannot distinguish two
-    instances of the same member, so same-name nesting (per-shard locks
-    taken in sequence under a parent lock) is not evidence of a cycle."""
-    edges = {}  # (a, b) -> (path, line)
-
-    def add(a, b, path, line):
-        if a != b and (a, b) not in edges:
-            edges[(a, b)] = (path, line)
-
-    for path in paths:
-        code_lines, raw = read_stripped(path)
-        # Preprocessor lines define the annotation macros themselves (and
-        # never acquire a lock): blank them, keeping offsets intact.
-        code_lines = [" " * len(l) if l.lstrip().startswith("#") else l
-                      for l in code_lines]
-        code = "\n".join(code_lines)
-        for m in ACQ_BEFORE_RE.finditer(code):
-            line = code.count("\n", 0, m.start()) + 1
-            if waived(raw, line, "lockorder"):
-                continue
-            holder = normalize_lock_expr(m.group(1))
-            for other in m.group(2).split(","):
-                if other.strip():
-                    add(holder, normalize_lock_expr(other), path, line)
-        for m in ACQ_AFTER_RE.finditer(code):
-            line = code.count("\n", 0, m.start()) + 1
-            if waived(raw, line, "lockorder"):
-                continue
-            holder = normalize_lock_expr(m.group(1))
-            for other in m.group(2).split(","):
-                if other.strip():
-                    add(normalize_lock_expr(other), holder, path, line)
-
-        # Observed nesting: a MutexLock constructed while another is live in
-        # an enclosing (or the same) scope orders the two mutexes.
-        locks = []  # stack of (decl_depth, key)
-        depth = 0
-        events = []  # (pos, kind, payload)
-        for m in re.finditer(r"[{}]", code):
-            events.append((m.start(), m.group(0), None))
-        for m in LOCK_DECL_RE.finditer(code):
-            events.append((m.start(), "lock", normalize_lock_expr(m.group(1))))
-        events.sort(key=lambda e: e[0])
-        for pos, kind, payload in events:
-            if kind == "{":
-                depth += 1
-            elif kind == "}":
-                depth -= 1
-                while locks and locks[-1][0] > depth:
-                    locks.pop()
-            else:
-                line = code.count("\n", 0, pos) + 1
-                if waived(raw, line, "lockorder"):
-                    continue
-                for _, held in locks:
-                    add(held, payload, path, line)
-                locks.append((depth, payload))
-    return edges
-
-
-def check_lockorder(root, findings, files=None):
-    paths = list(files) if files is not None else \
-        list(iter_source_files(root, "src"))
-    edges = collect_lock_edges(paths)
-    graph = {}
-    for (a, b) in edges:
-        graph.setdefault(a, []).append(b)
-
-    # DFS cycle detection; report each cycle once, anchored at the edge that
-    # closes it.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    stack = []
-    reported = set()
-
-    def visit(node):
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in sorted(graph.get(node, ())):
-            if color.get(nxt, WHITE) == GRAY:
-                cycle = stack[stack.index(nxt):] + [nxt]
-                key = frozenset(cycle)
-                if key not in reported:
-                    reported.add(key)
-                    path, line = edges[(node, nxt)]
-                    findings.append(
-                        (path, line, "lockorder",
-                         "lock-order cycle: %s (latent deadlock; fix the "
-                         "acquisition order or split the lock)" %
-                         " -> ".join(cycle)))
-            elif color.get(nxt, WHITE) == WHITE:
-                visit(nxt)
-        stack.pop()
-        color[node] = BLACK
-
-    for node in sorted(graph):
-        if color.get(node, WHITE) == WHITE:
-            visit(node)
-    return findings
-
-
-# ---------------------------------------------------------------------------
 
 
 def count_waivers(root):
@@ -843,12 +690,8 @@ def run_checks(root, which, files=None):
         check_boundary(root, findings, files)
     if which in ("nondet", "all"):
         check_nondet(root, findings, files)
-    if which in ("guards", "all"):
-        check_guards(root, findings, files)
     if which in ("units", "all"):
         check_units(root, findings, files)
-    if which in ("lockorder", "all"):
-        check_lockorder(root, findings, files)
     # The cross-file contract checks take no per-file override: they always
     # analyze the whole tree (fixture self-tests drive them through cfg).
     if files is None:
@@ -898,10 +741,8 @@ def self_test(root):
 
     expectations = {
         "bad_boundary.cpp": ("boundary", 6),
-        "bad_nondet.cpp": ("nondet", 4),
-        "bad_guards.cpp": ("guards", 2),
+        "bad_nondet.cpp": ("nondet", 5),
         "bad_units.cpp": ("units", 3),
-        "bad_lockorder.cpp": ("lockorder", 1),
     }
     for name, (check, want) in sorted(expectations.items()):
         path = os.path.join(fixture_dir, name)

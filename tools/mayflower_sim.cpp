@@ -54,9 +54,8 @@ void usage() {
       "[--poll-sec=F]\n"
       "                     [--no-multiread] [--no-freeze] "
       "[--batch-size=N]\n"
-      "                     [--decision-threads=N>=1] "
-      "[--topology=three_tier|fat_tree]\n"
-      "                     [--fat-k=N] [--shard-state]\n"
+      "                     [--topology=three_tier|fat_tree] "
+      "[--fat-k=N] [--shard-state]\n"
       "                     [--poll-budget=N] [--mouse-period=N]\n"
       "                     [--csv=FILE] [--metrics-out=FILE]\n"
       "                     [--meta-shards=N] [--meta-async] "
@@ -85,7 +84,7 @@ int main(int argc, char** argv) {
   if (!flags.validate({"scheme", "lambda", "locality", "oversub", "jobs",
                        "warmup", "files", "block-mb", "seeds", "poll-sec",
                        "no-multiread", "no-freeze", "batch-size",
-                       "decision-threads", "topology", "fat-k", "shard-state",
+                       "topology", "fat-k", "shard-state",
                        "poll-budget", "mouse-period",
                        "csv", "metrics-out",
                        "meta-shards", "meta-async", "meta-partition",
@@ -174,15 +173,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.flowserver.batch_size = static_cast<std::size_t>(batch);
-  // Decision workers: each batch is evaluated against its batch-start view
-  // by N workers (1, the default, runs inline), then commits replay in
-  // batch order. Decisions are identical at every N by construction.
-  const long long threads = flags.get_int("decision-threads", 1);
-  if (threads < 1) {
-    std::fprintf(stderr, "--decision-threads must be >= 1\n");
-    return 2;
-  }
-  cfg.flowserver.decision_threads = static_cast<std::size_t>(threads);
 
   // Sharded metadata plane phase: when --meta-ops > 0, each seed also runs
   // the metadata-heavy workload against an fs::Cluster with --meta-shards
@@ -318,7 +308,6 @@ int main(int argc, char** argv) {
       write_cfg.total_jobs = static_cast<std::size_t>(write_jobs);
       write_cfg.warmup_jobs =
           std::min<std::size_t>(write_cfg.total_jobs / 8, 25);
-      write_cfg.decision_threads = cfg.flowserver.decision_threads;
       write_cfg.seed = seed;
       if (!metrics_path.empty()) {
         write_hub = std::make_unique<obs::Observability>();
