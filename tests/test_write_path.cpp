@@ -95,8 +95,11 @@ TEST(WriteChain, WholeChainUnroutableReturnsEmpty) {
 // --- batched decisions pinned to committed transcripts --------------------
 
 // A mixed read+write admission workload; the transcript captures every
-// decision bit-exactly (hexfloat doubles, cookies, full paths).
-std::string run_mixed_workload(std::size_t group, std::uint64_t seed) {
+// decision bit-exactly (hexfloat doubles, cookies, full paths). With
+// `sync_wrappers` (batches of one only) each request goes through
+// select_for_read()/plan_write() instead of enqueue().
+std::string run_mixed_workload(std::size_t group, std::uint64_t seed,
+                               bool sync_wrappers = false) {
   constexpr int kRequests = 48;
   ChainRig rig([&] {
     flowserver::FlowserverConfig cfg;
@@ -124,7 +127,14 @@ std::string run_mixed_workload(std::size_t group, std::uint64_t seed) {
       auto sink = [&plans, idx](std::vector<flowserver::ReadAssignment> p) {
         plans[static_cast<std::size_t>(idx)] = std::move(p);
       };
-      if (idx % 3 == 0) {  // every third request is a write chain
+      if (sync_wrappers) {
+        EXPECT_EQ(group, 1u);
+        plans[static_cast<std::size_t>(idx)] =
+            idx % 3 == 0 ? rig.server.plan_write(nodes, bytes)
+                         : rig.server.select_for_read(
+                               nodes[0], {nodes[1], nodes[2], nodes[3]},
+                               bytes);
+      } else if (idx % 3 == 0) {  // every third request is a write chain
         rig.server.enqueue(
             {.replicas = nodes, .bytes = bytes, .write = true, .done = sink});
       } else {
@@ -163,25 +173,35 @@ std::string run_mixed_workload(std::size_t group, std::uint64_t seed) {
   return out.str();
 }
 
-// The CRC-32 of each transcript, captured when batches were last known to
-// decide correctly. Batches of 8 pin the batch pipeline: the pre-drawn
-// multiread and write cookies, the per-slot tentative-scope rollback and the
-// in-order commit replay; a batch of one pins the synchronous path. A change
-// meant to move decisions re-captures these with the reason.
-TEST(WriteChain, MixedWorkloadTranscriptsMatchPinnedCrcs) {
+// Batches of 8 pin the batch pipeline: the pre-drawn multiread and write
+// cookies, the per-slot tentative-scope rollback and the in-order commit
+// replay. The CRCs are the transcripts that 1, 2 and 8 decision workers all
+// produced before the worker pool was deleted, so the one decision thread
+// stays byte-identical to every former thread count. A change meant to move
+// decisions re-captures them with the reason.
+TEST(WriteChain, DecisionsByteIdenticalAcrossThreadCounts) {
   struct Pin {
-    std::size_t group;
     std::uint64_t seed;
     std::uint32_t crc;
   };
-  for (const Pin& pin : {Pin{8, 0xbeefULL, 0xf2ac5414U},
-                         Pin{8, 0x5ca1eULL, 0xd076bd96U},
-                         Pin{1, 0xbeefULL, 0x5eea7ba7U}}) {
-    const std::string transcript = run_mixed_workload(pin.group, pin.seed);
+  for (const Pin& pin :
+       {Pin{0xbeefULL, 0xf2ac5414U}, Pin{0x5ca1eULL, 0xd076bd96U}}) {
+    const std::string transcript = run_mixed_workload(8, pin.seed);
     EXPECT_NE(transcript.find("chains="), std::string::npos);
-    EXPECT_EQ(crc32(transcript), pin.crc)
-        << "batch=" << pin.group << " seed=" << std::hex << pin.seed;
+    EXPECT_EQ(crc32(transcript), pin.crc) << "seed=" << std::hex << pin.seed;
   }
+}
+
+// A batch of one through enqueue() decides exactly like the synchronous
+// wrappers (select_for_read/plan_write, the serial pipeline's interface),
+// and both match the batch-of-one transcript pinned like the batches of 8
+// above.
+TEST(WriteChain, BatchOfOneMatchesLegacySerialPipeline) {
+  const std::string enqueued = run_mixed_workload(1, 0xbeefULL);
+  EXPECT_NE(enqueued.find("chains="), std::string::npos);
+  EXPECT_EQ(crc32(enqueued), 0x5eea7ba7U);
+  EXPECT_EQ(run_mixed_workload(1, 0xbeefULL, /*sync_wrappers=*/true),
+            enqueued);
 }
 
 // --- placement policies -----------------------------------------------------
