@@ -5,10 +5,9 @@
 // Three modes:
 //  * default: google-benchmark micro timings of select() and evaluate_path()
 //    against a prebuilt decision view;
-//  * --flows: background-flow sweep on a k=8 fat-tree comparing the
-//    one-shard state plane against the edge-sharded one over an identical
-//    churny request stream — decision records must be byte-identical (the
-//    sharding invariant) and go to stdout for CI's determinism diff;
+//  * --flows: background-flow sweep on a k=8 fat-tree driving a churny
+//    request stream through one Flowserver; decision records go to stdout
+//    for CI's golden hash and determinism diff;
 //  * --batch: drives a real Flowserver through its admission queue and
 //    compares batch-of-one against batched drains over an identical request
 //    stream. A large background population (confined to the last pod, away
@@ -252,31 +251,24 @@ int batch_main() {
 // --- --flows mode ---------------------------------------------------------
 //
 // Background-flow sweep on a k=8 fat-tree: for each population size, drive
-// the same churny request stream through a ONE-SHARD and an EDGE-SHARDED
-// (by edge switch) Flowserver. Each request is preceded by one background
-// SETBW, which stales exactly one shard: the edge-sharded refresh reloads
-// O(flows per edge), the one-shard refresh re-copies the whole table.
-// Decision records must be byte-identical across layouts (that is the
-// sharding invariant) and go to stdout for CI's determinism diff; timings
-// go to stderr. The >= 5x acceptance bar lives in macro_scale, which
-// sweeps real k=16/k=32 fabrics — this mode is the quick shape check.
+// a churny request stream through one Flowserver. Each request is preceded
+// by one background SETBW, so each refresh applies a one-flow change log.
+// Decision records go to stdout for CI's golden hash and determinism diff;
+// timings go to stderr.
 
 struct FlowsRun {
   double secs = 0.0;
-  std::uint64_t shard_reloads = 0;
+  std::uint64_t log_syncs = 0;
   std::vector<std::string> decisions;
 };
 
 constexpr std::size_t kFlowsRequests = 256;
 
-FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows,
-                        bool sharded) {
+FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows) {
   sim::EventQueue events;
   sdn::SdnFabric fabric(events, tree.topo);
 
-  FlowserverConfig cfg;
-  cfg.shard_by_edge = sharded;
-  Flowserver server(fabric, cfg);
+  Flowserver server(fabric, FlowserverConfig{});
 
   // Background population: intra-pod flows spread over the whole fabric.
   Rng rng(42);
@@ -325,8 +317,8 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows,
   Rng churn_rng(11);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kFlowsRequests; ++i) {
-    // One background SETBW per request: stales the touched flow's shard
-    // (the whole table with one shard) before the decision below.
+    // One background SETBW per request: logs one flow the decision below
+    // must sync first.
     const sdn::Cookie victim = cookies[churn_rng.next_below(cookies.size())];
     server.table().setbw(victim, churn_rng.uniform(1e6, 125e6),
                           sim::SimTime{});
@@ -345,7 +337,7 @@ FlowsRun run_flows_mode(const net::ThreeTier& tree, std::size_t flows,
   }
   const auto t1 = std::chrono::steady_clock::now();
   run.secs = std::chrono::duration<double>(t1 - t0).count();
-  run.shard_reloads = server.shard_reloads();
+  run.log_syncs = server.shard_reloads();
   return run;
 }
 
@@ -353,35 +345,17 @@ int flows_main() {
   const net::ThreeTier tree =
       net::three_tier_from_fat_tree(net::FatTreeConfig{8, 125e6});
   constexpr std::size_t kSweep[] = {512, 2048, 8192};
-  bool ok = true;
   for (const std::size_t flows : kSweep) {
-    const FlowsRun one = run_flows_mode(tree, flows, false);
-    const FlowsRun sharded = run_flows_mode(tree, flows, true);
-    // Decision records to stdout: CI runs this twice and diffs. The sharded
-    // run's records are printed; identity with one shard is enforced below.
-    for (const std::string& d : sharded.decisions) {
+    const FlowsRun run = run_flows_mode(tree, flows);
+    // Decision records to stdout: CI checks the hash and a rerun diff.
+    for (const std::string& d : run.decisions) {
       std::printf("%s\n", d.c_str());
     }
-    std::fprintf(stderr,
-                 "flows=%-5zu 1 shard  %8.0f selections/s (%llu shard "
-                 "reloads)\n"
-                 "flows=%-5zu by edge  %8.0f selections/s (%llu shard "
-                 "reloads)  %.2fx\n",
-                 flows, kFlowsRequests / one.secs,
-                 static_cast<unsigned long long>(one.shard_reloads), flows,
-                 kFlowsRequests / sharded.secs,
-                 static_cast<unsigned long long>(sharded.shard_reloads),
-                 one.secs / sharded.secs);
-    if (one.decisions != sharded.decisions) {
-      std::fprintf(stderr,
-                   "FAIL: edge-sharded decisions diverge from one shard at "
-                   "flows=%zu\n",
-                   flows);
-      ok = false;
-    }
+    std::fprintf(stderr, "flows=%-5zu %8.0f selections/s (%llu log syncs)\n",
+                 flows, kFlowsRequests / run.secs,
+                 static_cast<unsigned long long>(run.log_syncs));
   }
-  if (ok) std::fprintf(stderr, "PASS\n");
-  return ok ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -24,10 +24,10 @@ cmake --build build-asan -j "${jobs}"
 
 echo "=== debug build (data-plane and view tests, debug cross-checks live) ==="
 # The lanes above build RelWithDebInfo, which defines NDEBUG, so FlowSim's
-# check of every incremental recompute against a full solve, and the
-# decision view's check of every in-place shard sync against a fresh copy,
-# never run there. This lane builds only the suites that drive the data
-# plane and the view's refresh.
+# check of every incremental recompute against a full solve, and the flow
+# table's check of every change-log sync of the decision view against a
+# fresh copy of the whole table, never run there. This lane builds only the
+# suites that drive the data plane and the view's refresh.
 debug_tests="test_flow_sim test_fault test_sdn test_harness test_fs_cluster test_write_path test_network_view test_flow_state test_view_refresh"
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
 # shellcheck disable=SC2086
@@ -87,26 +87,6 @@ echo "$(cat tests/golden/micro_selector_batch.sha256)  /tmp/mayflower_batch_run1
 diff /tmp/mayflower_batch_run1.txt /tmp/mayflower_batch_run2.txt
 echo "deterministic"
 
-echo "=== sharded state plane reproduces the golden decisions ==="
-# Partitioning the state plane by edge switch changes which shards a
-# refresh copies, never a decision: --shard-state must print the golden
-# fig4 report, and its metrics may differ from the default run's only in
-# flowserver.shard.*, the family that describes the layout.
-./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
-    --shard-state >/tmp/mayflower_sim_sharded.txt
-diff tests/golden/fig4_report.txt /tmp/mayflower_sim_sharded.txt
-./build/tools/mayflower_sim --jobs=220 --warmup=20 --files=60 --seeds=7 \
-    --shard-state --metrics-out=/tmp/mayflower_metrics_sharded.json >/dev/null
-python3 tools/check_metrics.py \
-    --same-obs /tmp/mayflower_metrics_run1.json \
-               /tmp/mayflower_metrics_sharded.json \
-    --ignore flowserver.shard.
-# Second shape (fig6-style arrival-rate point): same golden report.
-./build/tools/mayflower_sim --jobs=160 --warmup=20 --files=60 --seeds=11 \
-    --lambda=4.0 --shard-state >/tmp/mayflower_sim_fig6_sharded.txt
-diff tests/golden/fig6_report.txt /tmp/mayflower_sim_fig6_sharded.txt
-echo "identical"
-
 echo "=== unconstrained poll budget is a byte-identical no-op ==="
 # A budget large enough to admit every sample (with mouse-period 1) applies
 # exactly what legacy full-rate polling applies, so it must not move a
@@ -151,11 +131,11 @@ echo "=== adaptive telemetry bench (>= 5x samples cut within 2x belief error) ==
 diff /tmp/mayflower_telemetry_run1.txt /tmp/mayflower_telemetry_run2.txt
 echo "deterministic"
 
-echo "=== shard metrics export on a fat-tree (schema + coherence) ==="
+echo "=== metrics export on a fat-tree (schema + coherence) ==="
 ./build/tools/mayflower_sim --jobs=60 --warmup=10 --files=30 --seeds=7 \
-    --topology=fat_tree --fat-k=8 --shard-state \
-    --metrics-out=/tmp/mayflower_metrics_shard.json >/dev/null
-python3 tools/check_metrics.py /tmp/mayflower_metrics_shard.json
+    --topology=fat_tree --fat-k=8 \
+    --metrics-out=/tmp/mayflower_metrics_fat_tree.json >/dev/null
+python3 tools/check_metrics.py /tmp/mayflower_metrics_fat_tree.json
 
 echo "=== metadata flags alone change nothing (byte identity, meta-ops=0) ==="
 # With no metadata ops requested the meta plane is never built, so the
@@ -260,7 +240,7 @@ echo "=== metadata scaling bench (>= 3x bar at 4 shards, async < sync) ==="
 diff /tmp/mayflower_meta_run1.txt /tmp/mayflower_meta_run2.txt
 echo "deterministic"
 
-echo "=== background-flow sweep (edge-sharded decisions == one shard, golden + deterministic) ==="
+echo "=== background-flow sweep (golden + deterministic decisions) ==="
 # The two fat-tree decision corpora below are pinned by hash in
 # tests/golden/: the rerun diff alone would pass a change that moves every
 # fat-tree decision the same way on every run.
@@ -271,7 +251,7 @@ echo "$(cat tests/golden/micro_selector_flows.sha256)  /tmp/mayflower_flows_run1
 diff /tmp/mayflower_flows_run1.txt /tmp/mayflower_flows_run2.txt
 echo "deterministic"
 
-echo "=== macro-scale fat-tree sweep (>= 5x bar at k=16 + decision identity + golden) ==="
+echo "=== macro-scale fat-tree sweep (golden + deterministic decisions) ==="
 ./build/bench/macro_scale >/tmp/mayflower_macro_run1.txt
 echo "$(cat tests/golden/macro_scale.sha256)  /tmp/mayflower_macro_run1.txt" |
     sha256sum -c -

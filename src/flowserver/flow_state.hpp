@@ -7,29 +7,23 @@
 //  * UPDATEBW — a stats-poll measurement overwrites the estimate only if the
 //    flow is not frozen or its freeze has expired.
 //
-// The table is PARTITIONED BY EDGE SWITCH (net::ShardMap): every flow lives
-// in the shard of its source host's edge switch — the same key the fabric's
-// per-edge poll index uses — with that shard's own flow map and version
-// counter. A poll of edge E or a drop of an E-sourced flow
-// moves only shard E's version, so a snapshot consumer reloads one shard
-// instead of the whole table. The default layout is a single shard (one
-// global table) with identical semantics and no routing overhead.
+// Every state-changing operation (add/drop/setbw/resize/update_from_stats)
+// appends its cookie to a CHANGE LOG, at most once per tracked flow between
+// two syncs, so the decision view refreshes exactly the flows a poll, drop or
+// SETBW touched (sync_changes_into) instead of re-copying the table.
 //
 // The table answers no per-link queries: decisions read a NetworkView
-// synced from it (sync_shard_into), whose per-link lists serve them. Nor
-// does it plan: the multi-read planner (§4.3) tries its split on a view, so
-// the table only ever receives committed decisions. It is intentionally
-// non-copyable.
+// synced from it, whose per-link lists serve them. Nor does it plan: the
+// multi-read planner (§4.3) tries its split on a view, so the table only
+// ever receives committed decisions. It is intentionally non-copyable.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "net/network_view.hpp"
 #include "net/paths.hpp"
-#include "net/shard_map.hpp"
 #include "obs/observability.hpp"
 #include "sdn/switch.hpp"
 #include "sim/time.hpp"
@@ -48,21 +42,17 @@ struct TrackedFlow {
   // Poll bookkeeping for measuring bandwidth as delta(bytes)/delta(t).
   double last_poll_bytes = 0.0;
   sim::SimTime last_poll_time;
+
+  // The change-log flag: the flow is in the table's log iff this equals the
+  // log's current generation (so clearing the log touches no flow).
+  std::uint64_t logged_gen = 0;
 };
 
 class FlowStateTable {
  public:
-  FlowStateTable();
+  FlowStateTable() = default;
   FlowStateTable(const FlowStateTable&) = delete;
   FlowStateTable& operator=(const FlowStateTable&) = delete;
-
-  // Installs the edge-switch partition. Must run at wiring time, before any
-  // flow is tracked; the default single-shard layout needs no call.
-  void set_shard_map(net::ShardMap map);
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  const net::ShardMap& shard_map() const { return shard_map_; }
 
   // Registers a newly scheduled flow with its estimated share; the new flow
   // starts frozen (its estimate must survive until the next poll cycle).
@@ -98,63 +88,48 @@ class FlowStateTable {
   std::size_t frozen_count(sim::SimTime now) const;
 
   // Cumulative poll updates the freeze state suppressed (UPDATEBW rejected).
-  std::uint64_t freeze_suppressed_total() const;
+  std::uint64_t freeze_suppressed_total() const {
+    return freeze_suppressed_total_;
+  }
 
   const TrackedFlow* find(sdn::Cookie cookie) const;
   bool contains(sdn::Cookie cookie) const { return find(cookie) != nullptr; }
-  std::size_t size() const;
+  std::size_t size() const { return flows_.size(); }
 
-  // Monotonic mutation counter: the sum of every shard's version, bumped by
-  // every state-changing operation (add/drop/setbw/resize/
-  // update_from_stats). A NetworkView built from this table is
-  // stale once version() moves past the value recorded at build time —
-  // unless the mutations were the decision batch's own write-through
-  // commits, which the Flowserver accounts for.
-  std::uint64_t version() const;
+  // --- the change log ---------------------------------------------------
 
-  // Per-shard mutation counter: moves only when a flow IN that shard is
-  // mutated, so a snapshot consumer reloads exactly the shards that changed.
-  std::uint64_t shard_version(std::uint32_t s) const;
+  // Cookies changed since the log was last cleared, each once, in the order
+  // of their first change since then. A cookie dropped and re-added in
+  // between may appear twice; syncing it twice is harmless.
+  const std::vector<sdn::Cookie>& changes() const { return log_; }
 
-  // Installs the table's shard map into `view`, which must hold no flows,
-  // and syncs every shard in: the belief section of a fresh decision
-  // snapshot.
+  // Clears the log: the caller's view already reflects every logged change
+  // (a full rebuild, or a decision batch's own write-through commits).
+  void clear_changes();
+
+  // Installs every tracked flow into `view`, which must hold none: the
+  // belief section of a fresh decision snapshot. Leaves the log alone.
   void snapshot_into(net::NetworkView& view) const;
 
-  // Brings shard `s` of `view` (partitioned by the same map) in line with
-  // the table's shard `s`, in place: a flow the view already holds on the
-  // same path has only its sizes and share overwritten, a flow the table
-  // no longer tracks leaves, and a new one is inserted. Also the first
-  // build of an empty view. In !NDEBUG builds the result is checked against
-  // a fresh copy of the shard.
-  void sync_shard_into(net::NetworkView& view, std::uint32_t s) const;
+  // Brings `view`, which held exactly the table's flows when the log was
+  // last cleared, in line with the table by applying the log alone: each
+  // logged cookie the table still tracks is upserted, the rest dropped.
+  // Then clears the log. In !NDEBUG builds the result is checked against a
+  // fresh copy of the whole table.
+  void sync_changes_into(net::NetworkView& view);
 
  private:
-  // One partition of the table.
-  struct Shard {
-    std::map<sdn::Cookie, TrackedFlow> flows;
-    std::uint64_t version = 0;
-    std::uint64_t freeze_suppressed = 0;
-  };
-
-  // Syncs shard `s` of `view` from `sh` (shard `s`).
-  static void sync_from(const Shard& sh, std::uint32_t s,
-                        net::NetworkView& view);
-
-  // The shard a cookie routes to; shard 0 always when unsharded. Returns
-  // nullptr for cookies the table does not track (sharded lookups only —
-  // the single-shard layout resolves unknown cookies inside the shard).
-  const Shard* shard_for(sdn::Cookie cookie) const;
-  Shard* shard_for(sdn::Cookie cookie) {
-    return const_cast<Shard*>(std::as_const(*this).shard_for(cookie));
+  // Appends `f` to the change log unless it is already there.
+  void log_change(TrackedFlow& f) {
+    if (f.logged_gen == log_gen_) return;
+    f.logged_gen = log_gen_;
+    log_.push_back(f.cookie);
   }
 
-  net::ShardMap shard_map_;
-  std::vector<Shard> shards_;
-
-  // Cookie -> shard routing (sharded layouts only; a single shard routes
-  // everything to shard 0 without touching this map).
-  std::map<sdn::Cookie, std::uint32_t> route_;
+  std::map<sdn::Cookie, TrackedFlow> flows_;
+  std::vector<sdn::Cookie> log_;
+  std::uint64_t log_gen_ = 1;  // 0 marks a flow never logged
+  std::uint64_t freeze_suppressed_total_ = 0;
 
   bool freeze_enabled_ = true;  // set once at wiring time
   obs::FlowTracer* trace_ = nullptr;  // set once at wiring time

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "net/shard_map.hpp"
 
 namespace mayflower::flowserver {
 
@@ -59,13 +58,6 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
     poll_elephants_gauge_ =
         config_.obs->metrics.gauge("flowserver.poll.elephants");
     poll_mice_gauge_ = config_.obs->metrics.gauge("flowserver.poll.mice");
-    // View refreshes; the shard count is 1 for the unsharded layout.
-    full_rebuilds_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.full_rebuilds");
-    shard_reloads_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.reloads");
-    link_refreshes_metric_ =
-        config_.obs->metrics.counter("flowserver.shard.link_refreshes");
   }
   // Failure awareness: a killed transfer's (frozen) estimate must expire —
   // its bandwidth is free again and SETBW state for it would be stale
@@ -76,72 +68,48 @@ Flowserver::Flowserver(sdn::SdnFabric& fabric, FlowserverConfig config)
     telemetry_.forget(cookie);
   });
   edge_switches_ = net::edge_switches(fabric.topology());
-  // The state plane's shard map — one shard per polled edge switch, or one
-  // for everything — installed into the empty table and view.
-  net::ShardMap map = config_.shard_by_edge
-                          ? net::ShardMap::by_edge_switch(fabric.topology())
-                          : net::ShardMap{};
-  table_.set_shard_map(map);
-  view_.set_shard_map(std::move(map));
-  if (config_.obs != nullptr) {
-    config_.obs->metrics.gauge("flowserver.shard.count")
-        .set(static_cast<double>(table_.shard_count()));
-  }
 }
 
 void Flowserver::start() { poller_.start(); }
 void Flowserver::stop() { poller_.stop(); }
 
 bool Flowserver::view_stale() const {
-  return !view_built_ || table_.version() != seen_table_version_ ||
+  return !view_built_ || !table_.changes().empty() ||
          fabric_->state_epoch() != seen_fabric_epoch_ ||
          (monitor_ != nullptr && monitor_->samples() != seen_monitor_samples_);
 }
 
-void Flowserver::absorb_table_versions() {
-  std::uint64_t sum = 0;
-  for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
-    const std::uint64_t v = table_.shard_version(s);
-    view_.stamp_shard(s, v);
-    sum += v;
-  }
-  seen_table_version_ = sum;
-}
-
 void Flowserver::refresh_view() {
-  // Full rebuild: the first build, or a manual invalidate — the shard
-  // stamps can no longer be trusted, so the flow section is emptied and
-  // every shard synced back in. Otherwise the refresh is incremental: it
-  // overlays the link sections only if the fabric epoch or the rate monitor
-  // moved (O(links), no flow copying), then syncs exactly the flow shards
-  // whose table version ran past the stamp this view holds. Queries on the
-  // result are byte-identical to a full rebuild's: a sync leaves a shard
-  // holding exactly the table's flows, and every link lists its flows in
-  // ascending key, so sync order cannot leak into answers.
-  const bool full = !view_built_;
-  if (full) {
+  // Full rebuild: the first build, or a manual invalidate — the view can no
+  // longer be trusted to hold the table as of the last clear, so it is
+  // emptied and reloaded, and the log cleared. Otherwise the refresh is
+  // incremental: it overlays the link sections only if the fabric epoch or
+  // the rate monitor moved (O(links), no flow copying), then applies the
+  // table's change log, touching exactly the flows a poll, drop or SETBW
+  // changed. Queries on the result are byte-identical to a full rebuild's:
+  // the sync leaves the view holding exactly the table's flows, and every
+  // link lists its flows in ascending key, so sync order cannot leak into
+  // answers.
+  if (!view_built_) {
     view_.reset_links(fabric_->topology());
     fabric_->snapshot_liveness_into(view_);
     if (monitor_ != nullptr) monitor_->snapshot_into(view_);
-    ++full_rebuilds_;
-    full_rebuilds_metric_.inc();
-  } else if (fabric_->state_epoch() != seen_fabric_epoch_ ||
-             (monitor_ != nullptr &&
-              monitor_->samples() != seen_monitor_samples_)) {
-    view_.refresh_link_state(fabric_->topology());
-    fabric_->snapshot_liveness_into(view_);
-    if (monitor_ != nullptr) monitor_->snapshot_into(view_);
-    ++link_refreshes_;
-    link_refreshes_metric_.inc();
+    table_.snapshot_into(view_);
+    table_.clear_changes();
+  } else {
+    if (fabric_->state_epoch() != seen_fabric_epoch_ ||
+        (monitor_ != nullptr &&
+         monitor_->samples() != seen_monitor_samples_)) {
+      view_.refresh_link_state(fabric_->topology());
+      fabric_->snapshot_liveness_into(view_);
+      if (monitor_ != nullptr) monitor_->snapshot_into(view_);
+      ++link_refreshes_;
+    }
+    if (!table_.changes().empty()) {
+      table_.sync_changes_into(view_);
+      ++shard_reloads_;
+    }
   }
-  for (std::uint32_t s = 0; s < table_.shard_count(); ++s) {
-    if (!full && table_.shard_version(s) == view_.shard_stamp(s)) continue;
-    table_.sync_shard_into(view_, s);
-    if (full) continue;
-    ++shard_reloads_;
-    shard_reloads_metric_.inc();
-  }
-  absorb_table_versions();
   view_.stamp(++view_epoch_, fabric_->events().now());
   seen_fabric_epoch_ = fabric_->state_epoch();
   seen_monitor_samples_ = monitor_ != nullptr ? monitor_->samples() : 0;
@@ -273,6 +241,9 @@ std::size_t Flowserver::drain() {
   std::vector<Decided> results;
   results.reserve(batch.size());
   decide_batch(batch, now, results);
+  // The batch's own write-through commits logged their cookies; the view
+  // already reflects them, so clear the log instead of syncing it.
+  table_.clear_changes();
 
   // Bulk path install: one fabric call, one install-metrics flush for the
   // whole batch. Must precede the callbacks — they start the flows.
@@ -283,11 +254,6 @@ std::size_t Flowserver::drain() {
     }
   }
   fabric_->install_paths(installs);
-
-  // The batch's own write-through commits moved the table version; the view
-  // already reflects them, so absorb the delta (re-stamping the touched
-  // shards) instead of rebuilding.
-  absorb_table_versions();
 
   for (Decided& d : results) {
     if (d.done) d.done(std::move(d.plan));

@@ -11,8 +11,8 @@
 //    without polling at very short intervals.
 //
 // Decisions run through a snapshot pipeline: requests enqueue, a decision
-// batch drains them against ONE epoch-stamped NetworkView (rebuilt only when
-// a poll, drop or fault moved the underlying state), every request is
+// batch drains them against ONE epoch-stamped NetworkView (refreshed only
+// when a poll, drop or fault moved the underlying state), every request is
 // evaluated against that batch-start view, commits then replay in batch
 // order writing through to table and view, and all chosen paths are
 // installed via the fabric's bulk API with a single metrics flush. The
@@ -54,15 +54,9 @@ struct FlowserverConfig {
   // kept only because perfbench's write_mix driver assigns it, and goes
   // with ROADMAP item 1's benchmark PR.
   std::size_t decision_threads = 1;
-  // Which shard map partitions the flow table and the view's believed-flow
-  // section: one shard per source edge switch
-  // (net::ShardMap::by_edge_switch, the k >= 16 scale path), or one shard
-  // holding every flow. Both refresh through the same code: a poll, drop or
-  // fault stales the shards it touched and the next refresh reloads exactly
-  // those, so with edge shards selection cost scales with flows per edge
-  // instead of cluster flows. Decisions are byte-identical under either
-  // map — it changes which sections a refresh copies, never what a query
-  // returns.
+  // Read by nothing: the view refreshes from the table's change log under
+  // one layout. Kept only because perfbench's fattree_storm workload assigns
+  // it, and goes with ROADMAP item 1's benchmark PR.
   bool shard_by_edge = false;
   // Adaptive budgeted telemetry (Floware-style, DESIGN.md §14): classify
   // flows as elephants vs mice from per-poll byte deltas, apply elephant
@@ -177,8 +171,8 @@ class Flowserver {
 
   // --- the decision snapshot --------------------------------------------
 
-  // The current decision view, rebuilt first if any of its inputs moved:
-  // the table's mutation version (polls, drops), the fabric's state epoch
+  // The current decision view, refreshed first if any of its inputs moved:
+  // the table's change log (polls, drops), the fabric's state epoch
   // (faults) or the rate monitor's sample count. The pipeline's own
   // write-through commits do NOT stale the view.
   const net::NetworkView& view();
@@ -186,12 +180,9 @@ class Flowserver {
   // Forces the next view() to rebuild regardless of epochs.
   void invalidate_view() { view_built_ = false; }
 
-  // View-refresh telemetry, the same under every shard map: one full
-  // rebuild per first build or manual invalidate, then per-shard reloads
-  // (in-place syncs of a stale shard) and link-section refreshes (a
-  // one-shard server syncs its single shard on every table change).
-  std::uint32_t state_shards() const { return table_.shard_count(); }
-  std::uint64_t full_view_rebuilds() const { return full_rebuilds_; }
+  // View-refresh telemetry: refreshes that applied a non-empty change log
+  // to the view (the name predates the log), and link-section overlays
+  // after a fault epoch or rate-monitor move.
   std::uint64_t shard_reloads() const { return shard_reloads_; }
   std::uint64_t link_refreshes() const { return link_refreshes_; }
 
@@ -234,11 +225,6 @@ class Flowserver {
 
   bool view_stale() const;
   void refresh_view();
-  // Re-stamps the view's shard sections at the table's current versions and
-  // refreshes seen_table_version_ — how a refresh records what it synced,
-  // and how a drain absorbs its own write-through commits without forcing
-  // shard syncs that would find identical state.
-  void absorb_table_versions();
 
   // Replicas with at least one live path to `client` in the current view,
   // original order preserved.
@@ -316,13 +302,10 @@ class Flowserver {
   bool view_built_ = false;
   std::uint64_t view_epoch_ = 0;
   std::uint64_t view_rebuilds_ = 0;
-  std::uint64_t seen_table_version_ = 0;
   std::uint64_t seen_fabric_epoch_ = 0;
   std::uint64_t seen_monitor_samples_ = 0;
 
-  // Refresh work counters; per-shard freshness lives in the view's shard
-  // stamps (table shard version at sync time).
-  std::uint64_t full_rebuilds_ = 0;
+  // Refresh work counters.
   std::uint64_t shard_reloads_ = 0;
   std::uint64_t link_refreshes_ = 0;
 
@@ -337,10 +320,6 @@ class Flowserver {
   obs::Counter selections_metric_;
   obs::Counter split_reads_metric_;
   obs::Histogram poll_samples_hist_;  // per-cycle samples applied (work/tick)
-  // View-refresh metrics (flowserver.shard.*).
-  obs::Counter full_rebuilds_metric_;
-  obs::Counter shard_reloads_metric_;
-  obs::Counter link_refreshes_metric_;
   // Stats-poll telemetry metrics (flowserver.poll.*).
   obs::Counter poll_applied_metric_;
   obs::Counter poll_deferred_mouse_metric_;

@@ -23,9 +23,6 @@ void NetworkView::reset_links(const Topology& topo) {
   for (std::vector<OnLink>& entries : on_link_) entries.clear();
   tentative_ = false;
   undo_.clear();
-  syncing_ = kNoSync;
-  for (auto& slots : shard_slots_) slots.clear();
-  shard_stamp_.assign(shard_stamp_.size(), 0);
 }
 
 void NetworkView::refresh_link_state(const Topology& topo) {
@@ -39,15 +36,7 @@ void NetworkView::refresh_link_state(const Topology& topo) {
   stats_.clear();
 }
 
-void NetworkView::set_shard_map(ShardMap map) {
-  MAYFLOWER_ASSERT_MSG(slot_of_.empty(),
-                       "install the shard map before loading flows");
-  shard_map_ = std::move(map);
-  shard_slots_.assign(shard_count(), {});
-  shard_stamp_.assign(shard_count(), 0);
-}
-
-NetworkView::Slot& NetworkView::insert(std::uint64_t key, const Path& path) {
+NetworkView::Flow& NetworkView::insert(std::uint64_t key, const Path& path) {
   auto slot = static_cast<std::uint32_t>(slots_.size());
   if (free_slots_.empty()) {
     slots_.emplace_back();
@@ -57,10 +46,9 @@ NetworkView::Slot& NetworkView::insert(std::uint64_t key, const Path& path) {
   }
   const bool fresh = slot_of_.emplace(key, slot).second;
   MAYFLOWER_ASSERT_MSG(fresh, "view already holds this flow key");
-  Slot& s = slots_[slot];
-  s.flow.key = key;
-  s.flow.path = path;  // a reused slot's buffers take the copy
-  s.synced = 0;
+  Flow& f = slots_[slot];
+  f.key = key;
+  f.path = path;  // a reused slot's buffers take the copy
   for (const LinkId l : path.links) {
     if (l >= on_link_.size()) on_link_.resize(static_cast<std::size_t>(l) + 1);
     std::vector<OnLink>& entries = on_link_[l];
@@ -73,17 +61,13 @@ NetworkView::Slot& NetworkView::insert(std::uint64_t key, const Path& path) {
         [](const OnLink& e, std::uint64_t k) { return e.key < k; });
     entries.insert(it, {key, slot});
   }
-  s.shard = shard_map_.shard_of_path(path);
-  std::vector<std::uint32_t>& shard = shard_slots_[s.shard];
-  s.shard_pos = static_cast<std::uint32_t>(shard.size());
-  shard.push_back(slot);
-  return s;
+  return f;
 }
 
 void NetworkView::erase(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  const std::uint64_t key = s.flow.key;
-  for (const LinkId l : s.flow.path.links) {
+  const Flow& f = slots_[slot];
+  const std::uint64_t key = f.key;
+  for (const LinkId l : f.path.links) {
     std::vector<OnLink>& entries = on_link_[l];
     const auto it = std::lower_bound(
         entries.begin(), entries.end(), key,
@@ -92,11 +76,6 @@ void NetworkView::erase(std::uint32_t slot) {
                          "link list out of sync");
     entries.erase(it);
   }
-  std::vector<std::uint32_t>& shard = shard_slots_[s.shard];
-  MAYFLOWER_ASSERT_MSG(shard[s.shard_pos] == slot, "shard list out of sync");
-  shard[s.shard_pos] = shard.back();
-  slots_[shard.back()].shard_pos = s.shard_pos;
-  shard.pop_back();
   slot_of_.erase(key);
   free_slots_.push_back(slot);
 }
@@ -106,77 +85,50 @@ std::uint32_t NetworkView::slot_of(std::uint64_t key) const {
   return it == slot_of_.end() ? kNoSlot : it->second;
 }
 
-void NetworkView::begin_sync(std::uint32_t s) {
-  MAYFLOWER_ASSERT_MSG(!tentative_, "shard sync inside a tentative scope");
-  MAYFLOWER_ASSERT_MSG(syncing_ == kNoSync, "shard syncs do not nest");
-  MAYFLOWER_ASSERT(s < shard_slots_.size());
-  syncing_ = s;
-  ++sync_pass_;
-}
-
-void NetworkView::sync_flow(std::uint64_t key, const Path& path,
-                            double size_bytes, double remaining_bytes,
-                            double bw_bps) {
-  MAYFLOWER_ASSERT_MSG(syncing_ != kNoSync, "sync_flow outside a sync");
+void NetworkView::upsert_flow(std::uint64_t key, const Path& path,
+                              double size_bytes, double remaining_bytes,
+                              double bw_bps) {
+  MAYFLOWER_ASSERT_MSG(!tentative_, "upsert_flow inside a tentative scope");
   const std::uint32_t slot = slot_of(key);
-  Slot* s = nullptr;
-  if (slot != kNoSlot && same_path(slots_[slot].flow.path, path)) {
-    s = &slots_[slot];  // still tracked: keep the slot and its link entries
+  Flow* f = nullptr;
+  if (slot != kNoSlot && same_path(slots_[slot].path, path)) {
+    f = &slots_[slot];  // still tracked: keep the slot and its link entries
   } else {
     if (slot != kNoSlot) erase(slot);  // the cookie came back on a new path
-    s = &insert(key, path);
+    f = &insert(key, path);
   }
-  MAYFLOWER_ASSERT_MSG(s->shard == syncing_, "flow outside the synced shard");
-  s->flow.size_bytes = size_bytes;
-  s->flow.remaining_bytes = remaining_bytes;
-  s->flow.bw_bps = bw_bps;
-  s->synced = sync_pass_;
+  f->size_bytes = size_bytes;
+  f->remaining_bytes = remaining_bytes;
+  f->bw_bps = bw_bps;
 }
 
-void NetworkView::end_sync() {
-  MAYFLOWER_ASSERT_MSG(syncing_ != kNoSync, "end_sync outside a sync");
-  const std::vector<std::uint32_t>& shard = shard_slots_[syncing_];
-  // Back to front: erase() moves the list's last slot, already visited,
-  // into the hole.
-  for (std::size_t i = shard.size(); i-- > 0;) {
-    if (slots_[shard[i]].synced != sync_pass_) erase(shard[i]);
+bool NetworkView::flows_equal(const NetworkView& other) const {
+  if (flow_count() != other.flow_count()) return false;
+  const std::size_t links = std::max(on_link_.size(), other.on_link_.size());
+  for (std::size_t l = 0; l < links; ++l) {
+    const std::size_t n = l < on_link_.size() ? on_link_[l].size() : 0;
+    const std::size_t m =
+        l < other.on_link_.size() ? other.on_link_[l].size() : 0;
+    if (n != m) return false;
+    for (std::size_t i = 0; i < n; ++i) {
+      const OnLink& mine = on_link_[l][i];
+      if (i > 0 && !(on_link_[l][i - 1].key < mine.key)) return false;
+      if (mine.key != other.on_link_[l][i].key ||
+          slots_[mine.slot].key != mine.key) {
+        return false;
+      }
+    }
   }
-  syncing_ = kNoSync;
-}
-
-bool NetworkView::shard_equals(const NetworkView& other,
-                               std::uint32_t s) const {
-  if (s >= shard_slots_.size() || s >= other.shard_slots_.size() ||
-      shard_flow_count(s) != other.shard_flow_count(s)) {
-    return false;
-  }
-  std::vector<const Flow*> mine;
-  std::vector<const Flow*> theirs;
-  for (const std::uint32_t slot : other.shard_slots_[s]) {
-    const Flow& want = other.slots_[slot].flow;
+  // Same keys on every link; now every key's fields, zero-hop flows too.
+  for (const Flow& want : other.slots_) {
+    const std::uint32_t theirs = other.slot_of(want.key);
+    if (theirs == kNoSlot || &other.slots_[theirs] != &want) continue;  // free
     const Flow* got = find(want.key);
-    if (got == nullptr || slots_[slot_of(want.key)].shard != s ||
-        !same_path(got->path, want.path) ||
+    if (got == nullptr || !same_path(got->path, want.path) ||
         got->size_bytes != want.size_bytes ||
         got->remaining_bytes != want.remaining_bytes ||
         got->bw_bps != want.bw_bps) {
       return false;
-    }
-    for (const LinkId l : want.path.links) {
-      mine.clear();
-      theirs.clear();
-      append_flows_on_link(l, mine);
-      other.append_flows_on_link(l, theirs);
-      std::size_t next = 0;  // the next of `theirs` shard s must list
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        if (i > 0 && !(mine[i - 1]->key < mine[i]->key)) return false;
-        if (slots_[slot_of(mine[i]->key)].shard != s) continue;
-        if (next == theirs.size() || mine[i]->key != theirs[next]->key) {
-          return false;
-        }
-        ++next;
-      }
-      if (next != theirs.size()) return false;
     }
   }
   return true;
@@ -208,7 +160,7 @@ double NetworkView::tx_rate_bps(LinkId link) const {
 
 const NetworkView::Flow* NetworkView::find(std::uint64_t key) const {
   const std::uint32_t slot = slot_of(key);
-  return slot == kNoSlot ? nullptr : &slots_[slot].flow;
+  return slot == kNoSlot ? nullptr : &slots_[slot];
 }
 
 const NetworkView::FlowStats* NetworkView::flow_stats(
@@ -219,20 +171,19 @@ const NetworkView::FlowStats* NetworkView::flow_stats(
 
 void NetworkView::add_flow(std::uint64_t key, const Path& path,
                            double size_bytes, double bw_bps) {
-  MAYFLOWER_ASSERT_MSG(syncing_ == kNoSync, "add_flow inside a shard sync");
   MAYFLOWER_ASSERT(size_bytes > 0.0 && bw_bps > 0.0);
-  Slot& s = insert(key, path);
+  Flow& f = insert(key, path);
   if (tentative_) undo_.push_back({key, true, 0.0});
-  s.flow.size_bytes = size_bytes;
-  s.flow.remaining_bytes = size_bytes;
-  s.flow.bw_bps = bw_bps;
+  f.size_bytes = size_bytes;
+  f.remaining_bytes = size_bytes;
+  f.bw_bps = bw_bps;
 }
 
 void NetworkView::set_flow_bps(std::uint64_t key, double bw_bps) {
   const std::uint32_t slot = slot_of(key);
   MAYFLOWER_ASSERT_MSG(slot != kNoSlot, "set_flow_bps on unknown flow");
   MAYFLOWER_ASSERT(bw_bps > 0.0);
-  Flow& f = slots_[slot].flow;
+  Flow& f = slots_[slot];
   if (tentative_) undo_.push_back({key, false, f.bw_bps});
   f.bw_bps = bw_bps;
 }
@@ -242,7 +193,7 @@ void NetworkView::resize_flow(std::uint64_t key, double new_size_bytes) {
   const std::uint32_t slot = slot_of(key);
   MAYFLOWER_ASSERT_MSG(slot != kNoSlot, "resize_flow on unknown flow");
   MAYFLOWER_ASSERT(new_size_bytes > 0.0);
-  Flow& f = slots_[slot].flow;
+  Flow& f = slots_[slot];
   f.size_bytes = new_size_bytes;
   f.remaining_bytes = new_size_bytes;
 }
@@ -269,7 +220,7 @@ void NetworkView::rollback_tentative() {
     if (it->added) {
       erase(slot);
     } else {
-      slots_[slot].flow.bw_bps = it->prior_bps;
+      slots_[slot].bw_bps = it->prior_bps;
     }
   }
   tentative_ = false;

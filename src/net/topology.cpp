@@ -92,4 +92,18 @@ int Topology::hop_distance(NodeId from, NodeId to) const {
   return -1;
 }
 
+std::vector<NodeId> edge_switches(const Topology& topo) {
+  std::vector<NodeId> edges;
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    if (topo.node(n).kind == NodeKind::kHost) continue;
+    for (const LinkId l : topo.in_links(n)) {
+      if (topo.node(topo.link(l).from).kind == NodeKind::kHost) {
+        edges.push_back(n);
+        break;
+      }
+    }
+  }
+  return edges;
+}
+
 }  // namespace mayflower::net

@@ -97,4 +97,9 @@ class Topology {
   std::unordered_map<std::uint64_t, LinkId> link_index_;  // (from<<32|to)
 };
 
+// The edge switches in the polling sense: every switch with an attached
+// host, in node order. This also covers hand-built topologies that do not
+// label tiers.
+std::vector<NodeId> edge_switches(const Topology& topo);
+
 }  // namespace mayflower::net

@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "net/paths.hpp"
-#include "net/shard_map.hpp"
 #include "net/topology.hpp"
 #include "net/tree.hpp"
 
@@ -187,124 +186,32 @@ TEST(FlowStateTable, FlowsOnLinkIteratesInCookieOrder) {
   EXPECT_EQ(cookies_on_link(t, 0), (std::vector<sdn::Cookie>{2, 5, 9}));
 }
 
-// --- sharded layout -------------------------------------------------------
-
-class ShardedFlowStateTest : public ::testing::Test {
- protected:
-  ShardedFlowStateTest()
-      : tree_(net::build_three_tier(net::ThreeTierConfig{})) {
-    table_.set_shard_map(net::ShardMap::by_edge_switch(tree_.topo));
-  }
-
-  net::Path path_between(net::NodeId a, net::NodeId b) {
-    return net::shortest_paths(tree_.topo, a, b).at(0);
-  }
-
-  std::uint32_t shard_of_host(net::NodeId h) const {
-    return table_.shard_map().shard_of_node(h);
-  }
-
-  net::ThreeTier tree_;
-  FlowStateTable table_;
-};
-
-TEST_F(ShardedFlowStateTest, AddRoutesByPathSourceEdge) {
-  ASSERT_GT(table_.shard_count(), 1u);
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s1 = shard_of_host(tree_.hosts[4]);
-  ASSERT_NE(s0, s1);
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
-             sec(0));
-  // A cross-rack flow lives with its SOURCE edge (rack 0), not rack 1's.
-  table_.add(2, path_between(tree_.hosts[0], tree_.hosts[4]), 100.0, 10.0,
-             sec(0));
-  table_.add(3, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  EXPECT_EQ(table_.shard_version(s0), 2u);
-  EXPECT_EQ(table_.shard_version(s1), 1u);
-  EXPECT_EQ(table_.version(), 3u);  // total = sum of shard versions
-  EXPECT_EQ(table_.size(), 3u);
+TEST(FlowStateTable, ChangeLogHoldsEachChangedCookieOnce) {
+  FlowStateTable t;
+  t.add(1, one_link_path(0), 100.0, 10.0, sec(0));
+  t.add(2, one_link_path(1), 100.0, 10.0, sec(0));
+  t.add(3, one_link_path(1), 100.0, 10.0, sec(0));
+  EXPECT_EQ(t.changes(), (std::vector<sdn::Cookie>{1, 2, 3}));
+  t.clear_changes();
+  EXPECT_TRUE(t.changes().empty());
+  // Several polls, a SETBW and a resize of one flow log it once; changes to
+  // cookies the table does not track log nothing.
+  t.update_from_stats(2, 10.0, sec(1.0));
+  t.update_from_stats(2, 20.0, sec(2.0));
+  t.setbw(2, 5.0, sec(2.0));
+  t.update_from_stats(404, 10.0, sec(2.0));
+  t.drop(404);
+  t.resize(1, 50.0, sec(2.0));
+  t.resize(1, 40.0, sec(2.0));
+  t.update_from_stats(2, 30.0, sec(3.0));
+  EXPECT_EQ(t.changes(), (std::vector<sdn::Cookie>{2, 1}));
+  // A drop of a logged flow adds nothing; of an unlogged one, its cookie.
+  t.drop(2);
+  t.drop(3);
+  EXPECT_EQ(t.changes(), (std::vector<sdn::Cookie>{2, 1, 3}));
 }
 
-TEST_F(ShardedFlowStateTest, MutationsBumpOnlyTheirShard) {
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s1 = shard_of_host(tree_.hosts[4]);
-  table_.add(1, path_between(tree_.hosts[0], tree_.hosts[1]), 100.0, 10.0,
-             sec(0));
-  table_.add(2, path_between(tree_.hosts[4], tree_.hosts[5]), 100.0, 10.0,
-             sec(0));
-  const std::uint64_t v0 = table_.shard_version(s0);
-  const std::uint64_t v1 = table_.shard_version(s1);
-  table_.setbw(2, 20.0, sec(1.0));
-  EXPECT_EQ(table_.shard_version(s0), v0);
-  EXPECT_EQ(table_.shard_version(s1), v1 + 1);
-  table_.drop(1);
-  EXPECT_EQ(table_.shard_version(s0), v0 + 1);
-  EXPECT_EQ(table_.shard_version(s1), v1 + 1);
-  EXPECT_EQ(table_.find(2)->path.nodes.front(), tree_.hosts[4]);
-}
-
-TEST_F(ShardedFlowStateTest, FlowsOnLinkMergeAcrossShardsInCookieOrder) {
-  // Two flows from DIFFERENT racks converge on host 8's downlink; a
-  // snapshot of the two shards must still list them in cookie order.
-  const net::Path a = path_between(tree_.hosts[0], tree_.hosts[8]);
-  const net::Path b = path_between(tree_.hosts[4], tree_.hosts[8]);
-  const net::LinkId down =
-      tree_.topo.find_link(tree_.edge_of_host(tree_.hosts[8]), tree_.hosts[8]);
-  ASSERT_EQ(a.links.back(), down);
-  ASSERT_EQ(b.links.back(), down);
-  table_.add(7, a, 100.0, 10.0, sec(0));  // higher cookie added first
-  table_.add(3, b, 100.0, 10.0, sec(0));
-  EXPECT_EQ(cookies_on_link(table_, down), (std::vector<sdn::Cookie>{3, 7}));
-}
-
-TEST_F(ShardedFlowStateTest, SyncShardUpdatesDropsAndAddsOneShard) {
-  const net::Path rack0 = path_between(tree_.hosts[0], tree_.hosts[1]);
-  const net::Path rack0b = path_between(tree_.hosts[1], tree_.hosts[2]);
-  const net::Path rack1 = path_between(tree_.hosts[4], tree_.hosts[5]);
-  table_.add(1, rack0, 100.0, 10.0, sec(0));
-  table_.add(2, rack1, 100.0, 10.0, sec(0));
-  table_.add(3, rack0b, 100.0, 10.0, sec(0));
-  net::NetworkView view;
-  view.reset_links(tree_.topo);
-  view.set_shard_map(table_.shard_map());
-  const std::uint32_t s0 = shard_of_host(tree_.hosts[0]);
-  const std::uint32_t s1 = shard_of_host(tree_.hosts[4]);
-
-  // The first sync of a shard is its build.
-  table_.sync_shard_into(view, s0);
-  EXPECT_NE(view.find(1), nullptr);
-  EXPECT_NE(view.find(3), nullptr);
-  EXPECT_EQ(view.find(2), nullptr);
-  table_.sync_shard_into(view, s1);
-  ASSERT_NE(view.find(2), nullptr);
-  EXPECT_EQ(view.flow_count(), 3u);
-
-  // Shard 0 gets an updated (1), a dropped (3) and a new (4) key; shard 1
-  // moves too but is not synced.
-  table_.update_from_stats(1, 40.0, sec(20.0));  // past the freeze: 2 B/s
-  table_.drop(3);
-  table_.add(4, rack0b, 50.0, 5.0, sec(20.0));
-  table_.setbw(2, 7.0, sec(20.0));
-  table_.sync_shard_into(view, s0);
-  const net::NetworkView::Flow* updated = view.find(1);
-  ASSERT_NE(updated, nullptr);
-  EXPECT_DOUBLE_EQ(updated->size_bytes, 100.0);
-  EXPECT_DOUBLE_EQ(updated->remaining_bytes, 60.0);
-  EXPECT_DOUBLE_EQ(updated->bw_bps, 2.0);
-  EXPECT_EQ(view.find(3), nullptr);
-  const net::NetworkView::Flow* added = view.find(4);
-  ASSERT_NE(added, nullptr);
-  EXPECT_DOUBLE_EQ(added->remaining_bytes, 50.0);
-  EXPECT_DOUBLE_EQ(added->bw_bps, 5.0);
-  EXPECT_DOUBLE_EQ(view.find(2)->bw_bps, 10.0);  // shard 1 still stale
-  EXPECT_EQ(view.shard_flow_count(s0), 2u);
-  table_.sync_shard_into(view, s1);
-  EXPECT_DOUBLE_EQ(view.find(2)->bw_bps, 7.0);
-  EXPECT_EQ(view.flow_count(), 3u);
-}
-
-// --- the slot-backed view and its sync against a reference model ---------
+// --- the slot-backed view and its log sync against a reference model -----
 
 // What a view should hold for one believed flow.
 struct RefFlow {
@@ -316,14 +223,13 @@ struct RefFlow {
 using RefView = std::map<std::uint64_t, RefFlow>;
 
 // The first difference between `view` and the model `want`, or "": the
-// flow count, each flow's fields, each shard's flow count, and per link the
-// keys in ascending order, each entry pointing at its key's flow.
+// flow count, each flow's fields, and per link the keys in ascending order,
+// each entry pointing at its key's flow.
 std::string difference(const net::NetworkView& view, const RefView& want,
                        std::size_t link_count) {
   if (view.flow_count() != want.size()) {
     return strfmt("%zu flows, model has %zu", view.flow_count(), want.size());
   }
-  std::vector<std::size_t> per_shard(view.shard_count(), 0);
   for (const auto& [key, r] : want) {
     const net::NetworkView::Flow* f = view.find(key);
     if (f == nullptr) {
@@ -333,13 +239,6 @@ std::string difference(const net::NetworkView& view, const RefView& want,
         f->path.nodes != r.path.nodes || f->size_bytes != r.size_bytes ||
         f->remaining_bytes != r.remaining_bytes || f->bw_bps != r.bw_bps) {
       return strfmt("flow %llu fields", static_cast<unsigned long long>(key));
-    }
-    ++per_shard[view.shard_map().shard_of_path(r.path)];
-  }
-  for (std::uint32_t s = 0; s < view.shard_count(); ++s) {
-    if (view.shard_flow_count(s) != per_shard[s]) {
-      return strfmt("shard %u holds %zu flows, model %zu", s,
-                    view.shard_flow_count(s), per_shard[s]);
     }
   }
   std::vector<std::vector<std::uint64_t>> expect(link_count);
@@ -361,54 +260,58 @@ std::string difference(const net::NetworkView& view, const RefView& want,
   return "";
 }
 
-// A seeded run of every mutation the view takes, against a FlowStateTable
-// (the authority its shards sync from) and a std::map model of what the
-// view must hold: write-through commits, table-only changes a sync must
-// pick up (adds, drops, polls, SETBW, resizes, a cookie re-added on another
-// path), view-only drops and share changes, tentative scopes rolled back
-// (often into a slot a drop just freed), syncs of single shards, and copies
-// of the view that must keep answering as before while their source moves.
+// A seeded run of every mutation the table and its view take, against two
+// models: a std::map of what the view must hold (what it held at the last
+// sync plus the write-through commits since), and the exact change log the
+// table must keep. Steps: table-only changes a sync must pick up (adds,
+// drops, polls, SETBW, resizes, a cookie re-added on another path, a cookie
+// added and dropped between two syncs, one flow polled several times),
+// drains (a sync, write-through commits, then a cleared log), syncs, full
+// rebuilds after an invalidate with a non-empty log, tentative scopes
+// rolled back (often into a slot a drop just freed), and copies of the view
+// that must keep answering as before while their source moves.
 class SyncDifferential {
  public:
-  SyncDifferential(bool sharded, std::uint64_t seed)
+  explicit SyncDifferential(std::uint64_t seed)
       : tree_(net::build_three_tier(net::ThreeTierConfig{})),
         paths_(tree_.topo),
         rng_(seed) {
-    if (sharded) {
-      table_.set_shard_map(net::ShardMap::by_edge_switch(tree_.topo));
-    }
     view_.reset_links(tree_.topo);
-    view_.set_shard_map(table_.shard_map());
   }
 
-  // One random step, then the view against the model.
+  // One random step, then the view and the log against their models.
   std::string step() {
     const std::uint64_t roll = rng_.next_below(24);
-    if (roll < 17) {
+    if (roll < 12) {
       mutate(roll);
-    } else if (roll < 21) {
-      sync(static_cast<std::uint32_t>(rng_.next_below(table_.shard_count())));
-    } else if (roll < 23) {
+    } else if (roll < 15) {
+      drain();
+    } else if (roll < 18) {
+      if (std::string d = sync(); !d.empty()) return "sync: " + d;
+    } else if (roll < 19) {
+      if (std::string d = rebuild(); !d.empty()) return "rebuild: " + d;
+    } else if (roll < 22) {
       if (std::string d = tentative(); !d.empty()) return "tentative: " + d;
     } else {
       // A copy answers as its source did while the source moves on.
       const net::NetworkView copy = view_;
       const RefView want = ref_;
-      for (int i = 0; i < 4; ++i) mutate(rng_.next_below(17));
+      for (int i = 0; i < 4; ++i) mutate(rng_.next_below(12));
+      drain();
       if (std::string d = difference(copy, want, link_count()); !d.empty()) {
         return "copy: " + d;
       }
     }
+    if (table_.changes() != log_) return "change log";
     return difference(view_, ref_, link_count());
   }
 
-  // Syncs every shard: the view must then hold exactly the table.
-  std::string sync_all() {
-    for (std::uint32_t s = 0; s < table_.shard_count(); ++s) sync(s);
-    RefView table;
-    for (const sdn::Cookie c : tracked_) table[c] = ref_of(*table_.find(c));
-    if (table.size() != ref_.size()) return "model out of step with table";
-    return difference(view_, table, link_count());
+  // Syncs the log: the view must then hold exactly the table.
+  std::string sync() {
+    table_.sync_changes_into(view_);
+    clear_log();
+    ref_ = table_model();
+    return difference(view_, ref_, link_count());
   }
 
   std::size_t flow_count() const { return view_.flow_count(); }
@@ -416,8 +319,13 @@ class SyncDifferential {
  private:
   std::size_t link_count() const { return tree_.topo.link_count(); }
 
-  static RefFlow ref_of(const TrackedFlow& f) {
-    return {f.path, f.size_bytes, f.remaining_bytes, f.bw_bps};
+  RefView table_model() const {
+    RefView table;
+    for (const sdn::Cookie c : tracked_) {
+      const TrackedFlow& f = *table_.find(c);
+      table[c] = {f.path, f.size_bytes, f.remaining_bytes, f.bw_bps};
+    }
+    return table;
   }
 
   net::Path random_path() {
@@ -431,38 +339,45 @@ class SyncDifferential {
 
   double bytes() { return rng_.uniform(1e6, 1e8); }
 
-  // A uniformly drawn cookie the table tracks / key the view must hold.
+  // A uniformly drawn cookie the table tracks.
   sdn::Cookie pick_tracked() {
-    return *std::next(tracked_.begin(), draw(tracked_.size()));
-  }
-  std::uint64_t pick_believed() {
-    return std::next(ref_.begin(), draw(ref_.size()))->first;
-  }
-  std::ptrdiff_t draw(std::size_t n) {
-    return static_cast<std::ptrdiff_t>(rng_.next_below(n));
+    return *std::next(tracked_.begin(),
+                      static_cast<std::ptrdiff_t>(
+                          rng_.next_below(tracked_.size())));
   }
 
+  // The log model: a change appends a cookie whose flow is not flagged and
+  // flags it; a drop's flag dies with the flow, so a re-added cookie is
+  // logged again.
+  void logged(sdn::Cookie c) {
+    if (flagged_.insert(c).second) log_.push_back(c);
+  }
+  void clear_log() {
+    log_.clear();
+    flagged_.clear();
+  }
+
+  void add(sdn::Cookie c, const net::Path& p, double size, double bw) {
+    table_.add(c, p, size, bw, now_);
+    tracked_.insert(c);
+    logged(c);
+  }
+  void drop(sdn::Cookie c) {
+    table_.drop(c);
+    tracked_.erase(c);
+    logged(c);
+    flagged_.erase(c);
+  }
+
+  // A change to the table alone: the view hears of it at the next sync.
   void mutate(std::uint64_t roll) {
     now_ = now_ + sec(rng_.uniform(0.0, 0.5));
-    if (roll < 4) {  // a committed decision: table and view
-      const sdn::Cookie c = next_cookie_++;
-      const net::Path p = random_path();
-      const double size = bytes();
-      const double bw = bytes();
-      table_.add(c, p, size, bw, now_);
-      tracked_.insert(c);
-      view_.add_flow(c, p, size, bw);
-      ref_[c] = {p, size, size, bw};
-    } else if (roll < 6) {  // a flow the view hears of at the next sync
-      const sdn::Cookie c = next_cookie_++;
-      table_.add(c, random_path(), bytes(), bytes(), now_);
-      tracked_.insert(c);
-    } else if (roll < 9) {
+    if (roll < 3) {
+      add(next_cookie_++, random_path(), bytes(), bytes());
+    } else if (roll < 5) {
       if (tracked_.empty()) return;
-      const sdn::Cookie c = pick_tracked();
-      table_.drop(c);
-      tracked_.erase(c);
-    } else if (roll < 12) {  // a poll sample, SETBW or resize
+      drop(pick_tracked());
+    } else if (roll < 8) {  // a poll sample, SETBW or resize
       if (tracked_.empty()) return;
       const sdn::Cookie c = pick_tracked();
       const TrackedFlow& f = *table_.find(c);
@@ -477,52 +392,83 @@ class SyncDifferential {
         default:
           table_.resize(c, bytes(), now_);
       }
-    } else if (roll < 13) {  // dropped and re-added on another path
+      logged(c);
+    } else if (roll < 9) {  // one flow polled several times: logged once
+      if (tracked_.empty()) return;
+      const sdn::Cookie c = pick_tracked();
+      for (std::uint64_t i = 2 + rng_.next_below(3); i > 0; --i) {
+        now_ = now_ + sec(rng_.uniform(0.0, 0.5));
+        table_.update_from_stats(
+            c, rng_.uniform(0.0, 1.2 * table_.find(c)->size_bytes), now_);
+        logged(c);
+      }
+    } else if (roll < 10) {  // dropped and re-added on another path
       if (tracked_.empty()) return;
       const sdn::Cookie c = pick_tracked();
       net::Path p = random_path();
       while (p.nodes == table_.find(c)->path.nodes) p = random_path();
-      table_.drop(c);
-      table_.add(c, p, bytes(), bytes(), now_);
-    } else if (roll < 14) {
-      if (ref_.empty()) return;
-      const std::uint64_t key = pick_believed();
-      view_.drop_flow(key);
-      ref_.erase(key);
-    } else {
-      if (ref_.empty()) return;
-      const std::uint64_t key = pick_believed();
-      if (roll < 16) {
-        const double bw = bytes();
-        view_.set_flow_bps(key, bw);
-        ref_[key].bw_bps = bw;
-      } else {
-        const double size = bytes();
-        view_.resize_flow(key, size);
-        ref_[key].size_bytes = ref_[key].remaining_bytes = size;
-      }
+      drop(c);
+      add(c, p, bytes(), bytes());
+    } else {  // added and dropped between two syncs
+      const sdn::Cookie c = next_cookie_++;
+      add(c, random_path(), bytes(), bytes());
+      drop(c);
     }
   }
 
-  void sync(std::uint32_t s) {
-    table_.sync_shard_into(view_, s);
-    const net::ShardMap& map = table_.shard_map();
-    for (auto it = ref_.begin(); it != ref_.end();) {
-      it = map.shard_of_path(it->second.path) == s ? ref_.erase(it)
-                                                   : std::next(it);
+  // A decision batch as the Flowserver drains one: sync, write-through
+  // commits (a new flow with its bumped shares, a split's SETBW and
+  // resize), then a cleared log, since the view already holds them.
+  void drain() {
+    table_.sync_changes_into(view_);
+    ref_ = table_model();
+    for (std::uint64_t i = 1 + rng_.next_below(3); i > 0; --i) {
+      now_ = now_ + sec(rng_.uniform(0.0, 0.5));
+      if (!tracked_.empty() && rng_.bernoulli(0.3)) {
+        const sdn::Cookie c = pick_tracked();
+        const double size = bytes();
+        table_.resize(c, size, now_);
+        view_.resize_flow(c, size);
+        ref_[c].size_bytes = ref_[c].remaining_bytes = size;
+        continue;
+      }
+      for (std::uint64_t b = rng_.next_below(3); b > 0 && !tracked_.empty();
+           --b) {
+        const sdn::Cookie c = pick_tracked();
+        const double bw = bytes();
+        table_.setbw(c, bw, now_);
+        view_.set_flow_bps(c, bw);
+        ref_[c].bw_bps = bw;
+      }
+      const sdn::Cookie c = next_cookie_++;
+      const net::Path p = random_path();
+      const double size = bytes();
+      const double bw = bytes();
+      table_.add(c, p, size, bw, now_);
+      tracked_.insert(c);
+      view_.add_flow(c, p, size, bw);
+      ref_[c] = {p, size, size, bw};
     }
-    for (const sdn::Cookie c : tracked_) {
-      const TrackedFlow& f = *table_.find(c);
-      if (map.shard_of_path(f.path) == s) ref_[c] = ref_of(f);
-    }
+    table_.clear_changes();
+    clear_log();
+  }
+
+  // An invalidate with changes still logged: the view is emptied and
+  // reloaded from the table, and the log cleared.
+  std::string rebuild() {
+    view_.reset_links(tree_.topo);
+    table_.snapshot_into(view_);
+    table_.clear_changes();
+    clear_log();
+    ref_ = table_model();
+    return difference(view_, ref_, link_count());
   }
 
   // A scope of adds and share changes, checked open, then rolled back.
   std::string tentative() {
-    if (!ref_.empty() && rng_.bernoulli(0.5)) {  // free a slot to reuse
-      const std::uint64_t key = pick_believed();
-      view_.drop_flow(key);
-      ref_.erase(key);
+    if (!tracked_.empty() && rng_.bernoulli(0.5)) {  // free a slot to reuse
+      drop(pick_tracked());
+      if (std::string d = sync(); !d.empty()) return d;
     }
     const RefView before = ref_;
     view_.begin_tentative();
@@ -535,7 +481,10 @@ class SyncDifferential {
         view_.add_flow(key, p, size, bw);
         ref_[key] = {p, size, size, bw};
       } else {
-        const std::uint64_t key = pick_believed();
+        const std::uint64_t key =
+            std::next(ref_.begin(), static_cast<std::ptrdiff_t>(
+                                        rng_.next_below(ref_.size())))
+                ->first;
         const double bw = bytes();
         view_.set_flow_bps(key, bw);
         ref_[key].bw_bps = bw;
@@ -556,28 +505,24 @@ class SyncDifferential {
   net::NetworkView view_;
   std::set<sdn::Cookie> tracked_;  // the table's cookies
   RefView ref_;                    // what view_ must hold
+  std::vector<sdn::Cookie> log_;   // the change log the table must keep
+  std::set<sdn::Cookie> flagged_;  // tracked cookies in log_
   sdn::Cookie next_cookie_ = 1;
   sim::SimTime now_;
 };
 
-void run_differential(bool sharded, std::uint64_t seed) {
-  SyncDifferential run(sharded, seed);
-  std::size_t most = 0;
-  for (int i = 0; i < 1500; ++i) {
-    const std::string d = run.step();
-    ASSERT_EQ(d, "") << "seed " << seed << " step " << i;
-    most = std::max(most, run.flow_count());
+TEST(ViewSyncDifferential, LogSyncMatchesTheModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SyncDifferential run(seed);
+    std::size_t most = 0;
+    for (int i = 0; i < 1500; ++i) {
+      const std::string d = run.step();
+      ASSERT_EQ(d, "") << "seed " << seed << " step " << i;
+      most = std::max(most, run.flow_count());
+    }
+    EXPECT_EQ(run.sync(), "") << "seed " << seed;
+    EXPECT_GT(most, 40u);  // the run reached a populated view
   }
-  EXPECT_EQ(run.sync_all(), "") << "seed " << seed;
-  EXPECT_GT(most, 40u);  // the run reached a populated view
-}
-
-TEST(ViewSyncDifferential, OneShardMatchesTheModel) {
-  for (const std::uint64_t seed : {1u, 2u}) run_differential(false, seed);
-}
-
-TEST(ViewSyncDifferential, EdgeShardsMatchTheModel) {
-  for (const std::uint64_t seed : {3u, 4u}) run_differential(true, seed);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests of the NetworkView decision snapshot: link facts, believed
-// flows with their per-link lists, write-through mutations, the in-place
-// shard sync and the tentative scope the read-only planners rely on.
+// flows with their per-link lists, write-through mutations, the upsert the
+// change-log sync applies and the tentative scope the read-only planners
+// rely on.
 #include "net/network_view.hpp"
 
 #include <gtest/gtest.h>
@@ -147,96 +148,37 @@ TEST_F(NetworkViewTest, RollbackRestoresPreTentativeState) {
 }
 
 TEST_F(NetworkViewTest, ScopeRefusesMutationsItCannotUndo) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  view_.add_flow(1, path_between(tree_.hosts[0], tree_.hosts[1]), 8e6, 2e6);
+  const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
+  view_.add_flow(1, p, 8e6, 2e6);
   view_.begin_tentative();
   EXPECT_DEATH(view_.drop_flow(1), "assertion failed");
   EXPECT_DEATH(view_.resize_flow(1, 1e6), "assertion failed");
-  EXPECT_DEATH(view_.begin_sync(0), "assertion failed");
+  EXPECT_DEATH(view_.upsert_flow(1, p, 8e6, 4e6, 1e6), "assertion failed");
   view_.rollback_tentative();
   EXPECT_NE(view_.find(1), nullptr);
 }
 
-TEST_F(NetworkViewTest, SyncTouchesOnlyThatShardsFlows) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  ASSERT_GT(view_.shard_count(), 1u);
-  // Two intra-rack flows in rack 0, one in rack 1, one cross-rack FROM
-  // rack 0 (sharded by its source edge, rack 0).
-  const Path rack0 = path_between(tree_.hosts[0], tree_.hosts[1]);
-  const Path rack0b = path_between(tree_.hosts[1], tree_.hosts[2]);
-  const Path rack1 = path_between(tree_.hosts[4], tree_.hosts[5]);
-  const Path cross = path_between(tree_.hosts[0], tree_.hosts[4]);
-  view_.add_flow(1, rack0, 8e6, 2e6);
-  view_.add_flow(2, rack1, 8e6, 2e6);
-  view_.add_flow(3, cross, 8e6, 2e6);
-  view_.add_flow(4, rack0b, 8e6, 2e6);
-  const std::uint32_t shard0 =
-      view_.shard_map().shard_of_node(tree_.hosts[0]);
-  ASSERT_EQ(view_.shard_flow_count(shard0), 3u);
-
-  // The source now holds 1 (updated), 5 (new) and no longer 3 or 4.
-  view_.begin_sync(shard0);
-  view_.sync_flow(1, rack0, 8e6, 6e6, 3e6);
-  view_.sync_flow(5, cross, 4e6, 4e6, 1e6);
-  view_.end_sync();
-
-  const NetworkView::Flow* updated = view_.find(1);
-  ASSERT_NE(updated, nullptr);
-  EXPECT_DOUBLE_EQ(updated->size_bytes, 8e6);
-  EXPECT_DOUBLE_EQ(updated->remaining_bytes, 6e6);
-  EXPECT_DOUBLE_EQ(updated->bw_bps, 3e6);
-  EXPECT_EQ(view_.find(3), nullptr);
-  EXPECT_EQ(view_.find(4), nullptr);
-  ASSERT_NE(view_.find(5), nullptr);
-  EXPECT_EQ(view_.shard_flow_count(shard0), 2u);
-  // Another shard's flow is untouched, and the link lists follow the sync.
-  ASSERT_NE(view_.find(2), nullptr);
-  EXPECT_DOUBLE_EQ(view_.find(2)->bw_bps, 2e6);
-  EXPECT_EQ(keys_on_path(rack0), (std::vector<std::uint64_t>{1, 5}));
-  EXPECT_TRUE(keys_on_path(rack0b).empty());  // 4 left with its links
-  EXPECT_EQ(keys_on_path(rack1), (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(view_.flow_count(), 3u);
-}
-
 TEST_F(NetworkViewTest, SyncReloadsAKeyWhosePathChanged) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
   const Path before = path_between(tree_.hosts[0], tree_.hosts[1]);
   const Path after = path_between(tree_.hosts[0], tree_.hosts[2]);
   view_.add_flow(1, before, 8e6, 2e6);
   view_.add_flow(2, before, 8e6, 2e6);
-  const std::uint32_t s = view_.shard_map().shard_of_node(tree_.hosts[0]);
-  view_.begin_sync(s);
-  view_.sync_flow(1, after, 8e6, 8e6, 2e6);  // dropped, re-added elsewhere
-  view_.sync_flow(2, before, 8e6, 8e6, 2e6);
-  view_.end_sync();
+  view_.upsert_flow(1, after, 8e6, 8e6, 2e6);  // dropped, re-added elsewhere
+  view_.upsert_flow(2, before, 8e6, 6e6, 3e6);  // same path: fields only
+  view_.upsert_flow(3, after, 4e6, 4e6, 1e6);   // new key
   ASSERT_NE(view_.find(1), nullptr);
   EXPECT_EQ(view_.find(1)->path.nodes, after.nodes);
+  const NetworkView::Flow* updated = view_.find(2);
+  ASSERT_NE(updated, nullptr);
+  EXPECT_DOUBLE_EQ(updated->size_bytes, 8e6);
+  EXPECT_DOUBLE_EQ(updated->remaining_bytes, 6e6);
+  EXPECT_DOUBLE_EQ(updated->bw_bps, 3e6);
   std::vector<const NetworkView::Flow*> on_old;
   view_.append_flows_on_link(before.links.back(), on_old);
   ASSERT_EQ(on_old.size(), 1u);
   EXPECT_EQ(on_old[0]->key, 2u);
-  EXPECT_EQ(keys_on_path(after), (std::vector<std::uint64_t>{1, 2}));
-}
-
-TEST_F(NetworkViewTest, SyncRefusesAFlowOfAnotherShard) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  const std::uint32_t s = view_.shard_map().shard_of_node(tree_.hosts[0]);
-  view_.begin_sync(s);
-  EXPECT_DEATH(view_.sync_flow(1, path_between(tree_.hosts[4], tree_.hosts[5]),
-                               8e6, 8e6, 2e6),
-               "assertion failed");
-  EXPECT_DEATH(view_.begin_sync(s), "assertion failed");  // no nesting
-  view_.end_sync();
-}
-
-TEST_F(NetworkViewTest, ShardStampsRoundTrip) {
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
-  EXPECT_EQ(view_.shard_stamp(2), 0u);  // unstamped: never built
-  view_.stamp_shard(2, 17);
-  view_.stamp_shard(5, 3);
-  EXPECT_EQ(view_.shard_stamp(2), 17u);
-  EXPECT_EQ(view_.shard_stamp(5), 3u);
-  EXPECT_EQ(view_.shard_stamp(1), 0u);
+  EXPECT_EQ(keys_on_path(after), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(view_.flow_count(), 3u);
 }
 
 TEST_F(NetworkViewTest, RefreshLinkStateKeepsBelievedFlows) {
@@ -255,8 +197,8 @@ TEST_F(NetworkViewTest, RefreshLinkStateKeepsBelievedFlows) {
 }
 
 TEST_F(NetworkViewTest, RollbackRestoresShardTrackedFlow) {
-  // The undo path must maintain the per-shard key lists it removes from.
-  view_.set_shard_map(ShardMap::by_edge_switch(tree_.topo));
+  // The undo path must leave the slots and link lists it removes from in a
+  // state the next sync can upsert and drop through.
   const Path p = path_between(tree_.hosts[0], tree_.hosts[1]);
   const Path q = path_between(tree_.hosts[0], tree_.hosts[2]);
   view_.add_flow(1, p, 8e6, 2e6);
@@ -269,15 +211,21 @@ TEST_F(NetworkViewTest, RollbackRestoresShardTrackedFlow) {
   EXPECT_DOUBLE_EQ(view_.find(1)->bw_bps, 2e6);
   EXPECT_EQ(view_.find(2), nullptr);
   EXPECT_EQ(keys_on_path(p), (std::vector<std::uint64_t>{1, 3}));
-  // Shard bookkeeping stayed consistent: syncing the shard empty must
-  // remove exactly the pre-scope flows without tripping the list asserts.
-  const std::uint32_t s = view_.shard_map().shard_of_node(tree_.hosts[0]);
-  EXPECT_EQ(view_.shard_flow_count(s), 2u);
-  view_.begin_sync(s);
-  view_.end_sync();
-  EXPECT_EQ(view_.find(1), nullptr);
+  // A sync after the scope: 2 arrives for real (into the slot the
+  // rollback freed), 1 moves to q, and 3 leaves.
+  view_.upsert_flow(2, p, 4e6, 3e6, 1e6);
+  view_.upsert_flow(1, q, 8e6, 8e6, 2e6);
+  view_.drop_flow(3);
   EXPECT_EQ(view_.find(3), nullptr);
-  EXPECT_EQ(view_.flow_count(), 0u);
+  ASSERT_NE(view_.find(2), nullptr);
+  EXPECT_DOUBLE_EQ(view_.find(2)->remaining_bytes, 3e6);
+  // p and q share their first link; each last hop lists only its own flow.
+  EXPECT_EQ(keys_on_path(p), (std::vector<std::uint64_t>{1, 2}));
+  std::vector<const NetworkView::Flow*> last_hop;
+  view_.append_flows_on_link(q.links.back(), last_hop);
+  ASSERT_EQ(last_hop.size(), 1u);
+  EXPECT_EQ(last_hop[0]->key, 1u);
+  EXPECT_EQ(view_.flow_count(), 2u);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST_F(SelectorFigure2, CommitNeverRaisesAFlowAboveItsCurrentShare) {
   // view is about to go stale, which is exactly the hazard the commit-time
   // clamp guards against.
   net::NetworkView view = fig.view();
-  const std::uint64_t version_at_snapshot = fig.table.version();
+  fig.table.clear_changes();  // the snapshot holds every change so far
 
   // Selection sees flow4 at share 4 and plans to bump it to 3 (path via B).
   const auto best = selector.select(view, fig.D, {fig.S}, kRequest);
@@ -154,11 +154,11 @@ TEST_F(SelectorFigure2, CommitNeverRaisesAFlowAboveItsCurrentShare) {
   ASSERT_NEAR(planned_flow4, 3.0, 1e-9);
 
   // Before commit, an interleaved poll measured flow4 at only 2. The table
-  // version moves — this is the signal the Flowserver uses to rebuild its
+  // logs the change — this is the signal the Flowserver uses to sync its
   // cached view before the NEXT batch; the in-flight decision still holds
   // the old snapshot.
   fig.table.setbw(fig.flow4, 2.0, sim::SimTime{});
-  EXPECT_NE(fig.table.version(), version_at_snapshot);
+  EXPECT_EQ(fig.table.changes(), std::vector<sdn::Cookie>{fig.flow4});
   EXPECT_NEAR(view.find(fig.flow4)->bw_bps, 4.0, 1e-9);  // snapshot unmoved
 
   selector.commit(view, *best, fig.next_cookie, kRequest, sim::SimTime{});

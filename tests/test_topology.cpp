@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "net/fat_tree.hpp"
 #include "net/tree.hpp"
 
 namespace mayflower::net {
@@ -41,6 +44,26 @@ TEST(Topology, OutAndInLinks) {
   t.add_link(b, a, 1.0);
   EXPECT_EQ(t.out_links(a).size(), 2u);
   EXPECT_EQ(t.in_links(a).size(), 1u);
+}
+
+TEST(Topology, EdgeSwitchesAreTheSwitchesHostsHangOff) {
+  // Tier labels do not matter: a switch with an attached host is an edge.
+  Topology t;
+  const NodeId h = t.add_node(NodeKind::kHost, "h");
+  const NodeId core = t.add_node(NodeKind::kCoreSwitch, "core");
+  const NodeId edge = t.add_node(NodeKind::kAggSwitch, "edge");
+  t.add_duplex(h, edge, 1.0);
+  t.add_duplex(edge, core, 1.0);
+  EXPECT_EQ(edge_switches(t), std::vector<NodeId>{edge});
+
+  // The built fabrics: exactly their edge tier, in node order.
+  for (const ThreeTier& tree :
+       {build_three_tier(ThreeTierConfig{}),
+        three_tier_from_fat_tree(FatTreeConfig{.k = 8})}) {
+    std::vector<NodeId> want = tree.edge_switches;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(edge_switches(tree.topo), want);
+  }
 }
 
 class ThreeTierTest : public ::testing::Test {

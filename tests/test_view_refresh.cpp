@@ -3,8 +3,7 @@
 // A seeded workload runs a Flowserver through random reads, write chains,
 // completions and drops, stats polls (the poller and a link-rate monitor
 // running), and link and switch failures and restores. After every step,
-// server.view() — refreshed incrementally, shard by shard (one shard for
-// the unsharded layout, one per edge switch for the sharded one), and
+// server.view() — refreshed incrementally from the table's change log and
 // written through by the decision pipeline's commits — must equal a fresh
 // full rebuild: a copy of the whole table, the fabric's liveness and the
 // monitor's rates.
@@ -25,7 +24,6 @@ namespace mayflower::flowserver {
 namespace {
 
 struct Layout {
-  bool sharded = false;
   // Requests per drain (1 = batch-of-one).
   std::size_t batch = 1;
 };
@@ -123,7 +121,6 @@ class ViewWorkload {
   static FlowserverConfig config(Layout layout, std::uint64_t seed) {
     FlowserverConfig cfg;
     cfg.seed = seed;
-    cfg.shard_by_edge = layout.sharded;
     cfg.batch_size = layout.batch;
     return cfg;
   }
@@ -239,8 +236,7 @@ constexpr int kSteps = 400;
 void expect_view_tracks_rebuild(const net::Topology& topo,
                                 const std::vector<net::NodeId>& hosts,
                                 Layout layout, std::uint64_t seed) {
-  SCOPED_TRACE(strfmt("sharded %d, batch %zu, seed %llu",
-                      layout.sharded ? 1 : 0, layout.batch,
+  SCOPED_TRACE(strfmt("batch %zu, seed %llu", layout.batch,
                       static_cast<unsigned long long>(seed)));
   ViewWorkload workload(topo, hosts, layout, seed);
   ASSERT_EQ(workload.difference(), "") << "before any step";
@@ -248,8 +244,8 @@ void expect_view_tracks_rebuild(const net::Topology& topo,
     workload.step();
     ASSERT_EQ(workload.difference(), "") << "after step " << i;
   }
-  // The run exercised what it claims to: believed flows, polls, per-shard
-  // reloads and link-section refreshes.
+  // The run exercised what it claims to: believed flows, polls, change-log
+  // syncs and link-section refreshes.
   const Flowserver& server = workload.server();
   EXPECT_GT(workload.most_flows(), 4u);
   EXPECT_GT(server.polls(), 10u);
@@ -259,30 +255,23 @@ void expect_view_tracks_rebuild(const net::Topology& topo,
 
 TEST(ViewRefresh, MatchesAFullRebuildOnThePaperTree) {
   const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
-  for (const Layout layout : {Layout{.sharded = false},
-                              Layout{.sharded = true}}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      expect_view_tracks_rebuild(tree.topo, tree.hosts, layout, seed);
-      if (HasFatalFailure()) return;
-    }
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    expect_view_tracks_rebuild(tree.topo, tree.hosts, Layout{}, seed);
+    if (HasFatalFailure()) return;
   }
 }
 
 TEST(ViewRefresh, MatchesAFullRebuildOnAFatTree) {
   const net::FatTree tree = net::build_fat_tree(net::FatTreeConfig{.k = 8});
-  for (const Layout layout : {Layout{.sharded = false},
-                              Layout{.sharded = true}}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      expect_view_tracks_rebuild(tree.topo, tree.hosts, layout, seed);
-      if (HasFatalFailure()) return;
-    }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    expect_view_tracks_rebuild(tree.topo, tree.hosts, Layout{}, seed);
+    if (HasFatalFailure()) return;
   }
 }
 
 TEST(ViewRefresh, MatchesAFullRebuildUnderBatchedDecisions) {
   const net::ThreeTier tree = net::build_three_tier(net::ThreeTierConfig{});
-  expect_view_tracks_rebuild(tree.topo, tree.hosts,
-                             Layout{.sharded = true, .batch = 8},
+  expect_view_tracks_rebuild(tree.topo, tree.hosts, Layout{.batch = 8},
                              /*seed=*/1);
 }
 

@@ -1,4 +1,4 @@
-// Fixture: decision code reaching past the NetworkView. Exactly six
+// Fixture: decision code reaching past the NetworkView. Exactly five
 // violations — the comment and string mentions of flow_sim must NOT count.
 namespace fixture {
 
@@ -19,22 +19,16 @@ inline int peek_table(Fabric& f) {
   return f.switch_at(3);             // violation 3: raw switch table access
 }
 
-inline int peek_shard(Fabric& f) {
-  (void)f;
-  // shard_version in prose is fine; the call below is not.
-  return f.shard_version(2);         // violation 4: shard bookkeeping
-}
-
 inline int peek_meta(Fabric& f) {
   (void)f;
   // owner_of_path in prose is fine; the call below is not.
-  return f.owner_of_path(7);         // violation 5: metadata shard routing
+  return f.owner_of_path(7);         // violation 4: metadata shard routing
 }
 
 inline void peek_sync(Fabric& f) {
   (void)f;
-  // sync_shard_into in prose is fine; the call below is not.
-  f.table.sync_shard_into(f.view, 0);  // violation 6: view refresh internals
+  // sync_changes_into in prose is fine; the call below is not.
+  f.table.sync_changes_into(f.view);  // violation 5: view refresh internals
 }
 
 }  // namespace fixture

@@ -6,10 +6,10 @@ Six checks, each enforcing a repo-wide contract that a plain grep cannot
 banned identifier does not trip the gate):
 
   boundary  Decision code reads only the NetworkView snapshot. The files
-            that cost candidates and pick replicas/paths — and the sharded
-            state plane they read through (shard map, view, flow table) —
-            must never name raw fabric/simulator state (flow_sim,
-            port_bytes, poll_port_stats, flow_record, switch_at).
+            that cost candidates and pick replicas/paths — and the state
+            plane they read through (view, flow table) — must never name
+            raw fabric/simulator state (flow_sim, port_bytes,
+            poll_port_stats, flow_record, switch_at).
 
   nondet    Nothing under src/ may introduce nondeterminism: no wall clocks,
             no unseeded randomness, no second thread (std::thread, jthread,
@@ -59,7 +59,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_metrics import expand_scope, load, pattern_regex  # noqa: E402
 
-BOUNDARY_FILES = [
+DECISION_FILES = [
     "src/policy/replica_policy.cpp", "src/policy/replica_policy.hpp",
     "src/policy/scheme.cpp", "src/policy/scheme.hpp",
     "src/policy/hedera.cpp", "src/policy/hedera.hpp",
@@ -68,32 +68,32 @@ BOUNDARY_FILES = [
     "src/flowserver/bandwidth_model.cpp", "src/flowserver/bandwidth_model.hpp",
     # Adaptive telemetry (DESIGN.md §14) decides which poll samples to
     # apply from window rates the sweep hands it — pure bookkeeping that
-    # must never reach into fabric or shard state itself.
+    # must never reach into fabric or view-refresh state itself.
     "src/flowserver/telemetry.cpp", "src/flowserver/telemetry.hpp",
     # Write-path decision code (DESIGN.md §15): chain planning and the
     # placement rankings are pure functions of the view — they must stay as
     # fabric-blind as read selection.
     "src/flowserver/writechain.cpp", "src/flowserver/writechain.hpp",
     "src/policy/write_placement.cpp", "src/policy/write_placement.hpp",
-    # The sharded state plane: everything a decision reads flows through
-    # these, so they must stay as fabric-blind as the decision code itself.
-    "src/net/shard_map.cpp", "src/net/shard_map.hpp",
+]
+# The state plane: everything a decision reads flows through these, so they
+# must stay as fabric-blind as the decision code itself.
+STATE_PLANE_FILES = [
     "src/net/network_view.cpp", "src/net/network_view.hpp",
     "src/flowserver/flow_state.cpp", "src/flowserver/flow_state.hpp",
 ]
+BOUNDARY_FILES = DECISION_FILES + STATE_PLANE_FILES
 BOUNDARY_BANNED = ["flow_sim", "port_bytes", "poll_port_stats", "flow_record",
                    "switch_at"]
-# The decision files proper (everything above the shard-plane block) must
-# also never reach into shard bookkeeping: which shard a flow lives in and
-# when a shard section reloads is the refresh path's business; decisions see
-# one coherent view. Not applied to the shard-plane files, which define
-# these operations. The metadata plane's routing internals (which nameserver
-# owns a path, how adoption rebuilds a dead shard's keys) are banned for the
-# same reason: decision code asks the router, never the shard map.
-DECISION_FILE_COUNT = 18  # prefix of BOUNDARY_FILES the shard ban covers
-SHARD_INTERNAL_BANNED = ["shard_of_node", "shard_of_path", "sync_shard_into",
-                         "begin_sync", "sync_flow", "end_sync",
-                         "shard_version", "stamp_shard", "shard_stamp",
+# The decision files proper must also never reach into the view's refresh
+# internals: when and how the view applies the table's change log is the
+# refresh path's business; decisions see one coherent view. Not applied to
+# the state-plane files, which define these operations. The metadata
+# plane's routing internals (which nameserver owns a path, how adoption
+# rebuilds a dead shard's keys) are banned for the same reason: decision
+# code asks the router, never the shard map.
+DECISION_FILE_COUNT = len(DECISION_FILES)  # prefix the internals ban covers
+SHARD_INTERNAL_BANNED = ["sync_changes_into", "clear_changes", "upsert_flow",
                          "owner_of_path", "adopt_from_dataservers"]
 
 # Identifiers that smuggle wall-clock time, ambient randomness or thread
@@ -268,8 +268,9 @@ def check_boundary(root, findings, files=None):
                 m = shard_pattern.search(line)
                 if m:
                     findings.append((path, idx, "boundary",
-                                     "decision code reaches into shard "
-                                     "bookkeeping '%s'" % m.group(1)))
+                                     "decision code reaches into refresh "
+                                     "or routing internals '%s'" %
+                                     m.group(1)))
 
 
 def unordered_members(code_lines):
@@ -740,7 +741,7 @@ def self_test(root):
         failures.append("good.cpp flagged: %s:%d [%s] %s" % f)
 
     expectations = {
-        "bad_boundary.cpp": ("boundary", 6),
+        "bad_boundary.cpp": ("boundary", 5),
         "bad_nondet.cpp": ("nondet", 5),
         "bad_units.cpp": ("units", 3),
     }

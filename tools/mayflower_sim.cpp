@@ -55,7 +55,7 @@ void usage() {
       "                     [--no-multiread] [--no-freeze] "
       "[--batch-size=N]\n"
       "                     [--topology=three_tier|fat_tree] "
-      "[--fat-k=N] [--shard-state]\n"
+      "[--fat-k=N]\n"
       "                     [--poll-budget=N] [--mouse-period=N]\n"
       "                     [--csv=FILE] [--metrics-out=FILE]\n"
       "                     [--meta-shards=N] [--meta-async] "
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   if (!flags.validate({"scheme", "lambda", "locality", "oversub", "jobs",
                        "warmup", "files", "block-mb", "seeds", "poll-sec",
                        "no-multiread", "no-freeze", "batch-size",
-                       "topology", "fat-k", "shard-state",
+                       "topology", "fat-k",
                        "poll-budget", "mouse-period",
                        "csv", "metrics-out",
                        "meta-shards", "meta-async", "meta-partition",
@@ -137,9 +137,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown topology '%s'\n", topology.c_str());
     return 2;
   }
-  // Sharded state plane: partition the Flowserver's table and view by edge
-  // switch. Decisions are byte-identical with or without the flag.
-  if (flags.get_bool("shard-state")) cfg.flowserver.shard_by_edge = true;
   // Adaptive budgeted telemetry (DESIGN.md §14). --poll-budget=0 means no
   // per-tick cap; --mouse-period=1 keeps mice at full-rate cadence. Both at
   // their defaults leave the adaptive layer off entirely.
